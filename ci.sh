@@ -83,44 +83,63 @@ cargo run --release -q -p tcor-sim -- all --resume --check \
   >/dev/null
 rm -f "$SMOKE_MANIFEST"
 
+# Daemon lifecycle for the serve, stream and restart smokes.
+# `start_daemon NAME [FLAGS...]` starts `tcor-sim serve` on an ephemeral
+# port with FLAGS, waits for its port file and sets ADDR; `stop_daemon`
+# asks it to drain over POST /admin/shutdown and requires exit 0. The
+# EXIT trap kills a daemon that a failed check left running.
+TCOR_SIM=target/release/tcor-sim
+PORT_FILE=/tmp/tcor-ci-serve-port
+SERVE_PID=
+DAEMON=
+trap 'if [ -n "$SERVE_PID" ]; then kill "$SERVE_PID" 2>/dev/null || true; fi' EXIT
+
+start_daemon() {
+  DAEMON=$1
+  shift
+  rm -f "$PORT_FILE"
+  "$TCOR_SIM" serve --port 0 --workers 2 --queue-depth 16 --port-file "$PORT_FILE" \
+    "$@" >/dev/null 2>&1 &
+  SERVE_PID=$!
+  for _ in $(seq 1 100); do
+    [ -s "$PORT_FILE" ] && break
+    sleep 0.1
+  done
+  if [ ! -s "$PORT_FILE" ]; then
+    echo "ci: FAIL: $DAEMON never published its port" >&2
+    exit 1
+  fi
+  ADDR=$(cat "$PORT_FILE")
+}
+
+stop_daemon() {
+  "$TCOR_SIM" serve-req "$ADDR" POST /admin/shutdown >/dev/null
+  set +e
+  wait "$SERVE_PID"
+  code=$?
+  set -e
+  SERVE_PID=
+  if [ "$code" -ne 0 ]; then
+    echo "ci: FAIL: $DAEMON exited $code after graceful shutdown, expected 0" >&2
+    exit 1
+  fi
+  rm -f "$PORT_FILE"
+}
+
 echo "== serve smoke (daemon up, golden table over loopback, graceful exit)"
 # The serving daemon must come up on an ephemeral port, answer a golden
 # experiment over loopback byte-identically to results/golden/, and
 # drain to exit 0 on POST /admin/shutdown.
-TCOR_SIM=target/release/tcor-sim
-PORT_FILE=/tmp/tcor-ci-serve-port
 SERVE_OUT=/tmp/tcor-ci-serve-fig10.csv
-rm -f "$PORT_FILE"
-"$TCOR_SIM" serve --port 0 --workers 2 --queue-depth 16 --port-file "$PORT_FILE" \
-  --telemetry /tmp/tcor-ci-serve-telemetry.jsonl >/dev/null 2>&1 &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$PORT_FILE" ] && break
-  sleep 0.1
-done
-if [ ! -s "$PORT_FILE" ]; then
-  echo "ci: FAIL: serve daemon never published its port" >&2
-  kill "$SERVE_PID" 2>/dev/null || true
-  exit 1
-fi
-ADDR=$(cat "$PORT_FILE")
+start_daemon "serve daemon" --telemetry /tmp/tcor-ci-serve-telemetry.jsonl
 "$TCOR_SIM" serve-req "$ADDR" GET /health >/dev/null
 "$TCOR_SIM" serve-req "$ADDR" GET /v1/table/fig10 > "$SERVE_OUT"
 if ! cmp -s "$SERVE_OUT" results/golden/fig10.csv; then
   echo "ci: FAIL: served fig10 differs from results/golden/fig10.csv" >&2
-  kill "$SERVE_PID" 2>/dev/null || true
   exit 1
 fi
-"$TCOR_SIM" serve-req "$ADDR" POST /admin/shutdown >/dev/null
-set +e
-wait "$SERVE_PID"
-code=$?
-set -e
-if [ "$code" -ne 0 ]; then
-  echo "ci: FAIL: serve daemon exited $code after graceful shutdown, expected 0" >&2
-  exit 1
-fi
-rm -f "$PORT_FILE" "$SERVE_OUT"
+stop_daemon
+rm -f "$SERVE_OUT"
 
 echo "== stream smoke (chunked upload byte-identical to offline misscurves + 413 cap)"
 # The streaming profile plane must answer a chunked GTr upload with
@@ -130,54 +149,29 @@ echo "== stream smoke (chunked upload byte-identical to offline misscurves + 413
 # rejection in serve/body_rejected.
 STREAM_OUT=/tmp/tcor-ci-stream-gtr.json
 OFFLINE_OUT=/tmp/tcor-ci-offline-gtr.json
-rm -f "$PORT_FILE"
-"$TCOR_SIM" serve --port 0 --workers 2 --queue-depth 16 --port-file "$PORT_FILE" \
-  >/dev/null 2>&1 &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$PORT_FILE" ] && break
-  sleep 0.1
-done
-if [ ! -s "$PORT_FILE" ]; then
-  echo "ci: FAIL: stream-smoke daemon never published its port" >&2
-  kill "$SERVE_PID" 2>/dev/null || true
-  exit 1
-fi
-ADDR=$(cat "$PORT_FILE")
+start_daemon "stream-smoke daemon"
 for policy in opt lru; do
   if ! "$TCOR_SIM" stream "$ADDR" --workload GTr --policy "$policy" \
       --chunk-accesses 1000 > "$STREAM_OUT" 2>/dev/null; then
     echo "ci: FAIL: chunked stream upload (policy $policy) failed" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
     exit 1
   fi
   "$TCOR_SIM" serve-req "$ADDR" GET "/v1/misscurve/GTr/$policy" > "$OFFLINE_OUT"
   if ! cmp -s "$STREAM_OUT" "$OFFLINE_OUT"; then
     echo "ci: FAIL: streamed GTr/$policy curve differs from the offline misscurve bytes" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
     exit 1
   fi
 done
 if ! "$TCOR_SIM" stream "$ADDR" --probe-oversize 2>/dev/null; then
   echo "ci: FAIL: oversize chunk body was not refused with 413" >&2
-  kill "$SERVE_PID" 2>/dev/null || true
   exit 1
 fi
 if ! "$TCOR_SIM" serve-req "$ADDR" GET /metrics | grep -q 'serve/body_rejected = 1'; then
   echo "ci: FAIL: the 413 rejection did not land in serve/body_rejected" >&2
-  kill "$SERVE_PID" 2>/dev/null || true
   exit 1
 fi
-"$TCOR_SIM" serve-req "$ADDR" POST /admin/shutdown >/dev/null
-set +e
-wait "$SERVE_PID"
-code=$?
-set -e
-if [ "$code" -ne 0 ]; then
-  echo "ci: FAIL: stream-smoke daemon exited $code after graceful shutdown, expected 0" >&2
-  exit 1
-fi
-rm -f "$PORT_FILE" "$STREAM_OUT" "$OFFLINE_OUT"
+stop_daemon
+rm -f "$STREAM_OUT" "$OFFLINE_OUT"
 
 echo "== bench-stream smoke (streaming ingest + live snapshots, offline byte parity)"
 # The in-process streaming benchmark asserts the finished curve is
@@ -209,72 +203,27 @@ echo "== restart-warm smoke (persistent cache survives a daemon restart)"
 CACHE_DIR=/tmp/tcor-ci-pcache
 RESTART_OUT=/tmp/tcor-ci-restart-fig10.csv
 rm -rf "$CACHE_DIR"
-rm -f "$PORT_FILE"
-"$TCOR_SIM" serve --port 0 --workers 2 --queue-depth 16 --port-file "$PORT_FILE" \
-  --cache-dir "$CACHE_DIR" \
-  --telemetry /tmp/tcor-ci-serve-telemetry.jsonl >/dev/null 2>&1 &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$PORT_FILE" ] && break
-  sleep 0.1
-done
-if [ ! -s "$PORT_FILE" ]; then
-  echo "ci: FAIL: generation-1 daemon never published its port" >&2
-  kill "$SERVE_PID" 2>/dev/null || true
-  exit 1
-fi
-ADDR=$(cat "$PORT_FILE")
+start_daemon "generation-1 daemon" --cache-dir "$CACHE_DIR" \
+  --telemetry /tmp/tcor-ci-serve-telemetry.jsonl
 "$TCOR_SIM" serve-req "$ADDR" GET /v1/table/fig10 --expect-cache miss > "$SERVE_OUT"
-"$TCOR_SIM" serve-req "$ADDR" POST /admin/shutdown >/dev/null
-set +e
-wait "$SERVE_PID"
-code=$?
-set -e
-if [ "$code" -ne 0 ]; then
-  echo "ci: FAIL: generation-1 daemon exited $code, expected 0" >&2
-  exit 1
-fi
-rm -f "$PORT_FILE"
-"$TCOR_SIM" serve --port 0 --workers 2 --queue-depth 16 --port-file "$PORT_FILE" \
-  --cache-dir "$CACHE_DIR" \
-  --telemetry /tmp/tcor-ci-serve-telemetry.jsonl >/dev/null 2>&1 &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$PORT_FILE" ] && break
-  sleep 0.1
-done
-if [ ! -s "$PORT_FILE" ]; then
-  echo "ci: FAIL: restarted daemon never published its port" >&2
-  kill "$SERVE_PID" 2>/dev/null || true
-  exit 1
-fi
-ADDR=$(cat "$PORT_FILE")
+stop_daemon
+start_daemon "restarted daemon" --cache-dir "$CACHE_DIR" \
+  --telemetry /tmp/tcor-ci-serve-telemetry.jsonl
 if ! "$TCOR_SIM" serve-req "$ADDR" GET /v1/table/fig10 --expect-cache disk > "$RESTART_OUT"; then
   echo "ci: FAIL: restarted daemon did not answer fig10 from the disk tier" >&2
-  kill "$SERVE_PID" 2>/dev/null || true
   exit 1
 fi
 if ! cmp -s "$RESTART_OUT" results/golden/fig10.csv; then
   echo "ci: FAIL: disk-tier fig10 differs from results/golden/fig10.csv" >&2
-  kill "$SERVE_PID" 2>/dev/null || true
   exit 1
 fi
 if ! cmp -s "$RESTART_OUT" "$SERVE_OUT"; then
   echo "ci: FAIL: disk-tier fig10 differs from generation 1's body" >&2
-  kill "$SERVE_PID" 2>/dev/null || true
   exit 1
 fi
-"$TCOR_SIM" serve-req "$ADDR" POST /admin/shutdown >/dev/null
-set +e
-wait "$SERVE_PID"
-code=$?
-set -e
-if [ "$code" -ne 0 ]; then
-  echo "ci: FAIL: restarted daemon exited $code after graceful shutdown, expected 0" >&2
-  exit 1
-fi
+stop_daemon
 rm -rf "$CACHE_DIR"
-rm -f "$PORT_FILE" "$SERVE_OUT" "$RESTART_OUT"
+rm -f "$SERVE_OUT" "$RESTART_OUT"
 
 echo "== bench-load smoke (open-loop load: keep-alive tiers + graceful shedding)"
 # A reduced run of the open-loop concurrent load generator: warm

@@ -7,11 +7,12 @@
 //!
 //! ## The TCOR organization (Fig. 7, Fig. 8)
 //!
-//! The unified baseline Tile Cache is split in two:
+//! The unified baseline Tile Cache — one LRU block cache in front of both
+//! Parameter Buffer sections — is split in two:
 //!
-//! * [`ListCache`] — a conventional LRU cache in front of PB-Lists, laid
-//!   out with TCOR's interleaved scheme (Fig. 6) so consecutive tiles map
-//!   to consecutive sets.
+//! * a **Primitive List Cache** — the same LRU block cache, in front of
+//!   PB-Lists alone, laid out with TCOR's interleaved scheme (Fig. 6) so
+//!   consecutive tiles map to consecutive sets.
 //! * [`AttributeCache`] — a decoupled, primitive-granularity cache in
 //!   front of PB-Attributes: a **Primitive Buffer** (tags, lock/dirty
 //!   bits, the 12-bit OPT Number, and a pointer into the attribute
@@ -23,13 +24,17 @@
 //!
 //! ## Systems
 //!
-//! [`BaselineSystem`] and [`TcorSystem`] run one frame end to end —
-//! geometry, binning, both Tiling Engine phases, raster-side traffic —
-//! over a shared [`tcor_mem::MemoryHierarchy`], and produce a
-//! [`FrameReport`] with every counter the paper's Figures 14–24 plot.
+//! [`System`] runs one frame end to end — geometry, binning, both Tiling
+//! Engine phases, raster-side traffic — over a
+//! [`tcor_mem::MemoryHierarchy`], and produces a [`FrameReport`] with
+//! every counter the paper's Figures 14–24 plot. The Tile Cache
+//! organisation comes from the configuration (`cfg.gpu.tile_cache`), so
+//! the baseline and TCOR replay identical access streams through one
+//! driver. [`Session`] runs a sequence of frames over a memory system
+//! that persists between them (the steady state).
 //!
 //! ```
-//! use tcor::{SystemConfig, TcorSystem, BaselineSystem};
+//! use tcor::{System, SystemConfig};
 //! use tcor_gpu::{Scene, ScenePrimitive};
 //! use tcor_common::Tri2;
 //!
@@ -43,21 +48,19 @@
 //!         attr_count: 3,
 //!     })
 //!     .collect();
-//! let report = TcorSystem::new(SystemConfig::paper_tcor_64k()).run_frame(&scene);
-//! let base = BaselineSystem::new(SystemConfig::paper_baseline_64k()).run_frame(&scene);
+//! let report = System::new(SystemConfig::paper_tcor_64k()).run_frame(&scene);
+//! let base = System::new(SystemConfig::paper_baseline_64k()).run_frame(&scene);
+//! assert_eq!((report.system, base.system), ("tcor", "baseline"));
 //! assert!(report.pb_l2_accesses() <= base.pb_l2_accesses());
 //! ```
 
 pub mod attribute_cache;
-pub mod baseline;
-pub mod list_cache;
+mod block_cache;
 pub mod report;
 pub mod system;
 
 pub use attribute_cache::{
     AttributeCache, AttributeCacheConfig, EvictedPrim, ReadResult, WriteResult,
 };
-pub use baseline::BaselineTileCache;
-pub use list_cache::ListCache;
 pub use report::{FrameReport, StructureActivity};
-pub use system::{BaselineSession, BaselineSystem, SystemConfig, TcorSession, TcorSystem};
+pub use system::{BaselineSystem, Session, System, SystemConfig, TcorSystem};

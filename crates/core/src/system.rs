@@ -1,17 +1,19 @@
-//! Full-system frame drivers.
+//! The full-system frame driver.
 //!
-//! [`BaselineSystem`] and [`TcorSystem`] replay one frame — geometry,
-//! binning, both Tiling Engine phases, raster-side traffic — through
-//! their respective Tile Cache organizations over a shared
-//! [`MemoryHierarchy`], producing a [`FrameReport`]. The access *streams*
-//! are identical by construction; only the memory system differs, exactly
-//! as in the paper's methodology.
+//! [`System`] replays one frame — geometry, binning, both Tiling Engine
+//! phases, raster-side traffic — through the Tile Cache organisation its
+//! configuration names, over a [`MemoryHierarchy`], producing a
+//! [`FrameReport`]; [`Session`] replays a sequence of frames over a memory
+//! system that persists between them. The baseline GPU (unified Tile
+//! Cache) and TCOR (Primitive List Cache + Attribute Cache) share one
+//! driver: the access *streams* are identical by construction and only the
+//! per-access Tile Cache handling differs, exactly as in the paper's
+//! methodology.
 
 use crate::attribute_cache::{
     AttributeCache, AttributeCacheConfig, EvictedPrim, ReadResult, WriteResult,
 };
-use crate::baseline::BaselineTileCache;
-use crate::list_cache::ListCache;
+use crate::block_cache::BlockCache;
 use crate::report::{FrameReport, StructureActivity};
 use std::collections::VecDeque;
 use tcor_cache::policy::Lru;
@@ -194,10 +196,12 @@ impl OtherL1s {
     }
 }
 
-/// Classifies Tile Cache blocks for the L2's PB tags.
+/// The frame's Parameter Buffer layouts, built once per frame: they map
+/// PMDs and attributes to the blocks the Tile Cache accesses, and classify
+/// those blocks for the L2's PB tags.
 struct Tagger<'a> {
     lists: ListsLayout,
-    attrs: &'a AttributesLayout,
+    attrs: AttributesLayout,
     frame: &'a BinnedFrame,
     order: &'a TraversalOrder,
 }
@@ -228,15 +232,9 @@ impl Tagger<'_> {
 /// Installs the previous frame's Parameter Buffer into the L2 as clean
 /// lines (steady-state warm start; the PB occupies the same addresses
 /// every frame).
-fn warm_l2(
-    hierarchy: &mut MemoryHierarchy,
-    frame: &BinnedFrame,
-    order: &TraversalOrder,
-    tagger: &Tagger<'_>,
-    attrs_layout: &AttributesLayout,
-) {
-    for tile in order.iter() {
-        let n_pmds = frame.tile_list(tile).len() as u32;
+fn warm_l2(hierarchy: &mut MemoryHierarchy, tagger: &Tagger<'_>) {
+    for tile in tagger.order.iter() {
+        let n_pmds = tagger.frame.tile_list(tile).len() as u32;
         let mut n = 0u32;
         while n < n_pmds {
             let b = tagger.lists.pmd_block(tile, n);
@@ -244,17 +242,116 @@ fn warm_l2(
             n += tcor_pbuf::PMDS_PER_BLOCK;
         }
     }
-    for p in 0..attrs_layout.num_primitives() {
-        for k in 0..attrs_layout.attr_count(p) {
-            let b = attrs_layout.attr_block(p, k);
+    for p in 0..tagger.attrs.num_primitives() {
+        for k in 0..tagger.attrs.attr_count(p) {
+            let b = tagger.attrs.attr_block(p, k);
             hierarchy.warm_fill(b, tagger.tag_of(b));
         }
     }
 }
 
-/// Builds a fresh memory hierarchy for `cfg`.
-fn new_hierarchy(cfg: &SystemConfig) -> MemoryHierarchy {
-    MemoryHierarchy::new(cfg.gpu.l2, cfg.gpu.memory, cfg.l2_mode)
+/// The Tile Cache organisation: the one component the baseline and TCOR
+/// GPUs differ in. Built fresh every frame from `cfg.gpu.tile_cache`.
+// One value per frame, never moved in a loop: the variant sizes don't matter.
+#[allow(clippy::large_enum_variant)]
+enum TileCache {
+    /// The baseline (§II.C): one LRU block cache for both PB-Lists and
+    /// PB-Attributes.
+    Unified(BlockCache),
+    /// TCOR (§III.C): an LRU block cache for PB-Lists plus the OPT
+    /// Attribute Cache.
+    Split {
+        lists: BlockCache,
+        attrs: AttributeCache,
+        /// The primitive whose first attribute write bypassed the
+        /// Attribute Cache (§III.C.4); its other attributes follow it to
+        /// the L2.
+        bypassed: Option<PrimitiveId>,
+        /// The Tile Fetcher output queue: fetched primitives stay locked
+        /// in the Attribute Cache until the Rasterizer consumes them.
+        queue: VecDeque<PrimitiveId>,
+    },
+}
+
+impl TileCache {
+    fn new(cfg: &SystemConfig) -> Self {
+        match cfg.gpu.tile_cache {
+            TileCacheOrg::Unified { cache } => TileCache::Unified(BlockCache::new(cache)),
+            TileCacheOrg::Split {
+                list_cache,
+                attribute_bytes,
+                attribute_ways,
+            } => TileCache::Split {
+                lists: BlockCache::new(list_cache),
+                attrs: AttributeCache::new(
+                    AttributeCacheConfig::from_budget(attribute_bytes, attribute_ways as usize)
+                        .with_write_bypass(cfg.attr_write_bypass)
+                        .with_indexing(cfg.attr_indexing),
+                ),
+                bypassed: None,
+                queue: VecDeque::new(),
+            },
+        }
+    }
+
+    /// The LRU block cache: the whole Tile Cache of the baseline, the
+    /// Primitive List Cache of TCOR.
+    fn blocks(&mut self) -> &mut BlockCache {
+        match self {
+            TileCache::Unified(cache) | TileCache::Split { lists: cache, .. } => cache,
+        }
+    }
+}
+
+/// A Polygon List Builder write through a block cache.
+fn write_block(
+    cache: &mut BlockCache,
+    block: BlockAddr,
+    fetch_on_write_miss: bool,
+    hierarchy: &mut MemoryHierarchy,
+    tagger: &Tagger<'_>,
+) {
+    let acc = cache.access(block, AccessKind::Write);
+    if fetch_on_write_miss && !acc.hit {
+        // Partial-line write: the rest of the block must be fetched (a
+        // PMD is 4 bytes, an attribute 48 of 64).
+        hierarchy.access(block, AccessKind::Read, tagger.tag_of(block));
+    }
+    if let Some(wb) = acc.writeback {
+        hierarchy.access(wb, AccessKind::Write, tagger.tag_of(wb));
+    }
+}
+
+/// A Tile Fetcher read through a block cache; misses go to the L2 through
+/// the MSHRs.
+fn read_block(
+    cache: &mut BlockCache,
+    block: BlockAddr,
+    hierarchy: &mut MemoryHierarchy,
+    tagger: &Tagger<'_>,
+    timing: &mut MshrTiming,
+) {
+    let acc = cache.access(block, AccessKind::Read);
+    if let Some(wb) = acc.writeback {
+        hierarchy.access(wb, AccessKind::Write, tagger.tag_of(wb));
+    }
+    if acc.hit {
+        timing.issue_hit();
+    } else {
+        let lat = hierarchy.access(block, AccessKind::Read, tagger.tag_of(block));
+        timing.issue_miss(lat as u64);
+    }
+}
+
+/// Writes the attributes of every dirty primitive the Attribute Cache
+/// displaced back to the L2.
+fn write_back_prims(evicted: &[EvictedPrim], hierarchy: &mut MemoryHierarchy, tagger: &Tagger<'_>) {
+    for e in evicted.iter().filter(|e| e.dirty) {
+        for k in 0..e.attr_count {
+            let block = tagger.attrs.attr_block(e.prim.index(), k);
+            hierarchy.access(block, AccessKind::Write, tagger.attr_tag(e.prim));
+        }
+    }
 }
 
 /// Runs the Geometry Pipeline (vertex traffic through the persistent
@@ -303,8 +400,8 @@ fn raster_tile(
 /// Assembles the final report from the run's parts.
 #[allow(clippy::too_many_arguments)]
 fn build_report(
-    system: &'static str,
-    mut structures: Vec<StructureActivity>,
+    cfg: &SystemConfig,
+    tc: &TileCache,
     hierarchy: &MemoryHierarchy,
     l1s: &OtherL1s,
     raster: &RasterTraffic,
@@ -314,15 +411,44 @@ fn build_report(
     plb_cycles: u64,
     coupled_cycles: f64,
     pb_footprint_bytes: u64,
-    shader_throughput: f64,
 ) -> FrameReport {
     let fragments = frame.total_fragments();
     let shader_instructions = raster.shader_instructions_executed(fragments);
+    let shader_throughput = (cfg.fragment_processors * cfg.simd_lanes) as f64;
     let tex_stats = l1s
         .textures
         .iter()
         .map(|c| *c.stats())
         .sum::<tcor_common::AccessStats>();
+    let (system, mut structures) = match tc {
+        TileCache::Unified(cache) => (
+            "baseline",
+            vec![StructureActivity {
+                name: "tile$",
+                size_bytes: cache.size_bytes(),
+                instances: 1,
+                stats: *cache.stats(),
+            }],
+        ),
+        TileCache::Split { lists, attrs, .. } => (
+            "tcor",
+            vec![
+                StructureActivity {
+                    name: "list$",
+                    size_bytes: lists.size_bytes(),
+                    instances: 1,
+                    stats: *lists.stats(),
+                },
+                StructureActivity {
+                    name: "attr$",
+                    // The budget the Primitive List Cache leaves.
+                    size_bytes: cfg.gpu.tile_cache.total_bytes() - lists.size_bytes(),
+                    instances: 1,
+                    stats: *attrs.stats(),
+                },
+            ],
+        ),
+    };
     structures.push(StructureActivity {
         name: "vertex$",
         size_bytes: l1s.vertex.params().size_bytes,
@@ -341,7 +467,7 @@ fn build_report(
         instances: 1,
         stats: *l1s.instr.stats(),
     });
-    FrameReport {
+    let mut report = FrameReport {
         system,
         structures,
         l2_stats: *hierarchy.l2_stats(),
@@ -364,7 +490,15 @@ fn build_report(
         attr_buffer_utilization: 0.0,
         attr_line_utilization: 0.0,
         attr_stalls: 0,
+    };
+    if let TileCache::Split { attrs, .. } = tc {
+        report.attr_wb_blocks = attrs.writeback_blocks();
+        report.attr_opt_violations = attrs.opt_violations();
+        report.attr_buffer_utilization = attrs.avg_buffer_utilization();
+        report.attr_line_utilization = attrs.avg_line_utilization();
+        report.attr_stalls = attrs.stall_events();
     }
+    report
 }
 
 /// Emits one tile's fetch span plus the memory-side counter samples the
@@ -418,490 +552,222 @@ fn emit_phase_trace(trace: &mut FrameTrace, plb_cycles: u64, fetch_cycles: u64) 
     trace.instant("phase", "end of frame", plb_cycles + fetch_cycles);
 }
 
-/// The baseline GPU: unified LRU Tile Cache, baseline layouts, LRU L2.
+/// A one-shot full system: every frame runs through a fresh memory system
+/// with the configured L2 warm start, and the whole Parameter Buffer is
+/// disposed of at frame end. The Tile Cache organisation comes from
+/// `cfg.gpu.tile_cache`: unified gives the baseline GPU (unified LRU Tile
+/// Cache, baseline layouts, LRU L2), split gives TCOR (Primitive List
+/// Cache + Attribute Cache with OPT, interleaved PB-Lists, dead-line-aware
+/// L2). For true steady-state multi-frame runs use [`Session`].
 #[derive(Clone, Debug)]
-pub struct BaselineSystem {
+pub struct System {
     cfg: SystemConfig,
 }
 
-impl BaselineSystem {
+/// Former name of [`System`] for the baseline GPU. Kept as an alias
+/// because the benchmark package under `tcorbench/` still calls it; the
+/// organisation comes from the configuration, not from the type.
+pub type BaselineSystem = System;
+
+/// Former name of [`System`] for the TCOR GPU, kept for the same reason
+/// as [`BaselineSystem`].
+pub type TcorSystem = System;
+
+impl System {
     /// Creates the system.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration's Tile Cache organization is not
-    /// [`TileCacheOrg::Unified`].
     pub fn new(cfg: SystemConfig) -> Self {
-        assert!(
-            matches!(cfg.gpu.tile_cache, TileCacheOrg::Unified { .. }),
-            "baseline system needs a unified tile cache"
-        );
-        BaselineSystem { cfg }
+        System { cfg }
     }
 
-    /// Runs one frame through a cold memory system (with the configured
-    /// L2 warm start) and reports every measured quantity. For true
-    /// steady-state multi-frame runs use [`BaselineSession`].
+    /// Runs one frame and reports every measured quantity.
     pub fn run_frame(&self, scene: &Scene) -> FrameReport {
-        let mut hierarchy = new_hierarchy(&self.cfg);
-        let mut l1s = OtherL1s::new(&self.cfg);
-        let mut raster = RasterTraffic::new(self.cfg.raster);
-        baseline_frame(
-            &self.cfg,
-            scene,
-            &mut hierarchy,
-            &mut l1s,
-            &mut raster,
-            true,
-            &mut FrameTrace::disabled(),
-        )
+        Session::new(self.cfg.clone()).frame(scene, true, &mut FrameTrace::disabled())
     }
 
     /// Like [`run_frame`](Self::run_frame), but also records the Tiling
     /// Engine timeline (per-tile fetch spans, MSHR occupancy, L2 event
-    /// series) for the trace exporter.
+    /// series, Tile Cache occupancy) for the trace exporter.
     pub fn run_frame_traced(&self, scene: &Scene) -> (FrameReport, FrameTrace) {
-        let mut hierarchy = new_hierarchy(&self.cfg);
-        let mut l1s = OtherL1s::new(&self.cfg);
-        let mut raster = RasterTraffic::new(self.cfg.raster);
         let mut trace = FrameTrace::enabled();
-        let report = baseline_frame(
-            &self.cfg,
-            scene,
-            &mut hierarchy,
-            &mut l1s,
-            &mut raster,
-            true,
-            &mut trace,
-        );
+        let report = Session::new(self.cfg.clone()).frame(scene, true, &mut trace);
         (report, trace)
     }
 }
 
-/// One baseline frame over the given (possibly persistent) memory-system
-/// components. `one_shot` selects cold-start semantics: apply the L2 warm
-/// start and dispose of the whole Parameter Buffer at frame end; steady
-/// state (`false`) keeps the L2 across frames. `trace` collects the
-/// Tiling Engine timeline; pass [`FrameTrace::disabled`] for measurement
-/// runs (a disabled collector records nothing and perturbs nothing).
-fn baseline_frame(
-    cfg: &SystemConfig,
-    scene: &Scene,
-    hierarchy: &mut MemoryHierarchy,
-    l1s: &mut OtherL1s,
-    raster: &mut RasterTraffic,
-    one_shot: bool,
-    trace: &mut FrameTrace,
-) -> FrameReport {
-    {
-        let (grid, order, frame) = geometry_and_bin(cfg, scene, l1s, hierarchy);
-        let mut plb_cycles = 0u64;
-        let mut prims_fetched = 0u64;
-        let TileCacheOrg::Unified { cache: params } = cfg.gpu.tile_cache else {
-            unreachable!("checked in constructor");
-        };
-        let attr_counts = frame.binned.attr_counts();
-        let mut tc = BaselineTileCache::new(params, grid.num_tiles() as u32, &attr_counts);
-        let attrs_layout = AttributesLayout::new(&attr_counts);
-        let tagger = Tagger {
-            lists: ListsLayout::new(ListsScheme::Baseline, grid.num_tiles() as u32),
-            attrs: &attrs_layout,
-            frame: &frame.binned,
-            order: &order,
-        };
-
-        if one_shot && cfg.warm_l2 {
-            warm_l2(hierarchy, &frame.binned, &order, &tagger, &attrs_layout);
-        }
-
-        // --- Polygon List Builder phase.
-        for op in plb_ops(&frame.binned, &order) {
-            plb_cycles += 1;
-            let acc = match op {
-                PlbOp::PmdWrite { tile, n, .. } => tc.write_pmd(tile, n),
-                PlbOp::AttrWrite { prim, k } => tc.write_attr(prim.index(), k),
-            };
-            if cfg.fetch_on_write_miss && !acc.hit {
-                // Partial-line write: the rest of the block must be
-                // fetched (a PMD is 4 bytes, an attribute 48 of 64).
-                hierarchy.access(acc.block, AccessKind::Read, tagger.tag_of(acc.block));
-            }
-            if let Some(wb) = acc.writeback {
-                hierarchy.access(wb, AccessKind::Write, tagger.tag_of(wb));
-            }
-        }
-
-        // --- Tile Fetcher phase.
-        let mut timing = MshrTiming::new(cfg.mshrs);
-        let mut coupled_cycles = 0.0f64;
-        let mut tile_mark = 0u64;
-        for op in fetch_ops(&frame.binned, &order) {
-            match op {
-                FetchOp::ListRead { tile, first_n } => {
-                    let acc = tc.read_list_block(tile, first_n);
-                    if let Some(wb) = acc.writeback {
-                        hierarchy.access(wb, AccessKind::Write, tagger.tag_of(wb));
-                    }
-                    if acc.hit {
-                        timing.issue_hit();
-                    } else {
-                        let lat =
-                            hierarchy.access(acc.block, AccessKind::Read, tagger.tag_of(acc.block));
-                        timing.issue_miss(lat as u64);
-                    }
-                }
-                FetchOp::PrimRead { prim, .. } => {
-                    prims_fetched += 1;
-                    let attr_count = frame.binned.primitive(prim).attr_count;
-                    for k in 0..attr_count {
-                        let acc = tc.read_attr(prim.index(), k);
-                        if let Some(wb) = acc.writeback {
-                            hierarchy.access(wb, AccessKind::Write, tagger.tag_of(wb));
-                        }
-                        if acc.hit {
-                            timing.issue_hit();
-                        } else {
-                            let lat = hierarchy.access(
-                                acc.block,
-                                AccessKind::Read,
-                                tagger.tag_of(acc.block),
-                            );
-                            timing.issue_miss(lat as u64);
-                        }
-                    }
-                }
-                FetchOp::TileDone { tile } => {
-                    hierarchy.tile_done();
-                    // Fetch/raster coupling: this tile's rasterization
-                    // cannot finish before its primitives were fetched.
-                    let span_start = tile_mark;
-                    let fetch_t = timing.now().saturating_sub(tile_mark) as f64;
-                    tile_mark = timing.now();
-                    if trace.is_enabled() {
-                        emit_tile_trace(trace, plb_cycles, span_start, &timing, hierarchy, tile);
-                        trace.counter(
-                            "tile$",
-                            "prims",
-                            plb_cycles + timing.now(),
-                            vec![("fetched", prims_fetched)],
-                        );
-                    }
-                    let raster_t = frame.fragments_per_tile[tile.index()]
-                        * cfg.raster.shader_instructions as f64
-                        / (cfg.fragment_processors * cfg.simd_lanes) as f64
-                        + 32.0;
-                    coupled_cycles += fetch_t.max(raster_t);
-                    raster_tile(tile.index(), &frame, &grid, raster, l1s, hierarchy);
-                }
-            }
-        }
-        let fetch_cycles = timing.finish();
-        emit_phase_trace(trace, plb_cycles, fetch_cycles);
-
-        // --- End of frame.
-        for wb in tc.drain_dirty() {
-            hierarchy.access(wb, AccessKind::Write, tagger.tag_of(wb));
-        }
-        let pb_footprint = tagger
-            .lists
-            .footprint_bytes(frame.binned.max_list_len() as u32)
-            + attrs_layout.footprint_bytes();
-        if one_shot {
-            hierarchy.end_frame();
-        } else {
-            hierarchy.frame_boundary();
-        }
-
-        let structures = vec![StructureActivity {
-            name: "tile$",
-            size_bytes: params.size_bytes,
-            instances: 1,
-            stats: *tc.stats(),
-        }];
-        build_report(
-            "baseline",
-            structures,
-            hierarchy,
-            l1s,
-            raster,
-            &frame,
-            fetch_cycles,
-            prims_fetched,
-            plb_cycles,
-            coupled_cycles,
-            pb_footprint,
-            (cfg.fragment_processors * cfg.simd_lanes) as f64,
-        )
-    }
-}
-
-/// A persistent baseline GPU: the L2, DRAM state and surrounding L1s
+/// A persistent full system: the L2, DRAM state and surrounding L1s
 /// survive across frames (the true steady state that `warm_l2`
-/// approximates for one-shot runs). Per-frame counters are reset at each
-/// `run_frame`, so every report covers exactly one frame.
+/// approximates for one-shot runs). The first frame is cold, and dirty
+/// lines carry over to the next frame. Per-frame counters are reset at
+/// each `run_frame`, so every report covers exactly one frame.
 #[derive(Debug)]
-pub struct BaselineSession {
+pub struct Session {
     cfg: SystemConfig,
     hierarchy: MemoryHierarchy,
     l1s: OtherL1s,
     raster: RasterTraffic,
 }
 
-impl BaselineSession {
+impl Session {
     /// Creates the session with a cold memory system.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the configuration uses a unified Tile Cache.
     pub fn new(cfg: SystemConfig) -> Self {
-        assert!(
-            matches!(cfg.gpu.tile_cache, TileCacheOrg::Unified { .. }),
-            "baseline session needs a unified tile cache"
-        );
-        BaselineSession {
-            hierarchy: new_hierarchy(&cfg),
+        Session {
+            hierarchy: MemoryHierarchy::new(cfg.gpu.l2, cfg.gpu.memory, cfg.l2_mode),
             l1s: OtherL1s::new(&cfg),
             raster: RasterTraffic::new(cfg.raster),
             cfg,
         }
     }
 
-    /// Runs the next frame of the sequence and reports it. The first
-    /// frame is cold; from the second frame on the L2 holds the previous
-    /// frame's Parameter Buffer and texture working set.
+    /// Runs the next frame of the sequence and reports it. From the
+    /// second frame on the L2 holds the previous frame's Parameter Buffer
+    /// and texture working set.
     pub fn run_frame(&mut self, scene: &Scene) -> FrameReport {
         self.hierarchy.reset_counters();
         self.l1s.reset_stats();
-        baseline_frame(
-            &self.cfg,
-            scene,
-            &mut self.hierarchy,
-            &mut self.l1s,
-            &mut self.raster,
-            false,
-            &mut FrameTrace::disabled(),
-        )
-    }
-}
-
-/// The TCOR GPU: split Tile Cache (Primitive List Cache + Attribute Cache
-/// with OPT), interleaved PB-Lists, dead-line-aware L2.
-#[derive(Clone, Debug)]
-pub struct TcorSystem {
-    cfg: SystemConfig,
-}
-
-impl TcorSystem {
-    /// Creates the system.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration's Tile Cache organization is not
-    /// [`TileCacheOrg::Split`].
-    pub fn new(cfg: SystemConfig) -> Self {
-        assert!(
-            matches!(cfg.gpu.tile_cache, TileCacheOrg::Split { .. }),
-            "TCOR system needs a split tile cache"
-        );
-        TcorSystem { cfg }
+        self.frame(scene, false, &mut FrameTrace::disabled())
     }
 
-    /// Runs one frame through a cold memory system (with the configured
-    /// L2 warm start) and reports every measured quantity. For true
-    /// steady-state multi-frame runs use [`TcorSession`].
-    pub fn run_frame(&self, scene: &Scene) -> FrameReport {
-        let mut hierarchy = new_hierarchy(&self.cfg);
-        let mut l1s = OtherL1s::new(&self.cfg);
-        let mut raster = RasterTraffic::new(self.cfg.raster);
-        tcor_frame(
-            &self.cfg,
-            scene,
-            &mut hierarchy,
-            &mut l1s,
-            &mut raster,
-            true,
-            &mut FrameTrace::disabled(),
-        )
-    }
-
-    /// Like [`run_frame`](Self::run_frame), but also records the Tiling
-    /// Engine timeline (per-tile fetch spans, MSHR occupancy, L2 event
-    /// series, Attribute Cache occupancy) for the trace exporter.
-    pub fn run_frame_traced(&self, scene: &Scene) -> (FrameReport, FrameTrace) {
-        let mut hierarchy = new_hierarchy(&self.cfg);
-        let mut l1s = OtherL1s::new(&self.cfg);
-        let mut raster = RasterTraffic::new(self.cfg.raster);
-        let mut trace = FrameTrace::enabled();
-        let report = tcor_frame(
-            &self.cfg,
-            scene,
-            &mut hierarchy,
-            &mut l1s,
-            &mut raster,
-            true,
-            &mut trace,
-        );
-        (report, trace)
-    }
-}
-
-/// One TCOR frame over the given (possibly persistent) memory-system
-/// components; see [`baseline_frame`] for the `one_shot` and `trace`
-/// semantics.
-fn tcor_frame(
-    cfg: &SystemConfig,
-    scene: &Scene,
-    hierarchy: &mut MemoryHierarchy,
-    l1s: &mut OtherL1s,
-    raster: &mut RasterTraffic,
-    one_shot: bool,
-    trace: &mut FrameTrace,
-) -> FrameReport {
-    {
+    /// One frame over this session's memory system, for either Tile Cache
+    /// organisation. `one_shot` selects cold-start semantics: apply the L2
+    /// warm start and dispose of the whole Parameter Buffer at frame end;
+    /// steady state (`false`) keeps the L2 across frames. `trace` collects
+    /// the Tiling Engine timeline; pass [`FrameTrace::disabled`] for
+    /// measurement runs (a disabled collector records nothing and perturbs
+    /// nothing).
+    fn frame(&mut self, scene: &Scene, one_shot: bool, trace: &mut FrameTrace) -> FrameReport {
+        let Session {
+            cfg,
+            hierarchy,
+            l1s,
+            raster,
+        } = self;
         let (grid, order, frame) = geometry_and_bin(cfg, scene, l1s, hierarchy);
-        let mut plb_cycles = 0u64;
-        let mut prims_fetched = 0u64;
-        let TileCacheOrg::Split {
-            list_cache: list_params,
-            attribute_bytes,
-            attribute_ways,
-        } = cfg.gpu.tile_cache
-        else {
-            unreachable!("checked in constructor");
+        let mut tc = TileCache::new(cfg);
+        // The baseline keeps the strided PB-Lists layout (Fig. 3); TCOR
+        // uses the configured scheme (interleaved, Fig. 6, unless ablated).
+        let list_scheme = match tc {
+            TileCache::Unified(_) => ListsScheme::Baseline,
+            TileCache::Split { .. } => cfg.list_scheme,
         };
-        let num_tiles = grid.num_tiles() as u32;
-        let mut lc = ListCache::new(list_params, cfg.list_scheme, num_tiles);
-        let mut ac = AttributeCache::new(
-            AttributeCacheConfig::from_budget(attribute_bytes, attribute_ways as usize)
-                .with_write_bypass(cfg.attr_write_bypass)
-                .with_indexing(cfg.attr_indexing),
-        );
-        let attr_counts = frame.binned.attr_counts();
-        let attrs_layout = AttributesLayout::new(&attr_counts);
         let tagger = Tagger {
-            lists: ListsLayout::new(cfg.list_scheme, num_tiles),
-            attrs: &attrs_layout,
+            lists: ListsLayout::new(list_scheme, grid.num_tiles() as u32),
+            attrs: AttributesLayout::new(&frame.binned.attr_counts()),
             frame: &frame.binned,
             order: &order,
         };
 
-        let flush_evicted = |evicted: &[EvictedPrim],
-                             hierarchy: &mut MemoryHierarchy,
-                             tagger: &Tagger<'_>,
-                             attrs_layout: &AttributesLayout| {
-            for e in evicted {
-                if e.dirty {
-                    for k in 0..e.attr_count {
-                        let block = attrs_layout.attr_block(e.prim.index(), k);
-                        hierarchy.access(block, AccessKind::Write, tagger.attr_tag(e.prim));
-                    }
-                }
-            }
-        };
-
         if one_shot && cfg.warm_l2 {
-            warm_l2(hierarchy, &frame.binned, &order, &tagger, &attrs_layout);
+            warm_l2(hierarchy, &tagger);
         }
 
         // --- Polygon List Builder phase.
-        let mut bypassed: Option<PrimitiveId> = None;
+        let mut plb_cycles = 0u64;
         for op in plb_ops(&frame.binned, &order) {
             plb_cycles += 1;
             match op {
                 PlbOp::PmdWrite { tile, n, .. } => {
-                    let acc = lc.write_pmd(tile, n);
-                    if cfg.fetch_on_write_miss && !acc.hit {
-                        // PMDs are 4-byte partial-line writes: fill.
-                        hierarchy.access(acc.block, AccessKind::Read, tagger.tag_of(acc.block));
-                    }
-                    if let Some(wb) = acc.writeback {
-                        hierarchy.access(wb, AccessKind::Write, tagger.tag_of(wb));
-                    }
+                    let block = tagger.lists.pmd_block(tile, n);
+                    write_block(
+                        tc.blocks(),
+                        block,
+                        cfg.fetch_on_write_miss,
+                        hierarchy,
+                        &tagger,
+                    );
                 }
-                PlbOp::AttrWrite { prim, k } => {
-                    if k == 0 {
-                        let p = frame.binned.primitive(prim);
-                        match ac.write(prim, p.attr_count, p.first_use()) {
-                            WriteResult::Allocated { evicted } => {
-                                bypassed = None;
-                                flush_evicted(&evicted, hierarchy, &tagger, &attrs_layout);
-                            }
-                            WriteResult::Bypassed => {
-                                bypassed = Some(prim);
-                                let block = attrs_layout.attr_block(prim.index(), 0);
-                                hierarchy.access(block, AccessKind::Write, tagger.attr_tag(prim));
-                            }
+                PlbOp::AttrWrite { prim, k } => match &mut tc {
+                    TileCache::Unified(cache) => {
+                        let block = tagger.attrs.attr_block(prim.index(), k);
+                        write_block(cache, block, cfg.fetch_on_write_miss, hierarchy, &tagger);
+                    }
+                    TileCache::Split {
+                        attrs, bypassed, ..
+                    } => {
+                        // The Attribute Cache allocates or bypasses a whole
+                        // primitive on its first attribute write.
+                        if k == 0 {
+                            let p = frame.binned.primitive(prim);
+                            *bypassed = match attrs.write(prim, p.attr_count, p.first_use()) {
+                                WriteResult::Allocated { evicted } => {
+                                    write_back_prims(&evicted, hierarchy, &tagger);
+                                    None
+                                }
+                                WriteResult::Bypassed => Some(prim),
+                            };
                         }
-                    } else if bypassed == Some(prim) {
-                        let block = attrs_layout.attr_block(prim.index(), k);
-                        hierarchy.access(block, AccessKind::Write, tagger.attr_tag(prim));
+                        if *bypassed == Some(prim) {
+                            let block = tagger.attrs.attr_block(prim.index(), k);
+                            hierarchy.access(block, AccessKind::Write, tagger.attr_tag(prim));
+                        }
                     }
-                }
+                },
             }
         }
 
         // --- Tile Fetcher phase.
         let mut timing = MshrTiming::new(cfg.mshrs);
-        let mut queue: VecDeque<PrimitiveId> = VecDeque::new();
+        let mut prims_fetched = 0u64;
         let mut coupled_cycles = 0.0f64;
         let mut tile_mark = 0u64;
         for op in fetch_ops(&frame.binned, &order) {
             match op {
                 FetchOp::ListRead { tile, first_n } => {
-                    let acc = lc.read_block(tile, first_n);
-                    if let Some(wb) = acc.writeback {
-                        hierarchy.access(wb, AccessKind::Write, tagger.tag_of(wb));
-                    }
-                    if acc.hit {
-                        timing.issue_hit();
-                    } else {
-                        let lat =
-                            hierarchy.access(acc.block, AccessKind::Read, tagger.tag_of(acc.block));
-                        timing.issue_miss(lat as u64);
-                    }
+                    let block = tagger.lists.pmd_block(tile, first_n);
+                    read_block(tc.blocks(), block, hierarchy, &tagger, &mut timing);
                 }
                 FetchOp::PrimRead { tile, prim, .. } => {
                     prims_fetched += 1;
                     let p = frame.binned.primitive(prim);
-                    let opt_number = p.next_use_after(order.rank_of(tile));
-                    loop {
-                        match ac.read(prim, p.attr_count, opt_number) {
-                            ReadResult::Hit => {
-                                timing.issue_hit();
-                                break;
-                            }
-                            ReadResult::Miss { evicted } => {
-                                flush_evicted(&evicted, hierarchy, &tagger, &attrs_layout);
-                                for k in 0..p.attr_count {
-                                    let block = attrs_layout.attr_block(prim.index(), k);
-                                    let lat = hierarchy.access(
-                                        block,
-                                        AccessKind::Read,
-                                        tagger.attr_tag(prim),
-                                    );
-                                    timing.issue_miss(lat as u64);
-                                }
-                                break;
-                            }
-                            ReadResult::Stalled => {
-                                // Wait for the Rasterizer to consume the
-                                // oldest queued primitive, then retry.
-                                let oldest = queue.pop_front().unwrap_or_else(|| {
-                                    panic!(
-                                        "attribute cache deadlock: {prim:?} \
-                                         needs {} entries",
-                                        p.attr_count
-                                    )
-                                });
-                                ac.unlock(oldest);
-                                timing.bubble(1);
+                    match &mut tc {
+                        TileCache::Unified(cache) => {
+                            for k in 0..p.attr_count {
+                                let block = tagger.attrs.attr_block(prim.index(), k);
+                                read_block(cache, block, hierarchy, &tagger, &mut timing);
                             }
                         }
-                    }
-                    queue.push_back(prim);
-                    if queue.len() > cfg.queue_depth {
-                        let oldest = queue.pop_front().expect("nonempty");
-                        ac.unlock(oldest);
+                        TileCache::Split { attrs, queue, .. } => {
+                            let opt_number = p.next_use_after(order.rank_of(tile));
+                            loop {
+                                match attrs.read(prim, p.attr_count, opt_number) {
+                                    ReadResult::Hit => {
+                                        timing.issue_hit();
+                                        break;
+                                    }
+                                    ReadResult::Miss { evicted } => {
+                                        write_back_prims(&evicted, hierarchy, &tagger);
+                                        for k in 0..p.attr_count {
+                                            let block = tagger.attrs.attr_block(prim.index(), k);
+                                            let lat = hierarchy.access(
+                                                block,
+                                                AccessKind::Read,
+                                                tagger.attr_tag(prim),
+                                            );
+                                            timing.issue_miss(lat as u64);
+                                        }
+                                        break;
+                                    }
+                                    ReadResult::Stalled => {
+                                        // Wait for the Rasterizer to consume
+                                        // the oldest queued primitive, then
+                                        // retry.
+                                        let oldest = queue.pop_front().unwrap_or_else(|| {
+                                            panic!(
+                                                "attribute cache deadlock: {prim:?} \
+                                                 needs {} entries",
+                                                p.attr_count
+                                            )
+                                        });
+                                        attrs.unlock(oldest);
+                                        timing.bubble(1);
+                                    }
+                                }
+                            }
+                            queue.push_back(prim);
+                            if queue.len() > cfg.queue_depth {
+                                let oldest = queue.pop_front().expect("nonempty");
+                                attrs.unlock(oldest);
+                            }
+                        }
                     }
                 }
                 FetchOp::TileDone { tile } => {
@@ -913,16 +779,25 @@ fn tcor_frame(
                     tile_mark = timing.now();
                     if trace.is_enabled() {
                         emit_tile_trace(trace, plb_cycles, span_start, &timing, hierarchy, tile);
-                        trace.counter(
-                            "attr$",
-                            "attr_cache",
-                            plb_cycles + timing.now(),
-                            vec![
-                                ("resident", ac.resident_primitives() as u64),
-                                ("free_entries", ac.free_entries() as u64),
-                                ("locked", ac.locked_primitives()),
-                            ],
-                        );
+                        let now = plb_cycles + timing.now();
+                        match &tc {
+                            TileCache::Unified(_) => trace.counter(
+                                "tile$",
+                                "prims",
+                                now,
+                                vec![("fetched", prims_fetched)],
+                            ),
+                            TileCache::Split { attrs, .. } => trace.counter(
+                                "attr$",
+                                "attr_cache",
+                                now,
+                                vec![
+                                    ("resident", attrs.resident_primitives() as u64),
+                                    ("free_entries", attrs.free_entries() as u64),
+                                    ("locked", attrs.locked_primitives()),
+                                ],
+                            ),
+                        }
                     }
                     let raster_t = frame.fragments_per_tile[tile.index()]
                         * cfg.raster.shader_instructions as f64
@@ -933,51 +808,30 @@ fn tcor_frame(
                 }
             }
         }
-        while let Some(p) = queue.pop_front() {
-            ac.unlock(p);
-        }
         let fetch_cycles = timing.finish();
         emit_phase_trace(trace, plb_cycles, fetch_cycles);
 
-        // --- End of frame.
-        let drained = ac.drain();
-        flush_evicted(&drained, hierarchy, &tagger, &attrs_layout);
-        for wb in lc.drain_dirty() {
+        // --- End of frame. Draining the Attribute Cache also unlocks the
+        // primitives still in the output queue.
+        if let TileCache::Split { attrs, .. } = &mut tc {
+            write_back_prims(&attrs.drain(), hierarchy, &tagger);
+        }
+        for wb in tc.blocks().drain_dirty() {
             hierarchy.access(wb, AccessKind::Write, tagger.tag_of(wb));
         }
         let pb_footprint = tagger
             .lists
             .footprint_bytes(frame.binned.max_list_len() as u32)
-            + attrs_layout.footprint_bytes();
+            + tagger.attrs.footprint_bytes();
         if one_shot {
             hierarchy.end_frame();
         } else {
             hierarchy.frame_boundary();
         }
 
-        let structures = vec![
-            StructureActivity {
-                name: "list$",
-                size_bytes: list_params.size_bytes,
-                instances: 1,
-                stats: *lc.stats(),
-            },
-            StructureActivity {
-                name: "attr$",
-                size_bytes: attribute_bytes,
-                instances: 1,
-                stats: *ac.stats(),
-            },
-        ];
-        let (buf_util, line_util, stalls) = (
-            ac.avg_buffer_utilization(),
-            ac.avg_line_utilization(),
-            ac.stall_events(),
-        );
-        let (attr_wb_blocks, attr_opt_violations) = (ac.writeback_blocks(), ac.opt_violations());
-        let mut report = build_report(
-            "tcor",
-            structures,
+        build_report(
+            cfg,
+            &tc,
             hierarchy,
             l1s,
             raster,
@@ -987,58 +841,6 @@ fn tcor_frame(
             plb_cycles,
             coupled_cycles,
             pb_footprint,
-            (cfg.fragment_processors * cfg.simd_lanes) as f64,
-        );
-        report.attr_buffer_utilization = buf_util;
-        report.attr_line_utilization = line_util;
-        report.attr_stalls = stalls;
-        report.attr_wb_blocks = attr_wb_blocks;
-        report.attr_opt_violations = attr_opt_violations;
-        report
-    }
-}
-
-/// A persistent TCOR GPU, the steady-state counterpart of
-/// [`TcorSystem`]; see [`BaselineSession`].
-#[derive(Debug)]
-pub struct TcorSession {
-    cfg: SystemConfig,
-    hierarchy: MemoryHierarchy,
-    l1s: OtherL1s,
-    raster: RasterTraffic,
-}
-
-impl TcorSession {
-    /// Creates the session with a cold memory system.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the configuration uses a split Tile Cache.
-    pub fn new(cfg: SystemConfig) -> Self {
-        assert!(
-            matches!(cfg.gpu.tile_cache, TileCacheOrg::Split { .. }),
-            "TCOR session needs a split tile cache"
-        );
-        TcorSession {
-            hierarchy: new_hierarchy(&cfg),
-            l1s: OtherL1s::new(&cfg),
-            raster: RasterTraffic::new(cfg.raster),
-            cfg,
-        }
-    }
-
-    /// Runs the next frame of the sequence and reports it.
-    pub fn run_frame(&mut self, scene: &Scene) -> FrameReport {
-        self.hierarchy.reset_counters();
-        self.l1s.reset_stats();
-        tcor_frame(
-            &self.cfg,
-            scene,
-            &mut self.hierarchy,
-            &mut self.l1s,
-            &mut self.raster,
-            false,
-            &mut FrameTrace::disabled(),
         )
     }
 }
@@ -1068,7 +870,7 @@ mod tests {
 
     #[test]
     fn baseline_system_runs_and_conserves_counts() {
-        let r = BaselineSystem::new(SystemConfig::paper_baseline_64k()).run_frame(&test_scene(300));
+        let r = System::new(SystemConfig::paper_baseline_64k()).run_frame(&test_scene(300));
         assert_eq!(r.num_primitives, 300);
         assert!(r.prims_fetched > 0);
         assert!(r.fetch_cycles > 0);
@@ -1084,8 +886,8 @@ mod tests {
         // to matter (the paper's footprints are 0.14-1.8 MiB vs 64 KiB):
         // 3000 primitives * ~3 attrs * 64 B ~ 0.55 MiB.
         let scene = test_scene(3000);
-        let base = BaselineSystem::new(SystemConfig::paper_baseline_64k()).run_frame(&scene);
-        let tcor = TcorSystem::new(SystemConfig::paper_tcor_64k()).run_frame(&scene);
+        let base = System::new(SystemConfig::paper_baseline_64k()).run_frame(&scene);
+        let tcor = System::new(SystemConfig::paper_tcor_64k()).run_frame(&scene);
         assert_eq!(base.prims_fetched, tcor.prims_fetched, "identical streams");
         assert!(
             tcor.pb_l2_accesses() < base.pb_l2_accesses(),
@@ -1104,8 +906,8 @@ mod tests {
     #[test]
     fn tcor_is_faster_in_the_tiling_engine() {
         let scene = test_scene(400);
-        let base = BaselineSystem::new(SystemConfig::paper_baseline_64k()).run_frame(&scene);
-        let tcor = TcorSystem::new(SystemConfig::paper_tcor_64k()).run_frame(&scene);
+        let base = System::new(SystemConfig::paper_baseline_64k()).run_frame(&scene);
+        let tcor = System::new(SystemConfig::paper_tcor_64k()).run_frame(&scene);
         assert!(
             tcor.primitives_per_cycle() > base.primitives_per_cycle(),
             "TCOR ppc {} <= baseline ppc {}",
@@ -1117,9 +919,9 @@ mod tests {
     #[test]
     fn l2_ablation_has_more_mm_writes_than_full_tcor() {
         let scene = test_scene(800);
-        let without = TcorSystem::new(SystemConfig::paper_tcor_64k().without_l2_enhancements())
-            .run_frame(&scene);
-        let with = TcorSystem::new(SystemConfig::paper_tcor_64k()).run_frame(&scene);
+        let without =
+            System::new(SystemConfig::paper_tcor_64k().without_l2_enhancements()).run_frame(&scene);
+        let with = System::new(SystemConfig::paper_tcor_64k()).run_frame(&scene);
         assert!(with.pb_mm_writes() <= without.pb_mm_writes());
         assert_eq!(without.dead_drops, 0);
     }
@@ -1127,7 +929,7 @@ mod tests {
     #[test]
     fn raster_traffic_present_in_both_systems() {
         let scene = test_scene(100);
-        let r = TcorSystem::new(SystemConfig::paper_tcor_64k()).run_frame(&scene);
+        let r = System::new(SystemConfig::paper_tcor_64k()).run_frame(&scene);
         use tcor_pbuf::Region;
         assert!(r.l2_traffic.region(Region::Textures).l2_reads > 0);
         assert!(r.mm_traffic.region(Region::FrameBuffer).mm_writes > 0);
@@ -1137,29 +939,35 @@ mod tests {
     #[test]
     fn traced_run_records_timeline_without_changing_the_report() {
         let scene = test_scene(300);
-        let sys = TcorSystem::new(SystemConfig::paper_tcor_64k());
-        let plain = sys.run_frame(&scene);
-        let (traced, trace) = sys.run_frame_traced(&scene);
-        // Tracing is pure observation: every measured counter matches.
-        assert_eq!(plain.l2_stats.misses(), traced.l2_stats.misses());
-        assert_eq!(plain.fetch_cycles, traced.fetch_cycles);
-        assert_eq!(plain.total_mm_accesses(), traced.total_mm_accesses());
-        assert_eq!(plain.attr_wb_blocks, traced.attr_wb_blocks);
-        // And the timeline holds one fetch span per tile plus the two
-        // phase spans.
-        let spans = trace.events().iter().filter(|e| e.cat == "fetch").count();
-        assert!(spans > 0, "no per-tile fetch spans recorded");
-        assert!(trace.events().iter().any(|e| e.cat == "phase"));
-        assert!(trace.events().iter().any(|e| e.cat == "mshr"));
-        assert!(trace.events().iter().any(|e| e.cat == "attr$"));
+        for (cfg, occupancy) in [
+            (SystemConfig::paper_baseline_64k(), "tile$"),
+            (SystemConfig::paper_tcor_64k(), "attr$"),
+        ] {
+            let sys = System::new(cfg);
+            let plain = sys.run_frame(&scene);
+            let (traced, trace) = sys.run_frame_traced(&scene);
+            // Tracing is pure observation: the whole report matches.
+            assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
+            // And the timeline holds one fetch span per tile, the two
+            // phase spans, and the Tile Cache occupancy series.
+            let spans = trace.events().iter().filter(|e| e.cat == "fetch").count();
+            assert!(spans > 0, "{}: no per-tile fetch spans", plain.system);
+            for cat in ["phase", "mshr", occupancy] {
+                assert!(
+                    trace.events().iter().any(|e| e.cat == cat),
+                    "{}: no {cat} events",
+                    plain.system
+                );
+            }
+        }
     }
 
     #[test]
     fn reports_satisfy_probe_conservation() {
         let scene = test_scene(500);
         for r in [
-            BaselineSystem::new(SystemConfig::paper_baseline_64k()).run_frame(&scene),
-            TcorSystem::new(SystemConfig::paper_tcor_64k()).run_frame(&scene),
+            System::new(SystemConfig::paper_baseline_64k()).run_frame(&scene),
+            System::new(SystemConfig::paper_tcor_64k()).run_frame(&scene),
         ] {
             for s in &r.structures {
                 assert_eq!(
@@ -1175,17 +983,5 @@ mod tests {
                 "L2 writeback disposal does not balance"
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "unified tile cache")]
-    fn baseline_rejects_split_config() {
-        BaselineSystem::new(SystemConfig::paper_tcor_64k());
-    }
-
-    #[test]
-    #[should_panic(expected = "split tile cache")]
-    fn tcor_rejects_unified_config() {
-        TcorSystem::new(SystemConfig::paper_baseline_64k());
     }
 }

@@ -174,7 +174,7 @@ impl EnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcor::{BaselineSystem, SystemConfig, TcorSystem};
+    use tcor::{System, SystemConfig};
     use tcor_common::Tri2;
     use tcor_gpu::{Scene, ScenePrimitive};
 
@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn breakdown_components_are_positive_on_a_real_frame() {
-        let r = BaselineSystem::new(SystemConfig::paper_baseline_64k()).run_frame(&scene(500));
+        let r = System::new(SystemConfig::paper_baseline_64k()).run_frame(&scene(500));
         let e = EnergyModel::default().evaluate(&r);
         assert!(e.l1_pj > 0.0);
         assert!(e.l2_pj > 0.0);
@@ -217,8 +217,8 @@ mod tests {
     #[test]
     fn tcor_consumes_less_memory_hierarchy_energy_under_pressure() {
         let s = scene(3000);
-        let base = BaselineSystem::new(SystemConfig::paper_baseline_64k()).run_frame(&s);
-        let tcor = TcorSystem::new(SystemConfig::paper_tcor_64k()).run_frame(&s);
+        let base = System::new(SystemConfig::paper_baseline_64k()).run_frame(&s);
+        let tcor = System::new(SystemConfig::paper_tcor_64k()).run_frame(&s);
         let m = EnergyModel::default();
         let eb = m.evaluate(&base);
         let et = m.evaluate(&tcor);
@@ -236,7 +236,7 @@ mod tests {
         // The calibration target: memory hierarchy is a meaningful chunk
         // of total GPU energy (the paper's ratio 5.5/13.8 implies ~40%),
         // not >90% and not <10%.
-        let r = BaselineSystem::new(SystemConfig::paper_baseline_64k()).run_frame(&scene(2000));
+        let r = System::new(SystemConfig::paper_baseline_64k()).run_frame(&scene(2000));
         let e = EnergyModel::default().evaluate(&r);
         let share = e.memory_hierarchy_pj() / e.total_pj();
         assert!(

@@ -1,7 +1,7 @@
 //! Integration: the energy model against full-system frames — every
 //! energy component and its response to the TCOR organization.
 
-use tcor::{BaselineSystem, SystemConfig, TcorSystem};
+use tcor::{System, SystemConfig};
 use tcor_common::Tri2;
 use tcor_energy::EnergyModel;
 use tcor_gpu::{Scene, ScenePrimitive};
@@ -29,8 +29,8 @@ fn scene(n: u32) -> Scene {
 fn dram_dominates_cache_energy_and_tcor_reduces_it() {
     let s = scene(3000);
     let model = EnergyModel::default();
-    let base = BaselineSystem::new(SystemConfig::paper_baseline_64k()).run_frame(&s);
-    let tcor = TcorSystem::new(SystemConfig::paper_tcor_64k()).run_frame(&s);
+    let base = System::new(SystemConfig::paper_baseline_64k()).run_frame(&s);
+    let tcor = System::new(SystemConfig::paper_tcor_64k()).run_frame(&s);
     let eb = model.evaluate(&base);
     let et = model.evaluate(&tcor);
     // Component structure: DRAM is the dominant hierarchy term.
@@ -46,8 +46,8 @@ fn dram_dominates_cache_energy_and_tcor_reduces_it() {
 fn tcor_frame_is_never_slower() {
     let s = scene(3000);
     let model = EnergyModel::default();
-    let base = BaselineSystem::new(SystemConfig::paper_baseline_64k()).run_frame(&s);
-    let tcor = TcorSystem::new(SystemConfig::paper_tcor_64k()).run_frame(&s);
+    let base = System::new(SystemConfig::paper_baseline_64k()).run_frame(&s);
+    let tcor = System::new(SystemConfig::paper_tcor_64k()).run_frame(&s);
     let fb = model.evaluate(&base);
     let ft = model.evaluate(&tcor);
     assert!(ft.frame_cycles <= fb.frame_cycles);
@@ -58,9 +58,8 @@ fn tcor_frame_is_never_slower() {
 fn l2_enhancement_energy_is_incremental() {
     let s = scene(3000);
     let model = EnergyModel::default();
-    let nol2 =
-        TcorSystem::new(SystemConfig::paper_tcor_64k().without_l2_enhancements()).run_frame(&s);
-    let full = TcorSystem::new(SystemConfig::paper_tcor_64k()).run_frame(&s);
+    let nol2 = System::new(SystemConfig::paper_tcor_64k().without_l2_enhancements()).run_frame(&s);
+    let full = System::new(SystemConfig::paper_tcor_64k()).run_frame(&s);
     assert!(
         model.evaluate(&full).memory_hierarchy_pj() <= model.evaluate(&nol2).memory_hierarchy_pj()
     );
@@ -72,7 +71,7 @@ fn traffic_composition_is_plausible() {
     // DRAM traffic (the paper's Fig. 18 denominators), or the PB share —
     // and thus TCOR's total impact — would be distorted.
     let s = scene(3000);
-    let base = BaselineSystem::new(SystemConfig::paper_baseline_64k()).run_frame(&s);
+    let base = System::new(SystemConfig::paper_baseline_64k()).run_frame(&s);
     let fb = base.mm_traffic.region(Region::FrameBuffer).mm_total();
     let tex = base.mm_traffic.region(Region::Textures).mm_total();
     let pb = base.pb_mm_accesses();

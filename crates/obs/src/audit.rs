@@ -152,7 +152,7 @@ pub fn audit_report(label: &str, r: &FrameReport) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcor::{BaselineSystem, SystemConfig, TcorSystem};
+    use tcor::{System, SystemConfig};
     use tcor_common::Tri2;
     use tcor_gpu::{Scene, ScenePrimitive};
 
@@ -175,16 +175,15 @@ mod tests {
         for (label, r) in [
             (
                 "base64",
-                BaselineSystem::new(SystemConfig::paper_baseline_64k()).run_frame(&s),
+                System::new(SystemConfig::paper_baseline_64k()).run_frame(&s),
             ),
             (
                 "tcor64",
-                TcorSystem::new(SystemConfig::paper_tcor_64k()).run_frame(&s),
+                System::new(SystemConfig::paper_tcor_64k()).run_frame(&s),
             ),
             (
                 "tcor_nol2_64",
-                TcorSystem::new(SystemConfig::paper_tcor_64k().without_l2_enhancements())
-                    .run_frame(&s),
+                System::new(SystemConfig::paper_tcor_64k().without_l2_enhancements()).run_frame(&s),
             ),
         ] {
             let violations = audit_report(label, &r);
@@ -195,7 +194,7 @@ mod tests {
     #[test]
     fn each_tampered_counter_is_caught() {
         let s = scene(200);
-        let clean = TcorSystem::new(SystemConfig::paper_tcor_64k()).run_frame(&s);
+        let clean = System::new(SystemConfig::paper_tcor_64k()).run_frame(&s);
         assert!(audit_report("clean", &clean).is_empty());
 
         type Tamper = fn(&mut tcor::FrameReport);

@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn traced_system_run_exports_nonempty_timeline() {
-        use tcor::{SystemConfig, TcorSystem};
+        use tcor::{System, SystemConfig};
         use tcor_common::Tri2;
         use tcor_gpu::ScenePrimitive;
         let scene: tcor_gpu::Scene = (0..150u32)
@@ -96,7 +96,7 @@ mod tests {
                 }
             })
             .collect();
-        let (_, trace) = TcorSystem::new(SystemConfig::paper_tcor_64k()).run_frame_traced(&scene);
+        let (_, trace) = System::new(SystemConfig::paper_tcor_64k()).run_frame_traced(&scene);
         let json = chrome_trace_json(&trace);
         assert!(json.contains("\"cat\":\"fetch\""));
         assert!(json.contains("\"name\":\"polygon list builder\""));

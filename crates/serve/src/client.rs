@@ -525,18 +525,6 @@ pub fn http_request_retrying(
     request_retrying(&mut client, method, path, body, policy)
 }
 
-/// The `p`-th percentile (0–100) of `samples`, by nearest-rank on a
-/// sorted copy. Returns 0.0 for an empty slice.
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -823,15 +811,5 @@ mod tests {
                 .collect::<Vec<_>>(),
             "different seeds decorrelate"
         );
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let s = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
-        assert_eq!(percentile(&s, 50.0), 5.0);
-        assert_eq!(percentile(&s, 95.0), 10.0);
-        assert_eq!(percentile(&s, 100.0), 10.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(percentile(&[3.0], 99.0), 3.0);
     }
 }

@@ -52,8 +52,7 @@ pub mod signal;
 mod stream;
 
 pub use client::{
-    http_request, http_request_retrying, percentile, request_retrying, HttpClient, HttpReply,
-    RetryPolicy,
+    http_request, http_request_retrying, request_retrying, HttpClient, HttpReply, RetryPolicy,
 };
 pub use coalesce::{FollowerHandle, Join, LeaderToken, Singleflight, Waited};
 pub use hist::LatencyHistogram;

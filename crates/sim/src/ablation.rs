@@ -9,7 +9,7 @@
 
 use crate::orchestrate::calibrated_scene;
 use crate::output::{f3, Table};
-use tcor::{SystemConfig, TcorSystem};
+use tcor::{System, SystemConfig};
 use tcor_cache::policy::Opt;
 use tcor_cache::profile::simulate_policy;
 use tcor_cache::{AccessMeta, Cache, Indexing};
@@ -47,23 +47,23 @@ pub fn ablation(store: &ArtifactStore) -> TcorResult<Table> {
         let rp = b.raster_params();
 
         // Full TCOR reference.
-        let tcor = TcorSystem::new(SystemConfig::paper_tcor_64k().with_raster(rp)).run_frame(scene);
+        let tcor = System::new(SystemConfig::paper_tcor_64k().with_raster(rp)).run_frame(scene);
         let reference = tcor.pb_l2_accesses() as f64;
 
         // D3: baseline (strided) list layout under the TCOR split caches.
         let mut cfg = SystemConfig::paper_tcor_64k().with_raster(rp);
         cfg.list_scheme = ListsScheme::Baseline;
-        let d3 = TcorSystem::new(cfg).run_frame(scene).pb_l2_accesses() as f64 / reference;
+        let d3 = System::new(cfg).run_frame(scene).pb_l2_accesses() as f64 / reference;
 
         // D2: write bypass disabled.
         let mut cfg = SystemConfig::paper_tcor_64k().with_raster(rp);
         cfg.attr_write_bypass = false;
-        let d2 = TcorSystem::new(cfg).run_frame(scene).pb_l2_accesses() as f64 / reference;
+        let d2 = System::new(cfg).run_frame(scene).pb_l2_accesses() as f64 / reference;
 
         // D5: modulo indexing in the Primitive Buffer.
         let mut cfg = SystemConfig::paper_tcor_64k().with_raster(rp);
         cfg.attr_indexing = Indexing::Modulo;
-        let d5 = TcorSystem::new(cfg).run_frame(scene).pb_l2_accesses() as f64 / reference;
+        let d5 = System::new(cfg).run_frame(scene).pb_l2_accesses() as f64 / reference;
 
         // D1: exact Belady vs hardware OPT Numbers on a 4-way,
         // 48 KiB-equivalent primitive-granularity cache.

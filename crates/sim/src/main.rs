@@ -210,12 +210,12 @@ fn export_chrome_trace(
     store: &tcor_runner::ArtifactStore,
     path: &std::path::Path,
 ) -> tcor_common::TcorResult<()> {
-    use tcor::{SystemConfig, TcorSystem};
+    use tcor::{System, SystemConfig};
     let grid = tcor_sim::orchestrate::paper_grid();
     let profile = tcor_workloads::suite()[0];
     let cal = tcor_sim::orchestrate::calibrated_scene(store, &profile, &grid)?;
     let cfg = SystemConfig::paper_tcor_64k().with_raster(profile.raster_params());
-    let (report, trace) = TcorSystem::new(cfg).run_frame_traced(&cal.scene);
+    let (report, trace) = System::new(cfg).run_frame_traced(&cal.scene);
     tcor_common::write_atomic(path, tcor_obs::chrome_trace_json(&trace).as_bytes())?;
     eprintln!(
         "trace: wrote {} events ({}/tcor64, {} cycles) to {}",
@@ -797,7 +797,7 @@ fn serve_req(args: &[String]) -> ExitCode {
 fn bench_serve(path: &str) -> ExitCode {
     use std::sync::Arc;
     use std::time::Instant;
-    use tcor_serve::percentile;
+    use tcor_serve::LatencyHistogram;
 
     let cache_dir = std::env::temp_dir().join(format!("tcor-bench-serve-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
@@ -830,7 +830,7 @@ fn bench_serve(path: &str) -> ExitCode {
         "/v1/cell/SoD/tcor64",
         "/v1/misscurve/SoD/opt",
     ];
-    let request = |addr: &str, path: &str| -> tcor_common::TcorResult<(f64, String, String)> {
+    let request = |addr: &str, path: &str| -> tcor_common::TcorResult<(u64, String, String)> {
         let t0 = Instant::now();
         let reply = tcor_serve::http_request(addr, "GET", path, None, Duration::from_secs(600))?;
         if reply.status != 200 {
@@ -840,16 +840,16 @@ fn bench_serve(path: &str) -> ExitCode {
             .header("x-tcor-cache")
             .unwrap_or("<absent>")
             .to_string();
-        Ok((t0.elapsed().as_secs_f64() * 1e3, reply.body, tier))
+        Ok((t0.elapsed().as_micros() as u64, reply.body, tier))
     };
 
     eprintln!("bench-serve: cold phase ({} targets)...", targets.len());
-    let mut cold = Vec::new();
+    let mut cold = LatencyHistogram::new();
     let mut cold_bodies = Vec::new();
     for t in targets {
         match request(&addr, t) {
-            Ok((ms, body, _)) => {
-                cold.push(ms);
+            Ok((us, body, _)) => {
+                cold.record(us);
                 cold_bodies.push(body);
             }
             Err(e) => {
@@ -864,12 +864,12 @@ fn bench_serve(path: &str) -> ExitCode {
         "bench-serve: warm phase ({WARM_ROUNDS} rounds x {} targets)...",
         targets.len()
     );
-    let mut warm = Vec::new();
+    let mut warm = LatencyHistogram::new();
     let warm_t0 = Instant::now();
     for _ in 0..WARM_ROUNDS {
         for (i, t) in targets.iter().enumerate() {
             match request(&addr, t) {
-                Ok((ms, body, tier)) => {
+                Ok((us, body, tier)) => {
                     if body != cold_bodies[i] {
                         eprintln!("bench-serve: FATAL: warm {t} differs from its cold body");
                         return ExitCode::FAILURE;
@@ -878,7 +878,7 @@ fn bench_serve(path: &str) -> ExitCode {
                         eprintln!("bench-serve: FATAL: warm {t} served from `{tier}`, not mem");
                         return ExitCode::FAILURE;
                     }
-                    warm.push(ms);
+                    warm.record(us);
                 }
                 Err(e) => {
                     eprintln!("bench-serve: warm {t} failed: {e}");
@@ -949,10 +949,10 @@ fn bench_serve(path: &str) -> ExitCode {
         }
     };
     let addr2 = server2.addr().to_string();
-    let mut warm_disk = Vec::new();
+    let mut warm_disk = LatencyHistogram::new();
     for (i, t) in targets.iter().enumerate() {
         match request(&addr2, t) {
-            Ok((ms, body, tier)) => {
+            Ok((us, body, tier)) => {
                 if body != cold_bodies[i] {
                     eprintln!("bench-serve: FATAL: restarted {t} differs from its cold body");
                     return ExitCode::FAILURE;
@@ -961,7 +961,7 @@ fn bench_serve(path: &str) -> ExitCode {
                     eprintln!("bench-serve: FATAL: restarted {t} served from `{tier}`, not disk");
                     return ExitCode::FAILURE;
                 }
-                warm_disk.push(ms);
+                warm_disk.record(us);
             }
             Err(e) => {
                 eprintln!("bench-serve: restart {t} failed: {e}");
@@ -1001,8 +1001,8 @@ fn bench_serve(path: &str) -> ExitCode {
     server2.wait();
     let _ = std::fs::remove_dir_all(&cache_dir);
 
-    let (cold_p50, warm_p50) = (percentile(&cold, 50.0), percentile(&warm, 50.0));
-    let disk_p50 = percentile(&warm_disk, 50.0);
+    let ms = |h: &LatencyHistogram, q: f64| h.quantile_us(q) as f64 / 1e3;
+    let (cold_p50, warm_p50, disk_p50) = (ms(&cold, 0.5), ms(&warm, 0.5), ms(&warm_disk, 0.5));
     let speedup = cold_p50 / warm_p50.max(1e-9);
     let disk_speedup = cold_p50 / disk_p50.max(1e-9);
     let doc = Json::obj([
@@ -1016,31 +1016,31 @@ fn bench_serve(path: &str) -> ExitCode {
             "cold_ms",
             Json::obj([
                 ("p50", Json::Float(cold_p50)),
-                ("p95", Json::Float(percentile(&cold, 95.0))),
-                ("p99", Json::Float(percentile(&cold, 99.0))),
+                ("p95", Json::Float(ms(&cold, 0.95))),
+                ("p99", Json::Float(ms(&cold, 0.99))),
             ]),
         ),
         (
             "warm_mem_ms",
             Json::obj([
                 ("p50", Json::Float(warm_p50)),
-                ("p95", Json::Float(percentile(&warm, 95.0))),
-                ("p99", Json::Float(percentile(&warm, 99.0))),
+                ("p95", Json::Float(ms(&warm, 0.95))),
+                ("p99", Json::Float(ms(&warm, 0.99))),
             ]),
         ),
         (
             "warm_disk_ms",
             Json::obj([
                 ("p50", Json::Float(disk_p50)),
-                ("p95", Json::Float(percentile(&warm_disk, 95.0))),
-                ("p99", Json::Float(percentile(&warm_disk, 99.0))),
+                ("p95", Json::Float(ms(&warm_disk, 0.95))),
+                ("p99", Json::Float(ms(&warm_disk, 0.99))),
             ]),
         ),
         ("warm_mem_speedup_p50", Json::Float(speedup)),
         ("warm_disk_speedup_p50", Json::Float(disk_speedup)),
         (
             "warm_throughput_rps",
-            Json::Float(warm.len() as f64 / warm_wall_s),
+            Json::Float(warm.count() as f64 / warm_wall_s),
         ),
         ("cache_warm_hits", Json::UInt(warm_hits)),
         ("cache_disk_hits", Json::UInt(disk_hits)),

@@ -10,7 +10,7 @@
 
 use crate::orchestrate::calibrated_scene;
 use crate::output::Table;
-use tcor::{BaselineSystem, SystemConfig, TcorSystem};
+use tcor::{System, SystemConfig};
 use tcor_common::{TcorResult, TileGrid};
 use tcor_energy::EnergyModel;
 use tcor_runner::ArtifactStore;
@@ -51,8 +51,8 @@ pub fn scaling(store: &ArtifactStore) -> TcorResult<Table> {
         let mut tcor_cfg = SystemConfig::paper_tcor_64k().with_raster(rp);
         tcor_cfg.fragment_processors = procs;
 
-        let base = BaselineSystem::new(base_cfg).run_frame(scene);
-        let tcor = TcorSystem::new(tcor_cfg).run_frame(scene);
+        let base = System::new(base_cfg).run_frame(scene);
+        let tcor = System::new(tcor_cfg).run_frame(scene);
         let fb = model.evaluate(&base).fps(600_000_000);
         let ft = model.evaluate(&tcor).fps(600_000_000);
         // How much of the baseline's overlapped phase is fetch-bound:

@@ -29,7 +29,7 @@ use tcor_cache::profile::OptStackProfiler;
 use tcor_cache::{annotate_next_use, Access, Trace};
 use tcor_common::{BlockAddr, Xoshiro256pp};
 use tcor_runner::{ArtifactStore, Json};
-use tcor_serve::{percentile, HttpClient, ServeConfig};
+use tcor_serve::{HttpClient, LatencyHistogram, ServeConfig};
 use tcor_workloads::encode_chunk;
 
 /// Default accesses per uploaded chunk.
@@ -355,8 +355,8 @@ fn bench(opts: &BenchOpts) -> Result<(), String> {
     // watching a converging curve would).
     let chunk_accesses = 8192;
     let mut bytes = 0u64;
-    let mut chunk_us: Vec<f64> = Vec::new();
-    let mut snap_us: Vec<f64> = Vec::new();
+    let mut chunk_us = LatencyHistogram::new();
+    let mut snap_us = LatencyHistogram::new();
     let ingest_start = Instant::now();
     for (n, chunk) in trace.chunks(chunk_accesses).enumerate() {
         let body = encode_chunk(chunk);
@@ -365,7 +365,7 @@ fn bench(opts: &BenchOpts) -> Result<(), String> {
         let reply = client
             .request("POST", &format!("/v1/stream/{id}/chunk"), Some(&body))
             .map_err(|e| format!("chunk {n}: {e}"))?;
-        chunk_us.push(t.elapsed().as_secs_f64() * 1e6);
+        chunk_us.record(t.elapsed().as_micros() as u64);
         if reply.status != 200 {
             return Err(format!("chunk {n} -> {}", reply.status));
         }
@@ -374,7 +374,7 @@ fn bench(opts: &BenchOpts) -> Result<(), String> {
             let snap = client
                 .request("GET", &format!("/v1/stream/{id}/curve"), None)
                 .map_err(|e| format!("snapshot: {e}"))?;
-            snap_us.push(t.elapsed().as_secs_f64() * 1e6);
+            snap_us.record(t.elapsed().as_micros() as u64);
             if snap.status != 200 {
                 return Err(format!("snapshot -> {}", snap.status));
             }
@@ -422,11 +422,11 @@ fn bench(opts: &BenchOpts) -> Result<(), String> {
         ("ingest_s", Json::Float(ingest_s)),
         ("ingest_mb_s", Json::Float(mb / ingest_s)),
         ("accesses_per_s", Json::Float(trace.len() as f64 / ingest_s)),
-        ("chunk_p50_us", Json::Float(percentile(&chunk_us, 50.0))),
-        ("chunk_p99_us", Json::Float(percentile(&chunk_us, 99.0))),
-        ("snapshots", Json::UInt(snap_us.len() as u64)),
-        ("snapshot_p50_us", Json::Float(percentile(&snap_us, 50.0))),
-        ("snapshot_p99_us", Json::Float(percentile(&snap_us, 99.0))),
+        ("chunk_p50_us", Json::UInt(chunk_us.quantile_us(0.50))),
+        ("chunk_p99_us", Json::UInt(chunk_us.quantile_us(0.99))),
+        ("snapshots", Json::UInt(snap_us.count())),
+        ("snapshot_p50_us", Json::UInt(snap_us.quantile_us(0.50))),
+        ("snapshot_p99_us", Json::UInt(snap_us.quantile_us(0.99))),
         ("distinct_blocks", Json::UInt(distinct)),
         ("peak_window", Json::UInt(peak_window)),
         ("block_budget", Json::UInt(stream_cfg.session_blocks as u64)),
@@ -436,12 +436,12 @@ fn bench(opts: &BenchOpts) -> Result<(), String> {
     std::fs::write(&opts.path, doc.render() + "\n")
         .map_err(|e| format!("cannot write {}: {e}", opts.path))?;
     eprintln!(
-        "bench-stream: PASS — {:.1} MB/s ({:.0} accesses/s), snapshot p50 {:.0} us / p99 {:.0} us \
+        "bench-stream: PASS — {:.1} MB/s ({:.0} accesses/s), snapshot p50 {} us / p99 {} us \
          mid-ingest, peak window {peak_window} of {distinct} distinct blocks -> {}",
         mb / ingest_s,
         trace.len() as f64 / ingest_s,
-        percentile(&snap_us, 50.0),
-        percentile(&snap_us, 99.0),
+        snap_us.quantile_us(0.50),
+        snap_us.quantile_us(0.99),
         opts.path
     );
     Ok(())

@@ -1,7 +1,7 @@
 //! Full-system runs over the benchmark suite — the shared substrate of
 //! Figures 14–24.
 
-use tcor::{BaselineSystem, FrameReport, SystemConfig, TcorSystem};
+use tcor::{FrameReport, System, SystemConfig};
 use tcor_common::TileGrid;
 use tcor_gpu::Scene;
 use tcor_workloads::{suite as benchmarks, BenchmarkProfile};
@@ -83,15 +83,14 @@ pub const CELL_CONFIGS: [&str; 6] = [
 /// Panics on a name outside [`CELL_CONFIGS`].
 pub fn run_cell(profile: &BenchmarkProfile, scene: &Scene, cfg: &str) -> FrameReport {
     let rp = profile.raster_params();
-    let base = |cfg: SystemConfig| BaselineSystem::new(cfg.with_raster(rp)).run_frame(scene);
-    let tcor = |cfg: SystemConfig| TcorSystem::new(cfg.with_raster(rp)).run_frame(scene);
+    let run = |cfg: SystemConfig| System::new(cfg.with_raster(rp)).run_frame(scene);
     match cfg {
-        "base64" => base(SystemConfig::paper_baseline_64k()),
-        "tcor_nol2_64" => tcor(SystemConfig::paper_tcor_64k().without_l2_enhancements()),
-        "tcor64" => tcor(SystemConfig::paper_tcor_64k()),
-        "base128" => base(SystemConfig::paper_baseline_128k()),
-        "tcor_nol2_128" => tcor(SystemConfig::paper_tcor_128k().without_l2_enhancements()),
-        "tcor128" => tcor(SystemConfig::paper_tcor_128k()),
+        "base64" => run(SystemConfig::paper_baseline_64k()),
+        "tcor_nol2_64" => run(SystemConfig::paper_tcor_64k().without_l2_enhancements()),
+        "tcor64" => run(SystemConfig::paper_tcor_64k()),
+        "base128" => run(SystemConfig::paper_baseline_128k()),
+        "tcor_nol2_128" => run(SystemConfig::paper_tcor_128k().without_l2_enhancements()),
+        "tcor128" => run(SystemConfig::paper_tcor_128k()),
         other => panic!("unknown cell config `{other}`"),
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::orchestrate::calibrated_scene;
 use crate::output::Table;
-use tcor::{BaselineSystem, SystemConfig, TcorSystem};
+use tcor::{System, SystemConfig};
 use tcor_common::{CacheParams, GpuConfig, TcorResult, TileCacheOrg, TileGrid, LINE_SIZE};
 use tcor_mem::L2Mode;
 use tcor_runner::ArtifactStore;
@@ -76,8 +76,8 @@ pub fn sweep(store: &ArtifactStore) -> TcorResult<Table> {
         for (b, cal) in picks.iter().zip(&scenes) {
             let scene = &cal.scene;
             let rp = b.raster_params();
-            let base = BaselineSystem::new(baseline_cfg(kib).with_raster(rp)).run_frame(scene);
-            let tcor = TcorSystem::new(tcor_cfg(kib).with_raster(rp)).run_frame(scene);
+            let base = System::new(baseline_cfg(kib).with_raster(rp)).run_frame(scene);
+            let tcor = System::new(tcor_cfg(kib).with_raster(rp)).run_frame(scene);
             row.push(base.pb_l2_accesses().to_string());
             row.push(tcor.pb_l2_accesses().to_string());
         }
@@ -105,8 +105,8 @@ mod tests {
         let b = suite().into_iter().find(|b| b.alias == "GTr").unwrap();
         let scene = tcor_workloads::generate_scene(&b, &grid);
         let rp = b.raster_params();
-        let small = TcorSystem::new(tcor_cfg(32).with_raster(rp)).run_frame(&scene);
-        let big = TcorSystem::new(tcor_cfg(128).with_raster(rp)).run_frame(&scene);
+        let small = System::new(tcor_cfg(32).with_raster(rp)).run_frame(&scene);
+        let big = System::new(tcor_cfg(128).with_raster(rp)).run_frame(&scene);
         assert!(big.pb_l2_accesses() <= small.pb_l2_accesses());
     }
 }

@@ -12,7 +12,7 @@
 //! dead-line turnover; scanline stretches vertical neighbours far apart.
 
 use crate::output::{f3, Table};
-use tcor::{SystemConfig, TcorSystem};
+use tcor::{System, SystemConfig};
 use tcor_common::{TcorResult, Traversal};
 use tcor_runner::ArtifactStore;
 use tcor_workloads::suite;
@@ -45,7 +45,7 @@ pub fn traversal_study(store: &ArtifactStore) -> TcorResult<Table> {
         ] {
             let mut cfg = SystemConfig::paper_tcor_64k().with_raster(b.raster_params());
             cfg.gpu.traversal = order;
-            let r = TcorSystem::new(cfg).run_frame(scene);
+            let r = System::new(cfg).run_frame(scene);
             t.push_row(vec![
                 b.alias.to_string(),
                 name.to_string(),

@@ -8,7 +8,7 @@
 //! cargo run --release --example animation -- CCS 16
 //! ```
 
-use tcor::{BaselineSystem, SystemConfig, TcorSystem};
+use tcor::{System, SystemConfig};
 use tcor_common::TileGrid;
 use tcor_energy::EnergyModel;
 use tcor_workloads::{suite, Animation};
@@ -38,10 +38,9 @@ fn main() {
     let (mut sum_base_fps, mut sum_tcor_fps) = (0.0f64, 0.0f64);
     for f in 0..frames {
         let scene = anim.frame(&grid, f as f64);
-        let base = BaselineSystem::new(SystemConfig::paper_baseline_64k().with_raster(rp))
-            .run_frame(&scene);
-        let tcor =
-            TcorSystem::new(SystemConfig::paper_tcor_64k().with_raster(rp)).run_frame(&scene);
+        let base =
+            System::new(SystemConfig::paper_baseline_64k().with_raster(rp)).run_frame(&scene);
+        let tcor = System::new(SystemConfig::paper_tcor_64k().with_raster(rp)).run_frame(&scene);
         let fb = model.evaluate(&base).fps(600_000_000);
         let ft = model.evaluate(&tcor).fps(600_000_000);
         sum_base_fps += fb;

@@ -7,7 +7,7 @@
 //! cargo run --release --example camera_orbit -- 12
 //! ```
 
-use tcor::{BaselineSession, SystemConfig, TcorSession};
+use tcor::{Session, SystemConfig};
 use tcor_gpu::{transform_scene, Mat4, Vec3, WorldPrimitive};
 
 /// A ring of simple pyramid meshes around the origin.
@@ -50,8 +50,8 @@ fn main() {
     let proj = Mat4::perspective(std::f32::consts::FRAC_PI_3, w / h, 0.1, 100.0);
     let prims = world();
 
-    let mut base = BaselineSession::new(SystemConfig::paper_baseline_64k());
-    let mut tcor = TcorSession::new(SystemConfig::paper_tcor_64k());
+    let mut base = Session::new(SystemConfig::paper_baseline_64k());
+    let mut tcor = Session::new(SystemConfig::paper_tcor_64k());
 
     println!("orbiting camera around {} world triangles\n", prims.len());
     println!(

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use tcor::{BaselineSystem, SystemConfig, TcorSystem};
+use tcor::{System, SystemConfig};
 use tcor_common::Tri2;
 use tcor_gpu::{Scene, ScenePrimitive};
 
@@ -27,8 +27,8 @@ fn main() {
         }
     }
 
-    let baseline = BaselineSystem::new(SystemConfig::paper_baseline_64k()).run_frame(&scene);
-    let tcor = TcorSystem::new(SystemConfig::paper_tcor_64k()).run_frame(&scene);
+    let baseline = System::new(SystemConfig::paper_baseline_64k()).run_frame(&scene);
+    let tcor = System::new(SystemConfig::paper_tcor_64k()).run_frame(&scene);
 
     println!("frame: {} primitives binned", baseline.num_primitives);
     println!();

@@ -2,7 +2,7 @@
 //! Vertex Stage transform, exact SAT binning, and both Tile Cache
 //! organizations.
 
-use tcor::{BaselineSystem, SystemConfig, TcorSystem};
+use tcor::{System, SystemConfig};
 use tcor_common::{TileGrid, Traversal};
 use tcor_gpu::{bin_scene_with, transform_scene, Mat4, OverlapTest, Scene, Vec3, WorldPrimitive};
 
@@ -80,8 +80,8 @@ fn tcor_wins_on_projected_3d_geometry_with_exact_binning() {
     base_cfg.overlap_test = OverlapTest::Exact;
     let mut tcor_cfg = SystemConfig::paper_tcor_64k();
     tcor_cfg.overlap_test = OverlapTest::Exact;
-    let base = BaselineSystem::new(base_cfg).run_frame(&scene);
-    let tcor = TcorSystem::new(tcor_cfg).run_frame(&scene);
+    let base = System::new(base_cfg).run_frame(&scene);
+    let tcor = System::new(tcor_cfg).run_frame(&scene);
     assert_eq!(base.prims_fetched, tcor.prims_fetched);
     assert!(tcor.pb_l2_accesses() < base.pb_l2_accesses());
     assert!(tcor.primitives_per_cycle() > base.primitives_per_cycle());

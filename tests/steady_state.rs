@@ -1,13 +1,13 @@
 //! Multi-frame steady-state sessions: the persistent-L2 ground truth the
 //! one-shot `warm_l2` approximation stands in for.
 //!
-//! An animated sequence runs through [`BaselineSession`] /
-//! [`TcorSession`]; after the cold first frame, each report covers one
+//! An animated sequence runs through a [`Session`] of each Tile Cache
+//! organisation; after the cold first frame, each report covers one
 //! steady-state frame. The paper's qualitative results must hold frame
 //! after frame, and the one-shot model must agree with the steady state
 //! on the headline directions.
 
-use tcor::{BaselineSession, BaselineSystem, SystemConfig, TcorSession, TcorSystem};
+use tcor::{Session, System, SystemConfig};
 use tcor_common::TileGrid;
 use tcor_workloads::{suite, Animation};
 
@@ -21,8 +21,8 @@ fn steady_state_preserves_the_paper_orderings() {
     let p = profile("SoD");
     let anim = Animation::new(&p, &grid);
     let rp = p.raster_params();
-    let mut base = BaselineSession::new(SystemConfig::paper_baseline_64k().with_raster(rp));
-    let mut tcor = TcorSession::new(SystemConfig::paper_tcor_64k().with_raster(rp));
+    let mut base = Session::new(SystemConfig::paper_baseline_64k().with_raster(rp));
+    let mut tcor = Session::new(SystemConfig::paper_tcor_64k().with_raster(rp));
 
     for f in 0..4 {
         let scene = anim.frame(&grid, f as f64);
@@ -62,10 +62,10 @@ fn warm_start_approximates_steady_state_fills() {
     let scene = anim.frame(&grid, 0.0);
     let rp = p.raster_params();
 
-    let mut session = TcorSession::new(SystemConfig::paper_tcor_64k().with_raster(rp));
+    let mut session = Session::new(SystemConfig::paper_tcor_64k().with_raster(rp));
     session.run_frame(&scene); // cold
     let steady = session.run_frame(&scene); // steady state, same scene
-    let oneshot = TcorSystem::new(SystemConfig::paper_tcor_64k().with_raster(rp)).run_frame(&scene);
+    let oneshot = System::new(SystemConfig::paper_tcor_64k().with_raster(rp)).run_frame(&scene);
 
     // The one-shot warm model fully absorbs PB fills; the steady state
     // keeps a small residue — partial-write fills of blocks whose dead
@@ -77,7 +77,7 @@ fn warm_start_approximates_steady_state_fills() {
         "warm one-shot PB fills hit the L2"
     );
     let base_ref =
-        BaselineSystem::new(SystemConfig::paper_baseline_64k().with_raster(rp)).run_frame(&scene);
+        System::new(SystemConfig::paper_baseline_64k().with_raster(rp)).run_frame(&scene);
     assert!(
         steady.pb_mm_accesses() * 5 < base_ref.pb_mm_accesses(),
         "steady-state residue {} should stay far below baseline {}",
@@ -98,7 +98,7 @@ fn session_counters_cover_exactly_one_frame() {
     let anim = Animation::new(&p, &grid);
     let scene = anim.frame(&grid, 0.0);
     let rp = p.raster_params();
-    let mut session = BaselineSession::new(SystemConfig::paper_baseline_64k().with_raster(rp));
+    let mut session = Session::new(SystemConfig::paper_baseline_64k().with_raster(rp));
     let first = session.run_frame(&scene);
     let second = session.run_frame(&scene);
     // Same work per frame...
@@ -118,8 +118,8 @@ fn steady_state_tcor_still_eliminates_pb_dram_traffic() {
         let p = profile(alias);
         let anim = Animation::new(&p, &grid);
         let rp = p.raster_params();
-        let mut tcor = TcorSession::new(SystemConfig::paper_tcor_64k().with_raster(rp));
-        let mut base = BaselineSession::new(SystemConfig::paper_baseline_64k().with_raster(rp));
+        let mut tcor = Session::new(SystemConfig::paper_tcor_64k().with_raster(rp));
+        let mut base = Session::new(SystemConfig::paper_baseline_64k().with_raster(rp));
         for f in 0..3 {
             let scene = anim.frame(&grid, f as f64);
             let r = tcor.run_frame(&scene);
@@ -144,14 +144,20 @@ fn one_shot_equals_first_session_frame_when_warm_disabled() {
     let grid = TileGrid::new(1960, 768, 32);
     let p = profile("GTr");
     let scene = Animation::new(&p, &grid).frame(&grid, 0.0);
-    let mut cfg = SystemConfig::paper_baseline_64k().with_raster(p.raster_params());
-    cfg.warm_l2 = false;
-    let oneshot = BaselineSystem::new(cfg.clone()).run_frame(&scene);
-    let mut session = BaselineSession::new(cfg);
-    let first = session.run_frame(&scene);
-    // Identical inputs, identical cold state -> identical L2-level
-    // traffic (the one-shot end-of-frame drain differs only at DRAM).
-    assert_eq!(oneshot.pb_l2_accesses(), first.pb_l2_accesses());
-    assert_eq!(oneshot.l2_stats.misses(), first.l2_stats.misses());
-    assert_eq!(oneshot.fetch_cycles, first.fetch_cycles);
+    for cfg in [
+        SystemConfig::paper_baseline_64k(),
+        SystemConfig::paper_tcor_64k(),
+    ] {
+        let mut cfg = cfg.with_raster(p.raster_params());
+        cfg.warm_l2 = false;
+        let oneshot = System::new(cfg.clone()).run_frame(&scene);
+        let mut session = Session::new(cfg);
+        let first = session.run_frame(&scene);
+        // Identical inputs, identical cold state -> identical L2-level
+        // traffic (the one-shot end-of-frame drain differs only at DRAM).
+        let sys = oneshot.system;
+        assert_eq!(oneshot.pb_l2_accesses(), first.pb_l2_accesses(), "{sys}");
+        assert_eq!(oneshot.l2_stats.misses(), first.l2_stats.misses(), "{sys}");
+        assert_eq!(oneshot.fetch_cycles, first.fetch_cycles, "{sys}");
+    }
 }
