@@ -26,6 +26,27 @@ cargo test --workspace -q
 echo "== golden check (headline)"
 cargo run --release -q -p tcor-sim -- headline --check --telemetry /tmp/tcor-ci-telemetry.jsonl >/dev/null
 
+TCOR_SIM=target/release/tcor-sim
+
+echo "== golden check (whole cell reports)"
+# The CSV goldens round to three decimals or to percentages, so they can
+# miss a one-count drift in a cell's counters. results/golden/cells.jsonl
+# holds the full `tcor-sim cell` report of every Table II workload under
+# every suite configuration (60 lines); the current binary must
+# reproduce it byte for byte (README "Parallel runs, telemetry and
+# golden results" says how to re-record it).
+CELLS_OUT=/tmp/tcor-ci-cells.jsonl
+for workload in CCS SoD SWa TRu CRa RoK DDS Snp Mze GTr; do
+  for config in base64 tcor_nol2_64 tcor64 base128 tcor_nol2_128 tcor128; do
+    "$TCOR_SIM" cell "$workload" "$config"
+  done
+done > "$CELLS_OUT"
+if ! cmp -s "$CELLS_OUT" results/golden/cells.jsonl; then
+  echo "ci: FAIL: cell reports differ from results/golden/cells.jsonl" >&2
+  exit 1
+fi
+rm -f "$CELLS_OUT"
+
 echo "== golden check (miss curves, single-pass engine)"
 # The single-pass miss-curve engine (OPT stack profiling + banked
 # policy simulation, see DESIGN.md) must reproduce every miss-curve
@@ -88,7 +109,6 @@ rm -f "$SMOKE_MANIFEST"
 # port with FLAGS, waits for its port file and sets ADDR; `stop_daemon`
 # asks it to drain over POST /admin/shutdown and requires exit 0. The
 # EXIT trap kills a daemon that a failed check left running.
-TCOR_SIM=target/release/tcor-sim
 PORT_FILE=/tmp/tcor-ci-serve-port
 SERVE_PID=
 DAEMON=

@@ -19,6 +19,11 @@
 //! once. If the best victim's OPT Number is **greater** than the write's,
 //! the victim is evicted and the write allocated; otherwise (including
 //! equality) the write is **bypassed** to the L2.
+//!
+//! The cache-wide questions — the farthest-future eligible line, and how
+//! many Attribute Buffer entries eligible lines hold (above a floor) —
+//! are answered from an exact index of the eligible lines kept in step
+//! with every line state change, not by scanning the Primitive Buffer.
 
 use tcor_cache::Indexing;
 use tcor_common::{AccessStats, PrimitiveId, TileRank};
@@ -144,6 +149,126 @@ struct PbLine {
     attr_count: u8,
 }
 
+impl PbLine {
+    /// Whether OPT eviction may pick this line: valid and unlocked.
+    fn eligible(&self) -> bool {
+        self.valid && !self.lock
+    }
+}
+
+/// Exact index of the *eligible* Primitive Buffer lines (valid and
+/// unlocked: the only lines OPT eviction may pick).
+///
+/// Each eligible line `i` is one key, `(opt + 1) << 40 | i << 8 |
+/// attr_count`; 0 marks an ineligible line. Line indices are distinct,
+/// so keys order exactly as `(opt, i)`: the greatest key is the *last*
+/// line with the greatest OPT Number, which is what an ascending
+/// `max_by_key(opt)` scan returns. The attribute count rides in the low
+/// byte so that removing a key knows what to subtract.
+///
+/// Stored OPT Numbers are saturated to 12 bits (§III.C), so a Fenwick
+/// tree over the 4,096 possible values counts the entries held above
+/// any floor exactly.
+#[derive(Clone, Debug)]
+struct EligibleIndex {
+    /// Max tree: leaf `leaves + i` is line `i`'s key, every inner node
+    /// the max of its two children, so `tree[1]` is the cache-wide
+    /// victim.
+    tree: Vec<u64>,
+    leaves: usize,
+    /// Fenwick tree (1-based) over OPT Numbers of the entries held by
+    /// eligible lines.
+    by_opt: Vec<usize>,
+    /// Attribute Buffer entries held by eligible lines.
+    entries: usize,
+}
+
+impl EligibleIndex {
+    fn new(lines: usize) -> Self {
+        debug_assert!(
+            lines <= u32::MAX as usize,
+            "line index must fit its key field"
+        );
+        let leaves = lines.next_power_of_two();
+        EligibleIndex {
+            tree: vec![0; 2 * leaves],
+            leaves,
+            by_opt: vec![0; TileRank::OPT_MAX as usize + 2],
+            entries: 0,
+        }
+    }
+
+    /// Re-indexes line `idx` from its current state.
+    fn update(&mut self, idx: usize, line: &PbLine) {
+        let key = if line.eligible() {
+            debug_assert!(
+                line.opt.0 <= TileRank::OPT_MAX,
+                "stored OPT Numbers are saturated"
+            );
+            ((u64::from(line.opt.0) + 1) << 40) | ((idx as u64) << 8) | u64::from(line.attr_count)
+        } else {
+            0
+        };
+        let mut node = self.leaves + idx;
+        let old = self.tree[node];
+        if old == key {
+            return;
+        }
+        if old != 0 {
+            self.tally((old >> 40) as u32 - 1, (old & 0xff) as usize, false);
+        }
+        if key != 0 {
+            self.tally(line.opt.0, line.attr_count as usize, true);
+        }
+        self.tree[node] = key;
+        while node > 1 {
+            node /= 2;
+            let best = self.tree[2 * node].max(self.tree[2 * node + 1]);
+            if self.tree[node] == best {
+                break;
+            }
+            self.tree[node] = best;
+        }
+    }
+
+    /// Adds (or removes) `count` entries held at OPT Number `opt`.
+    fn tally(&mut self, opt: u32, count: usize, add: bool) {
+        let mut i = opt as usize + 1;
+        while i < self.by_opt.len() {
+            if add {
+                self.by_opt[i] += count;
+            } else {
+                self.by_opt[i] -= count;
+            }
+            i += i & i.wrapping_neg();
+        }
+        if add {
+            self.entries += count;
+        } else {
+            self.entries -= count;
+        }
+    }
+
+    /// The eligible line with the greatest OPT Number (the last such
+    /// line on ties), if any.
+    fn victim(&self) -> Option<usize> {
+        let root = self.tree[1];
+        (root != 0).then_some(((root >> 8) & 0xffff_ffff) as usize)
+    }
+
+    /// Entries held by eligible lines whose OPT Number is strictly
+    /// greater than the (saturated) `floor`.
+    fn entries_above(&self, floor: TileRank) -> usize {
+        let mut at_or_below = 0;
+        let mut i = floor.0 as usize + 1;
+        while i > 0 {
+            at_or_below += self.by_opt[i];
+            i &= i - 1;
+        }
+        self.entries - at_or_below
+    }
+}
+
 /// The Attribute Cache.
 #[derive(Clone, Debug)]
 pub struct AttributeCache {
@@ -168,6 +293,7 @@ pub struct AttributeCache {
     /// farthest-future eligible candidate (Hawkeye-style self-checking
     /// oracle; always 0 unless victim selection regresses).
     opt_violations: u64,
+    eligible: EligibleIndex,
 }
 
 impl AttributeCache {
@@ -188,6 +314,7 @@ impl AttributeCache {
             stall_events: 0,
             wb_blocks: 0,
             opt_violations: 0,
+            eligible: EligibleIndex::new(cfg.pb_lines),
         }
     }
 
@@ -299,12 +426,13 @@ impl AttributeCache {
 
     fn evict_line(&mut self, idx: usize) -> EvictedPrim {
         let line = self.lines[idx];
-        debug_assert!(line.valid && !line.lock);
+        debug_assert!(line.eligible());
         if line.dirty {
             self.wb_blocks += line.attr_count as u64;
         }
         self.free_chain(line.abp);
         self.lines[idx] = PbLine::default();
+        self.eligible.update(idx, &self.lines[idx]);
         self.resident -= 1;
         EvictedPrim {
             prim: line.prim,
@@ -313,10 +441,21 @@ impl AttributeCache {
         }
     }
 
+    /// Makes `line` (its attribute chain already allocated) resident at
+    /// the reserved slot `idx`.
+    fn install(&mut self, idx: usize, line: PbLine) {
+        self.lines[idx] = line;
+        self.eligible.update(idx, &line);
+        self.resident += 1;
+        if line.lock {
+            self.locked_prims += 1;
+        }
+    }
+
     /// The unlocked line in `set` with the greatest OPT Number, if any.
     fn best_victim(&self, set: usize) -> Option<usize> {
         self.set_range(set)
-            .filter(|&i| self.lines[i].valid && !self.lines[i].lock)
+            .filter(|&i| self.lines[i].eligible())
             .max_by_key(|&i| self.lines[i].opt)
     }
 
@@ -339,7 +478,9 @@ impl AttributeCache {
 
     /// OPT self-check over a cache-wide eviction. `floor` restricts the
     /// eligible candidates (the write path may only evict lines strictly
-    /// farther-future than the written primitive).
+    /// farther-future than the written primitive). A full scan of the
+    /// Primitive Buffer, independent of the eligible-line index that
+    /// chose the victim, on every cache-wide eviction.
     fn audit_global_victim(&mut self, chosen: usize, floor: Option<TileRank>) {
         let chosen_opt = self.lines[chosen].opt;
         let violated = (0..self.lines.len()).any(|i| {
@@ -355,23 +496,88 @@ impl AttributeCache {
     }
 
     /// Frees Attribute Buffer space by evicting unlocked primitives
-    /// cache-wide in OPT order until `needed` entries are free. Returns
-    /// `false` (rolling nothing back — evicted lines were the
-    /// farthest-future anyway) if locked lines make it impossible.
-    fn make_space(&mut self, needed: usize, evicted: &mut Vec<EvictedPrim>) -> bool {
+    /// cache-wide in OPT order until `needed` entries are free. `floor`
+    /// restricts the victims to lines strictly farther-future than it
+    /// (the write path). The caller has checked that the eligible lines
+    /// hold enough entries.
+    fn make_space(
+        &mut self,
+        needed: usize,
+        floor: Option<TileRank>,
+        evicted: &mut Vec<EvictedPrim>,
+    ) {
         while self.free.len() < needed {
-            let victim = (0..self.lines.len())
-                .filter(|&i| self.lines[i].valid && !self.lines[i].lock)
-                .max_by_key(|&i| self.lines[i].opt);
-            match victim {
-                Some(i) => {
-                    self.audit_global_victim(i, None);
-                    evicted.push(self.evict_line(i));
-                }
-                None => return false,
-            }
+            let victim = self
+                .eligible
+                .victim()
+                .filter(|&i| floor.is_none_or(|f| self.lines[i].opt > f))
+                .expect("feasibility checked");
+            self.audit_global_victim(victim, floor);
+            evicted.push(self.evict_line(victim));
         }
-        true
+    }
+
+    /// Reserves a Primitive Buffer line for `prim` the way a read miss
+    /// does: an empty line of its set, else the set's farthest-future
+    /// unlocked line, then cache-wide OPT evictions until `attr_count`
+    /// attributes fit (§III.C.3 Miss: "In case of a dearth of space, more
+    /// primitives are evicted using OPT"). Feasibility is checked *before*
+    /// mutating, so `None` (locks make it impossible) changes nothing.
+    fn reserve(&mut self, prim: PrimitiveId, attr_count: u8) -> Option<(usize, Vec<EvictedPrim>)> {
+        let set = self.set_of(prim);
+        let empty = self.set_range(set).find(|&i| !self.lines[i].valid);
+        let victim = self.best_victim(set);
+        if empty.is_none() && victim.is_none() {
+            return None; // every line in the set is locked
+        }
+        if self.free.len() + self.eligible.entries < attr_count as usize {
+            return None; // locked primitives hold the buffer
+        }
+        let mut evicted = Vec::new();
+        let idx = match empty {
+            Some(i) => i,
+            None => {
+                let v = victim.expect("checked above");
+                self.audit_set_victim(set, v);
+                evicted.push(self.evict_line(v));
+                v
+            }
+        };
+        self.make_space(attr_count as usize, None, &mut evicted);
+        Some((idx, evicted))
+    }
+
+    /// Reserves a line for a Polygon List Builder write first used at
+    /// `first_use` (§III.C.4), evicting only lines strictly farther-future
+    /// than the write. `None` (bypass, nothing changed) when the set is
+    /// full and its best victim is used no later than the write —
+    /// equality included — or when the write's attributes cannot fit.
+    fn reserve_farther(
+        &mut self,
+        prim: PrimitiveId,
+        attr_count: u8,
+        first_use: TileRank,
+    ) -> Option<(usize, Vec<EvictedPrim>)> {
+        // Free entries plus entries held by unlocked primitives that are
+        // strictly farther-future than this write.
+        if self.free.len() + self.eligible.entries_above(first_use) < attr_count as usize {
+            return None;
+        }
+        let set = self.set_of(prim);
+        let mut evicted = Vec::new();
+        let idx = match self.set_range(set).find(|&i| !self.lines[i].valid) {
+            Some(i) => i,
+            None => {
+                let v = self
+                    .best_victim(set)
+                    .filter(|&v| self.lines[v].opt > first_use)?;
+                self.audit_set_victim(set, v);
+                evicted.push(self.evict_line(v));
+                v
+            }
+        };
+        self.make_space(attr_count as usize, Some(first_use), &mut evicted);
+        Some((idx, evicted))
     }
 
     /// Tile Fetcher read of `prim` (which has `attr_count` attributes) on
@@ -395,55 +601,29 @@ impl AttributeCache {
                 self.locked_prims += 1;
             }
             line.opt = opt_number;
+            self.eligible.update(idx, &self.lines[idx]);
             self.stats.probes += 1;
             return ReadResult::Hit;
         }
 
-        // Miss path: reserve a Primitive Buffer line. Check feasibility
-        // *before* mutating so a stall leaves the cache untouched.
-        let set = self.set_of(prim);
-        let empty = self.set_range(set).find(|&i| !self.lines[i].valid);
-        let victim = self.best_victim(set);
-        if empty.is_none() && victim.is_none() {
+        let Some((idx, evicted)) = self.reserve(prim, attr_count) else {
             self.stall_events += 1;
-            return ReadResult::Stalled; // every line in the set is locked
-        }
-        let reclaimable: usize = (0..self.lines.len())
-            .filter(|&i| self.lines[i].valid && !self.lines[i].lock)
-            .map(|i| self.lines[i].attr_count as usize)
-            .sum();
-        if self.free.len() + reclaimable < attr_count as usize {
-            self.stall_events += 1;
-            return ReadResult::Stalled; // locked primitives hold the buffer
-        }
-
-        let mut evicted = Vec::new();
-        let line_idx = match empty {
-            Some(i) => i,
-            None => {
-                let v = victim.expect("checked above");
-                self.audit_set_victim(set, v);
-                evicted.push(self.evict_line(v));
-                v
-            }
+            return ReadResult::Stalled;
         };
-        // Ensure Attribute Buffer space (§III.C.3 Miss: "In case of a
-        // dearth of space, more primitives are evicted using OPT").
-        let ok = self.make_space(attr_count as usize, &mut evicted);
-        debug_assert!(ok, "feasibility was checked");
         self.stats.record_read(false);
         let abp = self.alloc_chain(attr_count);
-        self.lines[line_idx] = PbLine {
-            valid: true,
-            lock: true,
-            dirty: false,
-            prim,
-            opt: opt_number,
-            abp,
-            attr_count,
-        };
-        self.resident += 1;
-        self.locked_prims += 1;
+        self.install(
+            idx,
+            PbLine {
+                valid: true,
+                lock: true,
+                dirty: false,
+                prim,
+                opt: opt_number,
+                abp,
+                attr_count,
+            },
+        );
         self.stats.probes += 1;
         ReadResult::Miss { evicted }
     }
@@ -458,142 +638,34 @@ impl AttributeCache {
             self.find(prim).is_none(),
             "each primitive is written exactly once"
         );
-        let set = self.set_of(prim);
-        let empty = self.set_range(set).find(|&i| !self.lines[i].valid);
-
-        if !self.cfg.write_bypass {
+        let reserved = if self.cfg.write_bypass {
+            self.reserve_farther(prim, attr_count, first_use)
+        } else {
             // Ablation: no bypass — allocate like a read (evict the
             // farthest-future unlocked line unconditionally), falling
             // back to bypass only when locks leave no room.
-            return match self.read_style_reserve(prim, attr_count, first_use) {
-                Some(evicted) => {
-                    self.stats.probes += 1;
-                    WriteResult::Allocated { evicted }
-                }
-                None => {
-                    self.stats.bypasses += 1;
-                    WriteResult::Bypassed
-                }
-            };
-        }
-
-        // Feasibility of Attribute Buffer space: free entries plus entries
-        // held by unlocked primitives that are strictly farther-future
-        // than this write (only those may be evicted on the write path).
-        let reclaimable: usize = (0..self.lines.len())
-            .filter(|&i| {
-                self.lines[i].valid && !self.lines[i].lock && self.lines[i].opt > first_use
-            })
-            .map(|i| self.lines[i].attr_count as usize)
-            .sum();
-        let space_feasible = self.free.len() + reclaimable >= attr_count as usize;
-
-        let line_idx = match empty {
-            Some(i) if space_feasible => i,
-            _ => {
-                // Full set (or not enough space): compare with the best
-                // victim's OPT Number.
-                let Some(victim) = self.best_victim(set) else {
-                    self.stats.bypasses += 1;
-                    return WriteResult::Bypassed;
-                };
-                if empty.is_none() && self.lines[victim].opt <= first_use {
-                    // The victim (and so every line in the set) is used no
-                    // later than this primitive: bypass. Equality also
-                    // bypasses (§III.C.4).
-                    self.stats.bypasses += 1;
-                    return WriteResult::Bypassed;
-                }
-                if !space_feasible {
-                    self.stats.bypasses += 1;
-                    return WriteResult::Bypassed;
-                }
-                match empty {
-                    Some(i) => i,
-                    None => victim,
-                }
-            }
+            self.reserve(prim, attr_count)
         };
-
-        let mut evicted = Vec::new();
-        if self.lines[line_idx].valid {
-            self.audit_set_victim(set, line_idx);
-            evicted.push(self.evict_line(line_idx));
-        }
-        // Free space evicting only strictly-farther-future primitives.
-        while self.free.len() < attr_count as usize {
-            let victim = (0..self.lines.len())
-                .filter(|&i| {
-                    self.lines[i].valid && !self.lines[i].lock && self.lines[i].opt > first_use
-                })
-                .max_by_key(|&i| self.lines[i].opt)
-                .expect("feasibility checked");
-            self.audit_global_victim(victim, Some(first_use));
-            evicted.push(self.evict_line(victim));
-        }
+        let Some((idx, evicted)) = reserved else {
+            self.stats.bypasses += 1;
+            return WriteResult::Bypassed;
+        };
         self.stats.record_write(false); // every PLB write is a (compulsory) miss
         let abp = self.alloc_chain(attr_count);
-        self.lines[line_idx] = PbLine {
-            valid: true,
-            lock: false,
-            dirty: true,
-            prim,
-            opt: first_use,
-            abp,
-            attr_count,
-        };
-        self.resident += 1;
+        self.install(
+            idx,
+            PbLine {
+                valid: true,
+                lock: false,
+                dirty: true,
+                prim,
+                opt: first_use,
+                abp,
+                attr_count,
+            },
+        );
         self.stats.probes += 1;
         WriteResult::Allocated { evicted }
-    }
-
-    /// Shared allocation path for the no-bypass ablation: reserve a line
-    /// for `prim` evicting farthest-future unlocked lines; returns `None`
-    /// when locks make it impossible.
-    fn read_style_reserve(
-        &mut self,
-        prim: PrimitiveId,
-        attr_count: u8,
-        opt: TileRank,
-    ) -> Option<Vec<EvictedPrim>> {
-        let set = self.set_of(prim);
-        let empty = self.set_range(set).find(|&i| !self.lines[i].valid);
-        let victim = self.best_victim(set);
-        if empty.is_none() && victim.is_none() {
-            return None;
-        }
-        let reclaimable: usize = (0..self.lines.len())
-            .filter(|&i| self.lines[i].valid && !self.lines[i].lock)
-            .map(|i| self.lines[i].attr_count as usize)
-            .sum();
-        if self.free.len() + reclaimable < attr_count as usize {
-            return None;
-        }
-        let mut evicted = Vec::new();
-        let line_idx = match empty {
-            Some(i) => i,
-            None => {
-                let v = victim.expect("checked above");
-                self.audit_set_victim(set, v);
-                evicted.push(self.evict_line(v));
-                v
-            }
-        };
-        let ok = self.make_space(attr_count as usize, &mut evicted);
-        debug_assert!(ok, "feasibility was checked");
-        self.stats.record_write(false);
-        let abp = self.alloc_chain(attr_count);
-        self.lines[line_idx] = PbLine {
-            valid: true,
-            lock: false,
-            dirty: true,
-            prim,
-            opt,
-            abp,
-            attr_count,
-        };
-        self.resident += 1;
-        Some(evicted)
     }
 
     /// Rasterizer consumed `prim`'s attributes: unlock its line and
@@ -604,6 +676,7 @@ impl AttributeCache {
             if self.lines[idx].lock {
                 self.lines[idx].lock = false;
                 self.locked_prims -= 1;
+                self.eligible.update(idx, &self.lines[idx]);
             }
         }
     }
@@ -925,5 +998,172 @@ mod tests {
         assert!(cfg.num_sets() > 0);
         let c = AttributeCache::new(cfg);
         assert_eq!(c.free_entries(), 768);
+    }
+
+    /// Plain-scan oracle for the eligible-line index: recomputes from
+    /// every line the cache-wide victim (the *last* valid unlocked line
+    /// with the greatest OPT Number, as an ascending `max_by_key` picks
+    /// it), the entries eligible lines hold and the entries they hold
+    /// above `floor`, and asserts the index agrees. Also checks free-list
+    /// conservation, the resident and locked counts and the OPT
+    /// self-check. Returns how many eligible lines sit at the saturated
+    /// maximum.
+    fn assert_index_matches_scan(c: &AttributeCache, floor: TileRank) -> usize {
+        let (mut victim, mut entries, mut above) = (None::<usize>, 0, 0);
+        let (mut owned, mut resident, mut locked, mut saturated) = (0, 0, 0, 0);
+        for (i, line) in c.lines.iter().enumerate() {
+            if !line.valid {
+                continue;
+            }
+            owned += line.attr_count as usize;
+            resident += 1;
+            if line.lock {
+                locked += 1;
+                continue;
+            }
+            entries += line.attr_count as usize;
+            if line.opt > floor {
+                above += line.attr_count as usize;
+            }
+            if line.opt.0 == TileRank::OPT_MAX {
+                saturated += 1;
+            }
+            if victim.is_none_or(|v| line.opt >= c.lines[v].opt) {
+                victim = Some(i);
+            }
+        }
+        assert_eq!(c.eligible.victim(), victim, "cache-wide victim");
+        assert_eq!(c.eligible.entries, entries, "eligible entries");
+        assert_eq!(
+            c.eligible.entries_above(floor),
+            above,
+            "eligible entries above {floor:?}"
+        );
+        assert_eq!(owned + c.free_entries(), c.config().ab_entries);
+        assert_eq!(c.resident_primitives(), resident);
+        assert_eq!(c.locked_primitives(), locked);
+        assert_eq!(c.opt_violations(), 0);
+        saturated
+    }
+
+    /// What the churn runs exercised.
+    #[derive(Default)]
+    struct Churned {
+        stalls: u64,
+        bypasses: u64,
+        multi_evictions: u64,
+        saturated_ties: u64,
+    }
+
+    /// Seeded random churn over `cfg`, checking the index against the
+    /// scan oracle after every operation and adding what it exercised to
+    /// `seen`: PLB writes of fresh primitives (30%), Tile Fetcher reads
+    /// (which lock), Rasterizer unlocks (`unlock_share` of the
+    /// operations: a small share leaves most lines locked, so reads
+    /// stall) and a drain halfway and at the end. OPT Numbers cluster on
+    /// a few near ranks and at and past the 12-bit maximum, `NEVER`
+    /// included, so many lines tie at the saturated maximum.
+    fn churn(
+        cfg: AttributeCacheConfig,
+        seed: u64,
+        ops: usize,
+        unlock_share: f64,
+        seen: &mut Churned,
+    ) {
+        use tcor_common::SmallRng;
+        let attrs = |p: PrimitiveId| 1 + (p.0.wrapping_mul(2_654_435_761) >> 29) as u8;
+        let rank = |rng: &mut SmallRng| match rng.random_range(0..10u32) {
+            0 => TileRank::NEVER,
+            1 => TileRank(TileRank::OPT_MAX + rng.random_range(0..3u32)),
+            2..=4 => TileRank(rng.random_range(0..TileRank::OPT_MAX + 1)),
+            _ => TileRank(rng.random_range(0..16u32)),
+        };
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut c = AttributeCache::new(cfg);
+        let mut queued: Vec<PrimitiveId> = Vec::new();
+        let mut next = 0u32;
+        for op in 1..=ops {
+            let r = rng.random_f64();
+            if op % (ops / 2) == 0 {
+                let owned = cfg.ab_entries - c.free_entries();
+                let drained = c.drain();
+                assert_eq!(
+                    drained.iter().map(|e| e.attr_count as usize).sum::<usize>(),
+                    owned
+                );
+                assert_eq!(c.free_entries(), cfg.ab_entries);
+                queued.clear();
+            } else if r < 0.3 || next == 0 {
+                let prim = PrimitiveId(next);
+                next += 1;
+                match c.write(prim, attrs(prim), rank(&mut rng)) {
+                    WriteResult::Allocated { evicted } => {
+                        seen.multi_evictions += u64::from(evicted.len() > 1);
+                    }
+                    WriteResult::Bypassed => seen.bypasses += 1,
+                }
+            } else if r < 1.0 - unlock_share {
+                let prim = PrimitiveId(rng.random_range(0..next));
+                match c.read(prim, attrs(prim), rank(&mut rng)) {
+                    ReadResult::Hit => queued.push(prim),
+                    ReadResult::Miss { evicted } => {
+                        seen.multi_evictions += u64::from(evicted.len() > 1);
+                        queued.push(prim);
+                    }
+                    ReadResult::Stalled => seen.stalls += 1,
+                }
+            } else if !queued.is_empty() {
+                let prim = queued.swap_remove(rng.random_range(0..queued.len()));
+                c.unlock(prim);
+            }
+            let floor = rank(&mut rng).saturated();
+            let saturated = assert_index_matches_scan(&c, floor);
+            seen.saturated_ties += u64::from(saturated > 1);
+        }
+    }
+
+    /// Every set-index function, with write bypass on and off (off sends
+    /// writes down the read-style reservation of the D2 ablation).
+    fn variants(cfg: AttributeCacheConfig) -> impl Iterator<Item = AttributeCacheConfig> {
+        [Indexing::Xor, Indexing::Modulo]
+            .into_iter()
+            .flat_map(move |ix| [true, false].map(|b| cfg.with_indexing(ix).with_write_bypass(b)))
+    }
+
+    fn assert_churn_covered(seen: &Churned) {
+        assert!(seen.stalls > 0, "no read stalled on locks");
+        assert!(seen.bypasses > 0, "no write bypassed");
+        assert!(seen.multi_evictions > 0, "no cache-wide eviction");
+        assert!(seen.saturated_ties > 0, "no tie at the saturated maximum");
+    }
+
+    #[test]
+    fn eligible_index_matches_a_full_scan_on_tiny_caches() {
+        let mut seen = Churned::default();
+        for (k, (ways, pb_lines, ab_entries)) in
+            [(1, 1, 3), (2, 2, 6), (4, 8, 10), (3, 12, 20), (2, 16, 40)]
+                .into_iter()
+                .enumerate()
+        {
+            for (v, cfg) in variants(cache(ways, pb_lines, ab_entries).cfg).enumerate() {
+                for unlock_share in [0.05, 0.3] {
+                    churn(cfg, (k * 8 + v) as u64, 3000, unlock_share, &mut seen);
+                }
+            }
+        }
+        assert_churn_covered(&seen);
+    }
+
+    #[test]
+    fn eligible_index_matches_a_full_scan_at_sweep_budgets() {
+        // 48 and 112 KiB are the paper's Attribute Caches; 240 KiB is the
+        // largest one in the sweep (its 256 KiB Tile Cache).
+        for (k, kib) in [48u64, 112, 240].into_iter().enumerate() {
+            let mut seen = Churned::default();
+            for (v, cfg) in variants(AttributeCacheConfig::from_budget(kib << 10, 4)).enumerate() {
+                churn(cfg, 100 + (k * 8 + v) as u64, 6000, 0.02, &mut seen);
+            }
+            assert_churn_covered(&seen);
+        }
     }
 }
