@@ -48,20 +48,24 @@ fi
 rm -f "$CELLS_OUT"
 
 echo "== golden check (miss curves, single-pass engine)"
-# The single-pass miss-curve engine (OPT stack profiling + banked
-# policy simulation, see DESIGN.md) must reproduce every miss-curve
-# figure bit-for-bit against the goldens recorded under the
-# per-capacity replay engine. Drift exits 4.
+# The single-pass miss-curve engine (OPT stack profiling + per-geometry
+# replays scattered across the workers, see DESIGN.md) must reproduce
+# every miss-curve figure bit-for-bit against the goldens recorded
+# under the per-capacity replay engine, both at the pool width and on
+# one worker (--serial). Drift exits 4.
 cargo run --release -q -p tcor-sim -- fig1 fig11 fig12 fig13 fig13x --check \
+  --telemetry /tmp/tcor-ci-telemetry.jsonl >/dev/null
+cargo run --release -q -p tcor-sim -- fig1 fig11 fig12 fig13 fig13x --check --serial \
   --telemetry /tmp/tcor-ci-telemetry.jsonl >/dev/null
 
 echo "== miss-curve engine regression gate"
 # Benchmarks the single-pass engine against the per-capacity replay on
 # every miss-curve experiment and fails if any speedup drops below
-# 1.00x or outputs drift (this is the gate that would have caught the
-# fig13x 0.94x banked-engine regression). Writes the per-experiment
-# table to a scratch path; the committed BENCH_misscurves.json is
-# refreshed intentionally via `bench-misscurves` without --gate.
+# 1.00x or outputs drift (this is the gate that would have caught
+# fig13x's 0.94x regression through the old interleaved capacity
+# bank). Writes the per-experiment table to a scratch path; the
+# committed BENCH_misscurves.json is refreshed intentionally via
+# `bench-misscurves` without --gate.
 cargo run --release -q -p tcor-sim -- bench-misscurves \
   /tmp/tcor-ci-bench-misscurves.json --gate >/dev/null
 

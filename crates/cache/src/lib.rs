@@ -27,8 +27,9 @@
 //! [`profile::LruStackProfiler`] computes the *entire* LRU
 //! miss-ratio-vs-size curve in one pass (Mattson et al. \[27\] — the very
 //! paper that introduced OPT); [`profile::OptStackProfiler`] does the
-//! same for fully-associative Belady-OPT. These regenerate Figures 1,
-//! 11, 12 and 13 without re-simulating per point.
+//! same for fully-associative Belady-OPT. These regenerate the fully
+//! associative curves of Figures 1, 11 and 12 without re-simulating per
+//! point.
 //!
 //! ## Sharded replay
 //!

@@ -14,8 +14,9 @@
 //! * [`simulate_policy`] / [`simulate_policy_annotated`] — direct
 //!   simulation of any policy on any geometry.
 //! * [`simulate_policy_bank`] — one trace pass through a bank of cache
-//!   instances (all capacities of one policy per pass), for the
-//!   set-associative sweeps of Figs. 12–13.
+//!   instances (all capacities of one policy per pass), bit-identical to
+//!   one [`simulate_policy`] run per geometry. The miss-curve figures
+//!   replay per geometry instead, which measured as fast or faster.
 
 mod opt;
 mod optstack;

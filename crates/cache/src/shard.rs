@@ -17,9 +17,9 @@
 //! (the counters are additive), so a multi-worker dispatch is
 //! bit-identical to the serial whole-cache simulation.
 //!
-//! [`ShardCache`] memoizes the layouts per set count so a bank of
-//! policies sweeping the same geometries (the Fig. 13 studies) pays for
-//! each bucketing exactly once.
+//! [`ShardCache`] memoizes the layouts per set count so several
+//! policies sweeping the same geometries pay for each bucketing exactly
+//! once.
 
 use crate::cache::Cache;
 use crate::index::Indexing;
@@ -218,10 +218,10 @@ pub fn simulate_policy_sharded<P: ReplacementPolicy>(
 
 /// How many [`ShardedTrace`] layouts a [`ShardCache`] retains.
 ///
-/// The Fig. 13 small-bank studies sweep at most four set counts, so
-/// four slots give full reuse across their per-policy bank calls while
-/// a wide sweep (Fig. 12's 40 distinct set counts) cycles through
-/// without accumulating the whole family in memory.
+/// Four slots give full reuse to a sweep of up to four set counts
+/// (fig13x's four capacities), while a wider sweep (fig13's sixteen)
+/// cycles through without accumulating the whole family in memory —
+/// each layout holds about 17 bytes per trace access.
 pub const SHARD_CACHE_SLOTS: usize = 4;
 
 /// A small per-trace memo of sharded layouts, keyed by

@@ -641,7 +641,7 @@ pub fn execute_serial<T>(
 /// returns their results in input order.
 ///
 /// The light-weight companion to [`execute`] for dependency-free
-/// fan-out (e.g. per-set shard ranges in the miss-curve engine): no
+/// fan-out (e.g. per-geometry replays in the miss-curve engine): no
 /// graph to declare, no report to unpack. With one effective worker (or
 /// one task) the tasks run inline on the calling thread with zero
 /// overhead, preserving the single-core guarantee of [`execute`].

@@ -313,17 +313,19 @@ fn bench_runner(path: &str) -> ExitCode {
 /// experiment under the legacy per-capacity replay engine and the
 /// single-pass engine against one shared store, assert the rendered
 /// tables are bit-identical, and record both wall times (plus suite
-/// trace-pass counts) as machine-readable JSON. With `--gate`, exit
-/// with failure if any experiment's single-pass speedup drops below
-/// 1.0× — the engine's cost model must never be a regression.
+/// trace-pass counts, the host's cores and the single-pass worker
+/// count) as machine-readable JSON. With `--gate`, exit with failure if
+/// any experiment's single-pass speedup drops below 1.0× — the engine
+/// must never be a regression.
 fn bench_misscurves(path: &str, gate: bool) -> ExitCode {
     use std::time::Instant;
     use tcor_sim::misscurves::{self, CurveEngine};
 
     let store = tcor_runner::ArtifactStore::new();
-    // The bench runs the engine the way a parallel `all` run would:
-    // sharded set dispatch across the machine's cores.
-    if let Err(e) = misscurves::set_engine_workers(&store, default_workers()) {
+    // The bench runs the engine the way a parallel `all` run would: its
+    // per-geometry replays scattered across the machine's cores.
+    let cores = default_workers();
+    if let Err(e) = misscurves::set_engine_workers(&store, cores) {
         eprintln!("bench-misscurves: store setup failed: {e}");
         return exit_for(&e);
     }
@@ -426,6 +428,11 @@ fn bench_misscurves(path: &str, gate: bool) -> ExitCode {
     }
     let doc = Json::obj([
         ("bench", Json::str("misscurves")),
+        ("cores", Json::UInt(cores as u64)),
+        (
+            "workers",
+            Json::UInt(misscurves::engine_workers(&store) as u64),
+        ),
         ("replay_ms", Json::Float(replay_total)),
         ("single_pass_ms", Json::Float(engine_total)),
         ("speedup", Json::Float(replay_total / engine_total)),

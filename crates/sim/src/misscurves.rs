@@ -5,10 +5,11 @@
 //! primitive granularity (§V.A's capacity conversion: a primitive
 //! averages 3 attributes × 64 B = 192 B).
 //!
-//! Since PR 4 the figures run on a **single-pass engine**: fully
-//! associative LRU/OPT come off Mattson stack profilers (one trace pass
-//! yields every capacity), set-associative sweeps stream each trace once
-//! through a bank of cache instances per policy, and each benchmark's
+//! The figures run on a **single-pass engine**: fully associative
+//! LRU/OPT come off Mattson stack profilers (one trace pass yields every
+//! capacity); every other sweep — set-associative, cross-set policies and
+//! Hawkeye alike — replays each geometry once, with static policy
+//! dispatch, scattered across the engine workers; and each benchmark's
 //! next-use annotation is computed once and shared by every figure. The
 //! pre-engine per-(policy, capacity) replay is retained as
 //! [`CurveEngine::Replay`] — the reference that `bench-misscurves` and
@@ -16,15 +17,13 @@
 
 use crate::orchestrate::{artifact_key, calibrated_scene, paper_grid, TRACES_DESC};
 use crate::output::Table;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tcor_cache::policy::{by_name, simulate_hawkeye, simulate_hawkeye_bank, Opt};
+use tcor_cache::policy::{by_name, simulate_hawkeye, Opt};
 use tcor_cache::profile::{
-    opt_misses, simulate_policy, simulate_policy_annotated, simulate_policy_bank, LruStackProfiler,
-    OptStackProfiler,
+    opt_misses, simulate_policy, simulate_policy_annotated, LruStackProfiler, OptStackProfiler,
 };
-use tcor_cache::{annotate_next_use, simulate_policy_shard_range, Indexing, ShardCache, Trace};
+use tcor_cache::{annotate_next_use, Indexing, ShardCache, Trace};
 use tcor_common::{CacheParams, TcorError, TcorResult};
 use tcor_gpu::bin_scene;
 use tcor_runner::{scatter, ArtifactStore};
@@ -41,9 +40,10 @@ pub struct BenchTrace {
     pub next_use: Vec<u64>,
     /// Total primitives (TP in the lower-bound formula).
     pub total_prims: usize,
-    /// Memoized per-set bucketings of `trace` (see
-    /// [`tcor_cache::shard`]): every set-local policy sweeping the same
-    /// geometry bank shares one counting-sort pass per set count.
+    /// A memo of per-set bucketings of `trace` (see
+    /// [`tcor_cache::shard`]) for callers that replay set by set. The
+    /// miss-curve engine replays whole caches and never fills it, so it
+    /// stays empty unless such a caller uses it.
     pub shards: ShardCache,
 }
 
@@ -64,8 +64,10 @@ impl BenchTrace {
 /// Which computational engine drives the miss-curve experiments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CurveEngine {
-    /// Stack profilers plus banked simulation: one trace pass per policy
-    /// (the production path).
+    /// The production path: stack profilers answer fully associative
+    /// LRU/OPT in one trace pass; every other sweep replays each geometry
+    /// once, with static policy dispatch and the shared OPT annotation,
+    /// scattered across the engine workers.
     SinglePass,
     /// One full replay per (policy, capacity), re-annotating where the
     /// pre-engine code did. Retained as the reference implementation for
@@ -146,8 +148,8 @@ pub fn workload_trace(store: &ArtifactStore, alias: &str) -> TcorResult<Arc<Benc
 
 /// The serving plane's miss curve: one workload, one policy, the
 /// paper's 8–152 KB capacity sweep. Fully associative for every
-/// [`by_name`] policy (the single-pass profilers answer LRU/OPT in one
-/// trace pass); Hawkeye runs on its native 4-way geometry. Returns
+/// [`by_name`] policy (the stack profilers answer LRU/OPT in one trace
+/// pass); Hawkeye runs on its native 4-way geometry. Returns
 /// `(size_kb, miss_ratio)` columns.
 ///
 /// # Errors
@@ -165,25 +167,19 @@ pub fn workload_curve(
         )));
     }
     let bt = workload_trace(store, alias)?;
-    let traces = std::slice::from_ref(bt.as_ref());
     let sizes = kb_sizes(8, 152, 8);
-    let caps = prim_caps(&sizes);
-    let mut passes = 0u64;
+    let ways = if policy == "hawkeye" { 4 } else { 0 };
     // The serving plane answers one workload per request: curves stay
     // strictly serial (workers = 1) so request latency is predictable.
-    let curve = match policy {
-        "hawkeye" => hawkeye_curve(traces, &caps, CurveEngine::SinglePass, 1, &mut passes),
-        "lru" => lru_curve(traces, &caps, &mut passes),
-        _ => policy_curve(
-            traces,
-            &caps,
-            0,
-            policy,
-            CurveEngine::SinglePass,
-            1,
-            &mut passes,
-        ),
-    };
+    let curve = policy_curve(
+        std::slice::from_ref(bt.as_ref()),
+        &prim_caps(&sizes),
+        ways,
+        policy,
+        CurveEngine::SinglePass,
+        1,
+        &mut 0,
+    );
     Ok((sizes, curve))
 }
 
@@ -213,8 +209,8 @@ fn engine_workers_key() -> u64 {
     artifact_key("misscurves/engine-workers")
 }
 
-/// Publishes the worker count the miss-curve engine's sharded dispatch
-/// may fan set ranges across. The orchestrator sets this from the
+/// Publishes the worker count the miss-curve engine may scatter its
+/// per-geometry replays across. The orchestrator sets this from the
 /// execution mode (1 for `--serial`, the pool width for parallel runs);
 /// unset, the engine stays strictly serial.
 ///
@@ -339,148 +335,38 @@ fn lb_curve(traces: &[BenchTrace], capacities: &[usize]) -> Vec<f64> {
         .collect()
 }
 
-/// Below this many geometries, the interleaved capacity bank loses: its
-/// per-access loop over N cache instances has worse locality than N
-/// dense replays, and a non-OPT replay pays no annotation cost either.
-/// This is the fig13x regression threshold — fig13x sweeps 4 capacities
-/// and was 0.94× *slower* through the unconditional bank; fig13 (16)
-/// and the full-associativity sweeps (10–28) keep their bank wins.
-const BANK_MIN_GEOMS: usize = 8;
-
-/// Splits `num_sets` into contiguous near-even ranges for the scatter
-/// dispatch: about two chunks per worker (so a straggler set range can
-/// be stolen), one chunk when there is nothing to parallelize.
-fn chunk_sets(num_sets: usize, workers: usize) -> Vec<Range<usize>> {
-    if workers <= 1 || num_sets <= 1 {
-        // One chunk covering every set (not a collected 0..num_sets).
-        return std::iter::once(0..num_sets).collect();
-    }
-    let chunks = (workers * 2).min(num_sets);
-    let base = num_sets / chunks;
-    let extra = num_sets % chunks;
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0usize;
-    for i in 0..chunks {
-        let len = base + usize::from(i < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
-/// Per-geometry miss sums via the data-oriented sharded core: bucket
-/// each trace by set index once per set count (memoized on the
-/// [`BenchTrace`]), then replay dense per-set streams — scattered
-/// across `workers` threads as contiguous set ranges. Only sound for
-/// [set-local](tcor_cache::ReplacementPolicy::set_local) policies;
-/// bit-identical to the whole-cache replay (`oracle` selects the
-/// annotated OPT drive).
-fn sharded_miss_sums(
-    traces: &[BenchTrace],
-    geoms: &[CacheParams],
-    policy: &str,
-    workers: usize,
-) -> Vec<u64> {
-    let oracle = policy == "opt";
-    let mut miss_sums = vec![0u64; geoms.len()];
-    for b in traces {
-        let mut tasks: Vec<Box<dyn FnOnce() -> (usize, u64) + Send + '_>> = Vec::new();
-        for (gi, &params) in geoms.iter().enumerate() {
-            // Always gather the (already computed) annotation so OPT and
-            // the non-oracle policies share one memoized bucketing per
-            // set count.
-            let shard = b.shards.get_or_build(
-                &b.trace,
-                Some(&b.next_use),
-                params.num_sets(),
-                Indexing::Modulo,
-            );
-            for sets in chunk_sets(shard.num_sets(), workers) {
-                let shard = Arc::clone(&shard);
-                tasks.push(Box::new(move || {
-                    // Static dispatch: the per-set loops monomorphize
-                    // per policy type instead of paying a virtual call
-                    // per access.
-                    let stats = tcor_cache::dispatch_policy!(policy, make => {
-                        simulate_policy_shard_range(&shard, params, sets, oracle, make)
-                    });
-                    (gi, stats.misses())
-                }));
-            }
+/// Miss count of one benchmark trace on one geometry, replayed by the
+/// single-pass engine: static policy dispatch (the replay loop
+/// monomorphizes per policy type instead of paying a virtual call per
+/// access), and OPT reuses the shared annotation instead of re-deriving
+/// it the way [`CurveEngine::Replay`] does.
+fn geometry_misses(b: &BenchTrace, params: CacheParams, policy: &str) -> u64 {
+    let stats = match policy {
+        "opt" => {
+            simulate_policy_annotated(&b.trace, &b.next_use, params, Indexing::Modulo, Opt::new())
         }
-        // Scatter returns in input order; the sums are commutative
-        // anyway, so the accumulation is deterministic either way.
-        for (gi, misses) in scatter(workers, tasks) {
-            miss_sums[gi] += misses;
-        }
-    }
-    miss_sums
+        // `simulate_hawkeye` feeds each access its address, Hawkeye's
+        // training signal.
+        "hawkeye" => simulate_hawkeye(&b.trace, params),
+        _ => tcor_cache::dispatch_policy!(policy, make => {
+            simulate_policy(&b.trace, params, Indexing::Modulo, make(), false)
+        }),
+    };
+    stats.misses()
 }
 
-/// Per-geometry miss sums via one whole-cache replay per geometry,
-/// scattered across `workers` — the small-bank path for policies whose
-/// cross-set state forbids sharding. OPT reuses the shared annotation
-/// instead of re-deriving it the way [`CurveEngine::Replay`] does.
-fn chunked_miss_sums(
-    traces: &[BenchTrace],
-    geoms: &[CacheParams],
-    policy: &str,
-    workers: usize,
-) -> Vec<u64> {
-    let oracle = policy == "opt";
-    let tasks: Vec<Box<dyn FnOnce() -> u64 + Send + '_>> = geoms
-        .iter()
-        .map(|&params| {
-            Box::new(move || {
-                traces
-                    .iter()
-                    .map(|b| {
-                        let stats = if oracle {
-                            simulate_policy_annotated(
-                                &b.trace,
-                                &b.next_use,
-                                params,
-                                Indexing::Modulo,
-                                Opt::new(),
-                            )
-                        } else {
-                            // Static dispatch: the replay loop
-                            // monomorphizes per policy type instead of
-                            // paying a virtual call per access.
-                            tcor_cache::dispatch_policy!(policy, make => {
-                                simulate_policy(
-                                    &b.trace,
-                                    params,
-                                    Indexing::Modulo,
-                                    make(),
-                                    false,
-                                )
-                            })
-                        };
-                        stats.misses()
-                    })
-                    .sum()
-            }) as Box<dyn FnOnce() -> u64 + Send + '_>
-        })
-        .collect();
-    scatter(workers, tasks)
-}
-
-/// Aggregate miss ratio of a named policy on a set-associative geometry
-/// (capacity in primitives, `ways == 0` for fully associative).
+/// Aggregate miss ratio of a named policy (any of [`SERVE_POLICIES`])
+/// on a set-associative geometry (capacity in primitives, `ways == 0`
+/// for fully associative).
 ///
-/// Single-pass engine cost model: fully-associative LRU/OPT read
-/// straight off the stack profilers; banks of [`BANK_MIN_GEOMS`] or
-/// more geometries keep the interleaved capacity bank (one trace walk
-/// amortized across the whole sweep); smaller banks of set-local
-/// policies go through the per-set sharded core when more than one
-/// worker is available (the only path that scales), and fall back to
-/// chunked per-geometry replays on one worker — dense single-cache
-/// replays with no bucketing cost, reusing the suite's shared next-use
-/// annotation for OPT where the replay engine re-annotates per
-/// capacity. Every path is bit-identical — the model only chooses
-/// where the time goes. Replay engine: one simulation per (capacity,
-/// benchmark), re-annotating per capacity for OPT.
+/// Single-pass engine: fully associative LRU/OPT read straight off the
+/// stack profilers; every other sweep replays each geometry once over
+/// every trace, one [`scatter`] task per geometry across `workers`.
+/// Measured against the interleaved capacity bank and per-set sharded
+/// replay, this one path ties the bank on one worker and beats both on
+/// two (DESIGN.md, "One miss-curve path"). Replay engine: one boxed-policy
+/// simulation per (capacity, benchmark), re-annotating per capacity for
+/// OPT. Both engines are bit-identical.
 fn policy_curve(
     traces: &[BenchTrace],
     capacities: &[usize],
@@ -492,123 +378,48 @@ fn policy_curve(
 ) -> Vec<f64> {
     let total = total_accesses(traces);
     let geoms: Vec<CacheParams> = capacities.iter().map(|&c| geometry(c, ways)).collect();
-    match engine {
+    let misses: Vec<u64> = match engine {
         CurveEngine::Replay => {
             *passes += capacities.len() as u64;
             geoms
                 .iter()
                 .map(|&params| {
-                    let misses: u64 = traces
+                    traces
                         .iter()
                         .map(|b| {
-                            let stats = if policy == "opt" {
-                                simulate_policy(
+                            let stats = match policy {
+                                "opt" => simulate_policy(
                                     &b.trace,
                                     params,
                                     Indexing::Modulo,
                                     Opt::new(),
                                     true,
-                                )
-                            } else {
-                                simulate_policy(
+                                ),
+                                "hawkeye" => simulate_hawkeye(&b.trace, params),
+                                _ => simulate_policy(
                                     &b.trace,
                                     params,
                                     Indexing::Modulo,
                                     by_name(policy),
                                     false,
-                                )
+                                ),
                             };
                             stats.misses()
                         })
-                        .sum();
-                    misses as f64 / total as f64
+                        .sum()
                 })
                 .collect()
         }
         // One dispatch for both profiler-backed fully-associative
         // curves: a single arm can't let the lru and opt special cases
-        // silently diverge from the banked path (or each other) again.
-        CurveEngine::SinglePass if ways == 0 && matches!(policy, "lru" | "opt") => match policy {
-            "lru" => lru_curve(traces, capacities, passes),
-            _ => opt_curve(traces, capacities, CurveEngine::SinglePass, passes),
-        },
+        // silently diverge from the replayed path (or each other) again.
+        CurveEngine::SinglePass if ways == 0 && matches!(policy, "lru" | "opt") => {
+            return match policy {
+                "lru" => lru_curve(traces, capacities, passes),
+                _ => opt_curve(traces, capacities, CurveEngine::SinglePass, passes),
+            };
+        }
         CurveEngine::SinglePass => {
-            if geoms.len() >= BANK_MIN_GEOMS {
-                // Wide bank: one interleaved trace walk amortizes best,
-                // and beats per-set sharding until the worker count
-                // rivals the bank width (far beyond this machine).
-                *passes += 1;
-                let mut miss_sums = vec![0u64; geoms.len()];
-                for b in traces {
-                    let stats = if policy == "opt" {
-                        simulate_policy_bank(
-                            &b.trace,
-                            Some(&b.next_use),
-                            &geoms,
-                            Indexing::Modulo,
-                            Opt::new,
-                        )
-                    } else {
-                        // Static dispatch: the bank walk monomorphizes
-                        // per policy type instead of paying a virtual
-                        // call per access per bank member.
-                        tcor_cache::dispatch_policy!(policy, make => {
-                            simulate_policy_bank(&b.trace, None, &geoms, Indexing::Modulo, make)
-                        })
-                    };
-                    for (sum, s) in miss_sums.iter_mut().zip(&stats) {
-                        *sum += s.misses();
-                    }
-                }
-                miss_sums.iter().map(|&m| m as f64 / total as f64).collect()
-            } else if by_name(policy).set_local() && workers > 1 {
-                // Small bank, set-local policy, real parallelism: dense
-                // per-set streams scatter across the workers (the only
-                // path whose wall time scales with the worker count).
-                *passes += geoms.len() as u64;
-                let sums = sharded_miss_sums(traces, &geoms, policy, workers);
-                sums.iter().map(|&m| m as f64 / total as f64).collect()
-            } else {
-                // Small bank on one worker (or cross-set policy state):
-                // dense per-geometry replays beat the interleaved bank's
-                // scattered per-access dispatch, with no bucketing cost.
-                *passes += geoms.len() as u64;
-                let sums = chunked_miss_sums(traces, &geoms, policy, workers);
-                sums.iter().map(|&m| m as f64 / total as f64).collect()
-            }
-        }
-    }
-}
-
-/// Aggregate Hawkeye miss ratio per capacity, 4-way (its dedicated
-/// driver carries the address training signal). Hawkeye's global
-/// predictor forbids set sharding, so the cost model picks between the
-/// interleaved bank (wide sweeps) and chunked per-geometry replays
-/// (small banks, scattered across `workers`).
-fn hawkeye_curve(
-    traces: &[BenchTrace],
-    capacities: &[usize],
-    engine: CurveEngine,
-    workers: usize,
-    passes: &mut u64,
-) -> Vec<f64> {
-    let total = total_accesses(traces);
-    let geoms: Vec<CacheParams> = capacities.iter().map(|&c| geometry(c, 4)).collect();
-    match engine {
-        CurveEngine::Replay => {
-            *passes += capacities.len() as u64;
-            geoms
-                .iter()
-                .map(|&params| {
-                    let misses: u64 = traces
-                        .iter()
-                        .map(|b| simulate_hawkeye(&b.trace, params).misses())
-                        .sum();
-                    misses as f64 / total as f64
-                })
-                .collect()
-        }
-        CurveEngine::SinglePass if geoms.len() < BANK_MIN_GEOMS => {
             *passes += geoms.len() as u64;
             let tasks: Vec<Box<dyn FnOnce() -> u64 + Send + '_>> = geoms
                 .iter()
@@ -616,28 +427,15 @@ fn hawkeye_curve(
                     Box::new(move || {
                         traces
                             .iter()
-                            .map(|b| simulate_hawkeye(&b.trace, params).misses())
+                            .map(|b| geometry_misses(b, params, policy))
                             .sum()
                     }) as Box<dyn FnOnce() -> u64 + Send + '_>
                 })
                 .collect();
-            let sums = scatter(workers, tasks);
-            sums.iter().map(|&m| m as f64 / total as f64).collect()
+            scatter(workers, tasks)
         }
-        CurveEngine::SinglePass => {
-            *passes += 1;
-            let mut miss_sums = vec![0u64; geoms.len()];
-            for b in traces {
-                for (sum, s) in miss_sums
-                    .iter_mut()
-                    .zip(&simulate_hawkeye_bank(&b.trace, &geoms))
-                {
-                    *sum += s.misses();
-                }
-            }
-            miss_sums.iter().map(|&m| m as f64 / total as f64).collect()
-        }
-    }
+    };
+    misses.iter().map(|&m| m as f64 / total as f64).collect()
 }
 
 fn kb_sizes(from_kb: usize, to_kb: usize, step_kb: usize) -> Vec<usize> {
@@ -851,7 +649,7 @@ pub fn fig13x_engine(store: &ArtifactStore, engine: CurveEngine) -> TcorResult<(
     let lb = lb_curve(&traces, &caps);
     let policies = [
         "random", "fifo", "mru", "nru", "plru", "lip", "bip", "dip", "srrip", "brrip", "drrip",
-        "lru",
+        "lru", "hawkeye", "opt",
     ];
     let workers = engine_workers(store);
     let mut passes = 0u64;
@@ -859,25 +657,18 @@ pub fn fig13x_engine(store: &ArtifactStore, engine: CurveEngine) -> TcorResult<(
         .iter()
         .map(|p| policy_curve(&traces, &caps, 4, p, engine, workers, &mut passes))
         .collect();
-    // Hawkeye needs the address signal; use its dedicated driver.
-    let hawkeye = hawkeye_curve(&traces, &caps, engine, workers, &mut passes);
-    let opt = policy_curve(&traces, &caps, 4, "opt", engine, workers, &mut passes);
-
-    let mut cols = vec!["size_kb".to_string(), "lower_bound".to_string()];
-    cols.extend(policies.iter().map(|p| p.to_string()));
-    cols.push("hawkeye".to_string());
-    cols.push("opt".to_string());
-    let mut t = Table {
-        id: "fig13x".to_string(),
-        title: "Extended policy comparison (4-way): the full toolbox vs OPT".to_string(),
-        columns: cols,
-        rows: Vec::new(),
-    };
+    let columns: Vec<&str> = ["size_kb", "lower_bound"]
+        .into_iter()
+        .chain(policies)
+        .collect();
+    let mut t = Table::new(
+        "fig13x",
+        "Extended policy comparison (4-way): the full toolbox vs OPT",
+        &columns,
+    );
     for (i, kb) in sizes.iter().enumerate() {
         let mut row = vec![kb.to_string(), format!("{:.4}", lb[i])];
         row.extend(curves.iter().map(|c| format!("{:.4}", c[i])));
-        row.push(format!("{:.4}", hawkeye[i]));
-        row.push(format!("{:.4}", opt[i]));
         t.push_row(row);
     }
     Ok((t, passes))
@@ -918,7 +709,7 @@ mod tests {
         )
     }
 
-    /// Manual profiling aid for the engine cost model: per-policy
+    /// Manual profiling aid for the per-geometry replay: per-policy
     /// replay-vs-single-pass wall times on the real fig13x workload.
     /// Run with `cargo test -p tcor-sim --release -- --ignored
     /// profile_fig13x_paths --nocapture`.
@@ -936,7 +727,7 @@ mod tests {
         );
         for policy in [
             "random", "fifo", "mru", "nru", "plru", "lip", "bip", "dip", "srrip", "brrip", "drrip",
-            "lru", "opt",
+            "lru", "hawkeye", "opt",
         ] {
             let t0 = std::time::Instant::now();
             let mut p = 0;
@@ -958,15 +749,6 @@ mod tests {
                 "{policy}: replay {replay_ms:.1}ms single {single_ms:.1}ms (agree: {})",
                 s == r
             );
-        }
-        for (what, engine) in [
-            ("replay", CurveEngine::Replay),
-            ("single", CurveEngine::SinglePass),
-        ] {
-            let t0 = std::time::Instant::now();
-            let mut p = 0;
-            let _ = hawkeye_curve(&traces, &caps, engine, 1, &mut p);
-            eprintln!("hawkeye {what}: {:.1}ms", t0.elapsed().as_secs_f64() * 1e3);
         }
         let t0 = std::time::Instant::now();
         let _ = lb_curve(&traces, &caps);
@@ -1033,14 +815,20 @@ mod tests {
 
     /// The single-pass engine reproduces the replay engine bit for bit —
     /// miss counts are integers, so the f64 ratios must be *exactly*
-    /// equal, across associativities and policies (incl. oracle OPT and
-    /// the profiler-backed fully-associative columns).
+    /// equal, for every serving policy across associativities (incl.
+    /// oracle OPT, the profiler-backed fully-associative columns, the
+    /// cross-set policies and Hawkeye on its native 4-way geometry).
     #[test]
     fn engines_agree_exactly() {
         let traces = mini_traces();
         let caps = vec![8, 64, 256, 513];
-        for ways in [0u32, 1, 2, 4, 8] {
-            for policy in ["lru", "opt", "mru", "drrip"] {
+        for policy in SERVE_POLICIES {
+            let assocs: &[u32] = if policy == "hawkeye" {
+                &[4]
+            } else {
+                &[0, 1, 2, 4, 8]
+            };
+            for &ways in assocs {
                 let (mut p1, mut p2) = (0, 0);
                 let fast = policy_curve(
                     &traces,
@@ -1074,59 +862,37 @@ mod tests {
         );
         assert_eq!(p1, 1, "OPT stack profiling is one pass");
         assert_eq!(p2, caps.len() as u64, "replay is one pass per capacity");
-        let (mut p1, mut p2) = (0, 0);
-        assert_eq!(
-            hawkeye_curve(&traces, &caps, CurveEngine::SinglePass, 1, &mut p1),
-            hawkeye_curve(&traces, &caps, CurveEngine::Replay, 1, &mut p2),
-        );
-        // 4 capacities < BANK_MIN_GEOMS: the cost model picks chunked
-        // per-geometry replays over the interleaved bank for Hawkeye.
-        assert_eq!((p1, p2), (caps.len() as u64, caps.len() as u64));
     }
 
-    /// The cost model's paths are interchangeable: sharded dispatch (any
-    /// worker count), the interleaved bank, chunked replays and the
-    /// reference replay all produce the same f64 ratios, exactly.
+    /// Scattering the per-geometry replays never changes a curve or its
+    /// pass count: every policy gives the same result at 1, 2 and 3
+    /// workers and at more workers than geometries, equal to the replay
+    /// reference — including a capacity below the associativity.
     #[test]
     fn worker_counts_and_paths_are_bit_identical() {
         let traces = mini_traces();
-        let small = vec![8usize, 64, 256]; // < BANK_MIN_GEOMS
-        let wide: Vec<usize> = (1..=BANK_MIN_GEOMS).map(|i| i * 32).collect();
-        for policy in ["lru", "opt", "fifo", "srrip", "drrip"] {
-            for caps in [&small, &wide] {
-                let mut p = 0;
-                let reference =
-                    policy_curve(&traces, caps, 4, policy, CurveEngine::Replay, 1, &mut p);
-                for workers in [1usize, 2, 4] {
-                    let mut p = 0;
-                    let got = policy_curve(
-                        &traces,
-                        caps,
-                        4,
-                        policy,
-                        CurveEngine::SinglePass,
-                        workers,
-                        &mut p,
-                    );
-                    assert_eq!(
-                        got,
-                        reference,
-                        "policy={policy} workers={workers} caps={}",
-                        caps.len()
-                    );
-                }
-            }
-        }
-        // Hawkeye's chunked path under parallel dispatch.
-        let mut p = 0;
-        let reference = hawkeye_curve(&traces, &small, CurveEngine::Replay, 1, &mut p);
-        for workers in [1usize, 3] {
+        let caps = vec![2usize, 8, 64, 256];
+        for policy in SERVE_POLICIES {
             let mut p = 0;
-            assert_eq!(
-                hawkeye_curve(&traces, &small, CurveEngine::SinglePass, workers, &mut p),
-                reference,
-                "workers={workers}"
-            );
+            let reference = policy_curve(&traces, &caps, 4, policy, CurveEngine::Replay, 1, &mut p);
+            for workers in [1usize, 2, 3, caps.len() + 2] {
+                let mut p = 0;
+                let got = policy_curve(
+                    &traces,
+                    &caps,
+                    4,
+                    policy,
+                    CurveEngine::SinglePass,
+                    workers,
+                    &mut p,
+                );
+                assert_eq!(got, reference, "policy={policy} workers={workers}");
+                assert_eq!(
+                    p,
+                    caps.len() as u64,
+                    "policy={policy} workers={workers}: one pass per geometry"
+                );
+            }
         }
     }
 

@@ -375,9 +375,9 @@ pub fn run_experiments(
         job_timeout: opts.job_timeout,
         fault_plan: opts.fault_plan.clone(),
     };
-    // Tell the miss-curve engine how wide its sharded set dispatch may
-    // fan out: serial runs stay strictly serial (bit-identity is then
-    // trivially preserved), parallel runs may split set ranges across
+    // Tell the miss-curve engine how many workers its per-geometry
+    // replays may scatter across: serial runs stay strictly serial
+    // (bit-identity is then trivially preserved), parallel runs may use
     // the pool width.
     misscurves::set_engine_workers(
         store,
