@@ -47,6 +47,27 @@ if ! cmp -s "$CELLS_OUT" results/golden/cells.jsonl; then
 fi
 rm -f "$CELLS_OUT"
 
+echo "== golden check (serving miss curves)"
+# No figure golden pins a fully associative replay: fig12's `full`
+# column comes from the stack profilers, and fig13/fig13x are 4-way.
+# results/golden/curves.jsonl holds the `tcor-sim curve` body (the
+# /v1/misscurve answer, a fully associative replay for 11 of the 14
+# policies) of every Table II workload under every serving policy
+# (140 lines); the current binary must reproduce it byte for byte
+# (README "Parallel runs, telemetry and golden results" says how to
+# re-record it).
+CURVES_OUT=/tmp/tcor-ci-curves.jsonl
+for workload in CCS SoD SWa TRu CRa RoK DDS Snp Mze GTr; do
+  for policy in lru mru fifo random plru nru lip bip dip srrip brrip drrip opt hawkeye; do
+    "$TCOR_SIM" curve "$workload" "$policy"
+  done
+done > "$CURVES_OUT"
+if ! cmp -s "$CURVES_OUT" results/golden/curves.jsonl; then
+  echo "ci: FAIL: serving miss curves differ from results/golden/curves.jsonl" >&2
+  exit 1
+fi
+rm -f "$CURVES_OUT"
+
 echo "== golden check (miss curves, single-pass engine)"
 # The single-pass miss-curve engine (OPT stack profiling + per-geometry
 # replays scattered across the workers, see DESIGN.md) must reproduce

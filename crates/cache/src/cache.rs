@@ -3,7 +3,7 @@
 use crate::index::Indexing;
 use crate::meta::{AccessKind, AccessMeta, AccessOutcome};
 use crate::policy::ReplacementPolicy;
-use tcor_common::{AccessStats, BlockAddr, CacheParams};
+use tcor_common::{AccessStats, BlockAddr, CacheParams, FxBuildHasher, FxHashMap};
 
 /// One cache line's state, visible to replacement policies during victim
 /// selection.
@@ -54,7 +54,10 @@ pub struct Evicted {
 ///
 /// The engine models state transitions and statistics only — it carries no
 /// payload bytes. Fully-associative geometry is a single set
-/// (`CacheParams::ways == 0`).
+/// (`CacheParams::ways == 0`) of hundreds of ways, so it also keeps an
+/// exact tag → way index: a lookup is one hash probe instead of a scan
+/// of the set, and a full set needs no scan for a free way. A
+/// set-associative cache keeps no index and scans its few ways.
 #[derive(Clone, Debug)]
 pub struct Cache<P> {
     params: CacheParams,
@@ -62,6 +65,10 @@ pub struct Cache<P> {
     num_sets: usize,
     ways: usize,
     lines: Vec<Line>,
+    /// The way of every valid line, by tag (fully associative only).
+    /// A tag has at most one valid line, so a lookup returns the way a
+    /// scan would.
+    tags: Option<FxHashMap<u64, u32>>,
     policy: P,
     stats: AccessStats,
 }
@@ -79,6 +86,9 @@ impl<P: ReplacementPolicy> Cache<P> {
             num_sets,
             ways,
             lines: vec![Line::default(); num_sets * ways],
+            tags: params
+                .is_fully_associative()
+                .then(|| FxHashMap::with_capacity_and_hasher(ways, FxBuildHasher)),
             policy,
             stats: AccessStats::new(),
         }
@@ -122,22 +132,69 @@ impl<P: ReplacementPolicy> Cache<P> {
         set * self.ways..(set + 1) * self.ways
     }
 
-    fn find(&self, set: usize, addr: BlockAddr) -> Option<usize> {
+    /// The way of `set` holding `addr`: from the tag index when there is
+    /// one, else by a scan. `INDEXED = false` compiles the index check
+    /// out, for `access`'s set-associative instance.
+    #[inline(always)]
+    fn find<const INDEXED: bool>(&self, set: usize, addr: BlockAddr) -> Option<usize> {
+        if let (true, Some(tags)) = (INDEXED, &self.tags) {
+            return tags.get(&addr.0).map(|&way| way as usize);
+        }
         self.lines[self.set_range(set)]
             .iter()
             .position(|l| l.valid && l.tag == addr.0)
     }
 
+    /// The first invalid way of `set`. An indexed cache that holds
+    /// `ways` lines is full without a scan.
+    #[inline(always)]
+    fn free_way<const INDEXED: bool>(&self, set: usize) -> Option<usize> {
+        if INDEXED && self.tags.as_ref().is_some_and(|t| t.len() == self.ways) {
+            return None;
+        }
+        self.lines[self.set_range(set)]
+            .iter()
+            .position(|l| !l.valid)
+    }
+
     /// Performs one access. On a miss in a full set, the policy selects a
     /// victim; the displaced line is returned in the outcome so the caller
     /// can model the write-back (or drop it as dead).
+    #[inline]
     pub fn access(&mut self, addr: BlockAddr, kind: AccessKind, meta: AccessMeta) -> AccessOutcome {
+        // The indexed instance stays out of line, so callers that inline
+        // a set-associative cache's access get exactly the scanning code:
+        // an index check inside every lookup and fill made a tight 4-way
+        // access loop about 10% slower.
+        if self.tags.is_some() {
+            return self.access_indexed(addr, kind, meta);
+        }
+        self.access_in::<false>(addr, kind, meta)
+    }
+
+    #[inline(never)]
+    fn access_indexed(
+        &mut self,
+        addr: BlockAddr,
+        kind: AccessKind,
+        meta: AccessMeta,
+    ) -> AccessOutcome {
+        self.access_in::<true>(addr, kind, meta)
+    }
+
+    #[inline(always)]
+    fn access_in<const INDEXED: bool>(
+        &mut self,
+        addr: BlockAddr,
+        kind: AccessKind,
+        meta: AccessMeta,
+    ) -> AccessOutcome {
         // Entry-site probe count, deliberately separate from the hit/miss
         // classification below: the audit layer cross-checks
         // probes == hits + misses.
         self.stats.probes += 1;
         let set = self.set_of(addr);
-        if let Some(way) = self.find(set, addr) {
+        if let Some(way) = self.find::<INDEXED>(set, addr) {
             match kind {
                 AccessKind::Read => self.stats.record_read(true),
                 AccessKind::Write => self.stats.record_write(true),
@@ -155,10 +212,7 @@ impl<P: ReplacementPolicy> Cache<P> {
             AccessKind::Write => self.stats.record_write(false),
         }
 
-        let way = match self.lines[self.set_range(set)]
-            .iter()
-            .position(|l| !l.valid)
-        {
+        let way = match self.free_way::<INDEXED>(set) {
             Some(invalid) => invalid,
             None => {
                 let range = self.set_range(set);
@@ -183,6 +237,12 @@ impl<P: ReplacementPolicy> Cache<P> {
             None
         };
 
+        if let (true, Some(tags)) = (INDEXED, &mut self.tags) {
+            if let Some(old) = &evicted {
+                tags.remove(&old.addr.0);
+            }
+            tags.insert(addr.0, way as u32);
+        }
         self.lines[idx] = Line {
             valid: true,
             dirty: kind.is_write(),
@@ -203,24 +263,28 @@ impl<P: ReplacementPolicy> Cache<P> {
     /// victim; a resident line just has its metadata merged in.
     pub fn fill_clean(&mut self, addr: BlockAddr, meta: AccessMeta) {
         let set = self.set_of(addr);
-        if let Some(way) = self.find(set, addr) {
+        if let Some(way) = self.find::<true>(set, addr) {
             let line = &mut self.lines[set * self.ways + way];
             line.meta.merge(meta);
             let merged = line.meta;
             self.policy.on_hit(set, way, &merged);
             return;
         }
-        let way = match self.lines[self.set_range(set)]
-            .iter()
-            .position(|l| !l.valid)
-        {
+        let way = match self.free_way::<true>(set) {
             Some(invalid) => invalid,
             None => {
                 let range = self.set_range(set);
                 self.policy.victim(set, &self.lines[range])
             }
         };
-        self.lines[set * self.ways + way] = Line {
+        let idx = set * self.ways + way;
+        if let Some(tags) = &mut self.tags {
+            if self.lines[idx].valid {
+                tags.remove(&self.lines[idx].tag);
+            }
+            tags.insert(addr.0, way as u32);
+        }
+        self.lines[idx] = Line {
             valid: true,
             dirty: false,
             tag: addr.0,
@@ -231,13 +295,13 @@ impl<P: ReplacementPolicy> Cache<P> {
 
     /// Whether `addr` is currently cached (no state change).
     pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.find(self.set_of(addr), addr).is_some()
+        self.find::<true>(self.set_of(addr), addr).is_some()
     }
 
     /// Reads a resident line's stored metadata (no state change).
     pub fn peek_meta(&self, addr: BlockAddr) -> Option<AccessMeta> {
         let set = self.set_of(addr);
-        self.find(set, addr)
+        self.find::<true>(set, addr)
             .map(|way| self.lines[set * self.ways + way].meta)
     }
 
@@ -245,7 +309,7 @@ impl<P: ReplacementPolicy> Cache<P> {
     /// the block is not resident.
     pub fn update_meta(&mut self, addr: BlockAddr, f: impl FnOnce(&mut AccessMeta)) -> bool {
         let set = self.set_of(addr);
-        if let Some(way) = self.find(set, addr) {
+        if let Some(way) = self.find::<true>(set, addr) {
             f(&mut self.lines[set * self.ways + way].meta);
             true
         } else {
@@ -256,10 +320,13 @@ impl<P: ReplacementPolicy> Cache<P> {
     /// Removes `addr` from the cache, returning its state if present.
     pub fn invalidate(&mut self, addr: BlockAddr) -> Option<Evicted> {
         let set = self.set_of(addr);
-        let way = self.find(set, addr)?;
+        let way = self.find::<true>(set, addr)?;
         let idx = set * self.ways + way;
         let old = self.lines[idx];
         self.lines[idx] = Line::default();
+        if let Some(tags) = &mut self.tags {
+            tags.remove(&addr.0);
+        }
         self.policy.on_invalidate(set, way);
         if old.dirty {
             self.stats.writebacks += 1;
@@ -290,12 +357,10 @@ impl<P: ReplacementPolicy> Cache<P> {
                 self.policy.on_invalidate(idx / self.ways, idx % self.ways);
             }
         }
+        if let Some(tags) = &mut self.tags {
+            tags.clear();
+        }
         out
-    }
-
-    /// Iterates over all valid lines.
-    pub fn iter_lines(&self) -> impl Iterator<Item = &Line> {
-        self.lines.iter().filter(|l| l.valid)
     }
 
     /// Number of valid lines.
@@ -449,6 +514,107 @@ mod tests {
         assert!(c.update_meta(BlockAddr(0), |m| m.next_use = 9));
         assert_eq!(c.peek_meta(BlockAddr(0)).unwrap().next_use, 9);
         assert!(!c.update_meta(BlockAddr(99), |m| m.next_use = 1));
+    }
+
+    /// A fully associative cache answers lookups and free-way searches
+    /// from its tag index; one explicit `n`-way set of the same capacity
+    /// scans. Driven through the same seeded steps under every policy,
+    /// the two must agree on every outcome, evicted line, statistic and
+    /// occupancy.
+    #[test]
+    fn tag_index_matches_the_scan() {
+        use crate::policy::{by_name, BoxedPolicy, Hawkeye};
+        use tcor_common::SmallRng;
+        let policies = [
+            "lru", "mru", "fifo", "random", "plru", "nru", "lip", "bip", "dip", "srrip", "brrip",
+            "drrip", "opt", "hawkeye",
+        ];
+        let policy = |name: &str| -> BoxedPolicy {
+            match name {
+                "hawkeye" => Box::new(Hawkeye::new()),
+                _ => by_name(name),
+            }
+        };
+        for n in [1u64, 2, 3, 17, 300] {
+            for (seed, name) in policies.into_iter().enumerate() {
+                let mut indexed =
+                    Cache::new(CacheParams::new(n, 1, 0, 1), Indexing::Modulo, policy(name));
+                let mut scanned = Cache::new(
+                    CacheParams::new(n, 1, n as u32, 1),
+                    Indexing::Modulo,
+                    policy(name),
+                );
+                assert!(indexed.tags.is_some() && scanned.tags.is_none());
+                let mut rng = SmallRng::seed_from_u64(seed as u64 ^ n << 8);
+                let (mut evictions, mut drains) = (0, 0);
+                for step in 0..1000 + 8 * n {
+                    // Twice the capacity in blocks, so full sets evict.
+                    let addr = BlockAddr(rng.random_range(0..2 * n + 3));
+                    let meta = match rng.random_range(0..4u32) {
+                        0 => AccessMeta::NONE,
+                        1 => AccessMeta::next_use(rng.random_range(0..4 * n)),
+                        2 => AccessMeta::with_user(rng.random_range(0..4 * n), addr.0),
+                        _ => AccessMeta::with_user(u64::MAX, rng.random_range(1..64)),
+                    };
+                    let what = format!("{name}, n = {n}, step {step}");
+                    // Drain about once per 4n steps, so the sets fill up
+                    // between drains.
+                    let op = if rng.random_range(0..4 * n + 20) == 0 {
+                        200
+                    } else {
+                        rng.random_range(0..200u32)
+                    };
+                    match op {
+                        0..=119 => {
+                            let kind = if rng.random_bool(0.3) {
+                                AccessKind::Write
+                            } else {
+                                AccessKind::Read
+                            };
+                            let a = indexed.access(addr, kind, meta);
+                            assert_eq!(a, scanned.access(addr, kind, meta), "access: {what}");
+                            evictions += u32::from(a.evicted.is_some());
+                        }
+                        120..=139 => {
+                            indexed.fill_clean(addr, meta);
+                            scanned.fill_clean(addr, meta);
+                        }
+                        140..=164 => {
+                            let a = indexed.invalidate(addr);
+                            assert_eq!(a, scanned.invalidate(addr), "invalidate: {what}");
+                        }
+                        165..=179 => {
+                            let update = |m: &mut AccessMeta| m.next_use = step;
+                            let a = indexed.update_meta(addr, update);
+                            assert_eq!(a, scanned.update_meta(addr, update), "update: {what}");
+                        }
+                        180..=199 => {
+                            assert_eq!(
+                                indexed.contains(addr),
+                                scanned.contains(addr),
+                                "contains: {what}"
+                            );
+                            assert_eq!(
+                                indexed.peek_meta(addr),
+                                scanned.peek_meta(addr),
+                                "peek: {what}"
+                            );
+                        }
+                        _ => {
+                            assert_eq!(indexed.drain(), scanned.drain(), "drain: {what}");
+                            drains += 1;
+                        }
+                    }
+                    assert_eq!(indexed.stats(), scanned.stats(), "stats: {what}");
+                    assert_eq!(
+                        indexed.occupancy(),
+                        scanned.occupancy(),
+                        "occupancy: {what}"
+                    );
+                }
+                assert!(evictions > 50 && drains > 0, "{name}, n = {n}: too few");
+            }
+        }
     }
 
     #[test]

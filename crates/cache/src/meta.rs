@@ -85,11 +85,6 @@ impl AccessOutcome {
             evicted: None,
         }
     }
-
-    /// True when the evicted line (if any) was dirty.
-    pub fn evicted_dirty(&self) -> bool {
-        self.evicted.is_some_and(|e| e.dirty)
-    }
 }
 
 #[cfg(test)]

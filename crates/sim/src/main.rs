@@ -23,6 +23,8 @@
 //! tcor-sim serve                 stand up the result-serving daemon on loopback
 //! tcor-sim cell <alias> <cfg>    print one cell report as JSON (the serve
 //!                                byte-parity reference)
+//! tcor-sim curve <alias> <policy> print one serving miss curve as JSON
+//!                                (the /v1/misscurve byte-parity reference)
 //! tcor-sim serve-req ADDR M P    one-shot HTTP client (CI probe; exit 6 on
 //!                                a non-2xx answer)
 //! tcor-sim bench-serve           drive a loopback daemon cold/warm/burst,
@@ -107,6 +109,7 @@ fn usage() {
     eprintln!(
         "       tcor-sim cell <alias> <config> [--cache-dir DIR]  print one cell report as JSON"
     );
+    eprintln!("       tcor-sim curve <alias> <policy>  print one serving miss curve as JSON");
     eprintln!(
         "       tcor-sim serve-req <addr> <method> <path> [body] [--expect-cache TIER] \
          [--retries N] [--backoff-ms MS]  one-shot HTTP client"
@@ -697,7 +700,25 @@ fn cell_cmd(workload: &str, config: &str, rest: &[String]) -> ExitCode {
         workload: workload.to_string(),
         config: config.to_string(),
     };
-    match tcor_serve::Backend::call(&backend, &call) {
+    print_call(&backend, &call)
+}
+
+/// `tcor-sim curve <alias> <policy>`: print the `/v1/misscurve/<alias>/<policy>`
+/// body — the daemon's encoder and computation, so the served curve and
+/// this one are byte-identical. `results/golden/curves.jsonl` pins all
+/// 140 of them (README).
+fn curve_cmd(workload: &str, policy: &str) -> ExitCode {
+    let call = tcor_serve::ApiCall::MissCurve {
+        workload: workload.to_string(),
+        policy: policy.to_string(),
+    };
+    print_call(&tcor_sim::SimBackend::new(), &call)
+}
+
+/// Answers `call` through `backend` and prints the body, or reports the
+/// error with its exit code.
+fn print_call(backend: &tcor_sim::SimBackend, call: &tcor_serve::ApiCall) -> ExitCode {
+    match tcor_serve::Backend::call(backend, call) {
         Ok(body) => {
             print!("{}", body.body);
             ExitCode::SUCCESS
@@ -1119,6 +1140,15 @@ fn main() -> ExitCode {
     if args.first().map(String::as_str) == Some("cell") {
         return match (args.get(1), args.get(2)) {
             (Some(alias), Some(cfg)) => cell_cmd(alias, cfg, &args[3..]),
+            _ => {
+                usage();
+                ExitCode::from(2)
+            }
+        };
+    }
+    if args.first().map(String::as_str) == Some("curve") {
+        return match (args.get(1), args.get(2), args.get(3)) {
+            (Some(alias), Some(policy), None) => curve_cmd(alias, policy),
             _ => {
                 usage();
                 ExitCode::from(2)
