@@ -11,6 +11,13 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Every temporary of the run lives in one fresh directory, so two runs
+# never collide. The EXIT trap removes it, whichever stage fails, and
+# kills a daemon that a failed check left running (start_daemon below).
+CI_TMP=$(mktemp -d -t tcor-ci.XXXXXX)
+SERVE_PID=
+trap 'if [ -n "$SERVE_PID" ]; then kill "$SERVE_PID" 2>/dev/null || true; fi; rm -rf "$CI_TMP"' EXIT
+
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
@@ -24,7 +31,7 @@ echo "== cargo test"
 cargo test --workspace -q
 
 echo "== golden check (headline)"
-cargo run --release -q -p tcor-sim -- headline --check --telemetry /tmp/tcor-ci-telemetry.jsonl >/dev/null
+cargo run --release -q -p tcor-sim -- headline --check --telemetry "$CI_TMP/telemetry.jsonl" >/dev/null
 
 TCOR_SIM=target/release/tcor-sim
 
@@ -35,7 +42,7 @@ echo "== golden check (whole cell reports)"
 # every suite configuration (60 lines); the current binary must
 # reproduce it byte for byte (README "Parallel runs, telemetry and
 # golden results" says how to re-record it).
-CELLS_OUT=/tmp/tcor-ci-cells.jsonl
+CELLS_OUT=$CI_TMP/cells.jsonl
 for workload in CCS SoD SWa TRu CRa RoK DDS Snp Mze GTr; do
   for config in base64 tcor_nol2_64 tcor64 base128 tcor_nol2_128 tcor128; do
     "$TCOR_SIM" cell "$workload" "$config"
@@ -56,7 +63,7 @@ echo "== golden check (serving miss curves)"
 # (140 lines); the current binary must reproduce it byte for byte
 # (README "Parallel runs, telemetry and golden results" says how to
 # re-record it).
-CURVES_OUT=/tmp/tcor-ci-curves.jsonl
+CURVES_OUT=$CI_TMP/curves.jsonl
 for workload in CCS SoD SWa TRu CRa RoK DDS Snp Mze GTr; do
   for policy in lru mru fifo random plru nru lip bip dip srrip brrip drrip opt hawkeye; do
     "$TCOR_SIM" curve "$workload" "$policy"
@@ -75,9 +82,9 @@ echo "== golden check (miss curves, single-pass engine)"
 # under the per-capacity replay engine, both at the pool width and on
 # one worker (--serial). Drift exits 4.
 cargo run --release -q -p tcor-sim -- fig1 fig11 fig12 fig13 fig13x --check \
-  --telemetry /tmp/tcor-ci-telemetry.jsonl >/dev/null
+  --telemetry "$CI_TMP/telemetry.jsonl" >/dev/null
 cargo run --release -q -p tcor-sim -- fig1 fig11 fig12 fig13 fig13x --check --serial \
-  --telemetry /tmp/tcor-ci-telemetry.jsonl >/dev/null
+  --telemetry "$CI_TMP/telemetry.jsonl" >/dev/null
 
 echo "== miss-curve engine regression gate"
 # Benchmarks the single-pass engine against the per-capacity replay on
@@ -88,7 +95,7 @@ echo "== miss-curve engine regression gate"
 # committed BENCH_misscurves.json is refreshed intentionally via
 # `bench-misscurves` without --gate.
 cargo run --release -q -p tcor-sim -- bench-misscurves \
-  /tmp/tcor-ci-bench-misscurves.json --gate >/dev/null
+  "$CI_TMP/bench-misscurves.json" --gate >/dev/null
 
 echo "== metric-conservation audit (clean, then injected counter fault)"
 # The audit re-derives every headline counter from two independent
@@ -96,7 +103,7 @@ echo "== metric-conservation audit (clean, then injected counter fault)"
 # must balance exactly; a deliberately tampered counter copy must be
 # caught and mapped to the corruption exit code (5).
 cargo run --release -q -p tcor-sim -- headline --audit \
-  --telemetry /tmp/tcor-ci-telemetry.jsonl >/dev/null
+  --telemetry "$CI_TMP/telemetry.jsonl" >/dev/null
 set +e
 cargo run --release -q -p tcor-sim -- --audit --inject-audit-fault \
   >/dev/null 2>&1
@@ -112,11 +119,11 @@ echo "== fault-injection smoke (inject, then resume + golden check)"
 # the failure (exit 3, the cell-failure code) while independent
 # experiments complete, and the clean resumed run must re-execute only
 # the missing experiments and still match the goldens bit-for-bit.
-SMOKE_MANIFEST=/tmp/tcor-ci-manifest.txt
+SMOKE_MANIFEST=$CI_TMP/manifest.txt
 rm -f "$SMOKE_MANIFEST"
 set +e
 cargo run --release -q -p tcor-sim -- all --inject-faults 42 \
-  --manifest "$SMOKE_MANIFEST" --telemetry /tmp/tcor-ci-telemetry.jsonl \
+  --manifest "$SMOKE_MANIFEST" --telemetry "$CI_TMP/telemetry.jsonl" \
   >/dev/null 2>&1
 code=$?
 set -e
@@ -125,7 +132,7 @@ if [ "$code" -ne 3 ]; then
   exit 1
 fi
 cargo run --release -q -p tcor-sim -- all --resume --check \
-  --manifest "$SMOKE_MANIFEST" --telemetry /tmp/tcor-ci-telemetry.jsonl \
+  --manifest "$SMOKE_MANIFEST" --telemetry "$CI_TMP/telemetry.jsonl" \
   >/dev/null
 rm -f "$SMOKE_MANIFEST"
 
@@ -134,10 +141,8 @@ rm -f "$SMOKE_MANIFEST"
 # port with FLAGS, waits for its port file and sets ADDR; `stop_daemon`
 # asks it to drain over POST /admin/shutdown and requires exit 0. The
 # EXIT trap kills a daemon that a failed check left running.
-PORT_FILE=/tmp/tcor-ci-serve-port
-SERVE_PID=
+PORT_FILE=$CI_TMP/serve-port
 DAEMON=
-trap 'if [ -n "$SERVE_PID" ]; then kill "$SERVE_PID" 2>/dev/null || true; fi' EXIT
 
 start_daemon() {
   DAEMON=$1
@@ -175,8 +180,8 @@ echo "== serve smoke (daemon up, golden table over loopback, graceful exit)"
 # The serving daemon must come up on an ephemeral port, answer a golden
 # experiment over loopback byte-identically to results/golden/, and
 # drain to exit 0 on POST /admin/shutdown.
-SERVE_OUT=/tmp/tcor-ci-serve-fig10.csv
-start_daemon "serve daemon" --telemetry /tmp/tcor-ci-serve-telemetry.jsonl
+SERVE_OUT=$CI_TMP/serve-fig10.csv
+start_daemon "serve daemon" --telemetry "$CI_TMP/serve-telemetry.jsonl"
 "$TCOR_SIM" serve-req "$ADDR" GET /health >/dev/null
 "$TCOR_SIM" serve-req "$ADDR" GET /v1/table/fig10 > "$SERVE_OUT"
 if ! cmp -s "$SERVE_OUT" results/golden/fig10.csv; then
@@ -192,8 +197,8 @@ echo "== stream smoke (chunked upload byte-identical to offline misscurves + 413
 # both policies (streamed ≡ whole-trace, proved with cmp), refuse an
 # over-limit chunk body with 413 from the head alone, and count the
 # rejection in serve/body_rejected.
-STREAM_OUT=/tmp/tcor-ci-stream-gtr.json
-OFFLINE_OUT=/tmp/tcor-ci-offline-gtr.json
+STREAM_OUT=$CI_TMP/stream-gtr.json
+OFFLINE_OUT=$CI_TMP/offline-gtr.json
 start_daemon "stream-smoke daemon"
 for policy in opt lru; do
   if ! "$TCOR_SIM" stream "$ADDR" --workload GTr --policy "$policy" \
@@ -223,7 +228,7 @@ echo "== bench-stream smoke (streaming ingest + live snapshots, offline byte par
 # byte-identical to a whole-trace profiler run of the same synthetic
 # trace, takes live snapshots mid-ingest, and records the profiler's
 # window high-water against the session budgets.
-BENCH_STREAM_OUT=/tmp/tcor-ci-bench-stream.json
+BENCH_STREAM_OUT=$CI_TMP/bench-stream.json
 rm -f "$BENCH_STREAM_OUT"
 "$TCOR_SIM" bench-stream "$BENCH_STREAM_OUT" --smoke 2>/dev/null
 for want in '"byte_identical_vs_offline":true' '"smoke":true'; do
@@ -245,15 +250,15 @@ echo "== restart-warm smoke (persistent cache survives a daemon restart)"
 # asserted by serve-req --expect-cache) byte-identically to both
 # generation 1's body and results/golden/ — a result computed before a
 # crash is never recomputed, and never silently different, after it.
-CACHE_DIR=/tmp/tcor-ci-pcache
-RESTART_OUT=/tmp/tcor-ci-restart-fig10.csv
+CACHE_DIR=$CI_TMP/pcache
+RESTART_OUT=$CI_TMP/restart-fig10.csv
 rm -rf "$CACHE_DIR"
 start_daemon "generation-1 daemon" --cache-dir "$CACHE_DIR" \
-  --telemetry /tmp/tcor-ci-serve-telemetry.jsonl
+  --telemetry "$CI_TMP/serve-telemetry.jsonl"
 "$TCOR_SIM" serve-req "$ADDR" GET /v1/table/fig10 --expect-cache miss > "$SERVE_OUT"
 stop_daemon
 start_daemon "restarted daemon" --cache-dir "$CACHE_DIR" \
-  --telemetry /tmp/tcor-ci-serve-telemetry.jsonl
+  --telemetry "$CI_TMP/serve-telemetry.jsonl"
 if ! "$TCOR_SIM" serve-req "$ADDR" GET /v1/table/fig10 --expect-cache disk > "$RESTART_OUT"; then
   echo "ci: FAIL: restarted daemon did not answer fig10 from the disk tier" >&2
   exit 1
@@ -278,7 +283,7 @@ echo "== bench-load smoke (open-loop load: keep-alive tiers + graceful shedding)
 # never a reset — then drain cleanly. The bench enforces all of that
 # internally (nonzero exit on any violation); the greps additionally
 # pin the written record.
-BENCH_LOAD_OUT=/tmp/tcor-ci-bench-load.json
+BENCH_LOAD_OUT=$CI_TMP/bench-load.json
 rm -f "$BENCH_LOAD_OUT"
 "$TCOR_SIM" bench-load "$BENCH_LOAD_OUT" --smoke 2>/dev/null
 for want in '"server_5xx":0' '"transport_errors":0' '"clean_drain":true'; do

@@ -516,11 +516,158 @@ mod tests {
         assert!(!c.update_meta(BlockAddr(99), |m| m.next_use = 1));
     }
 
+    /// MRU and FIFO as the stamp scans they replaced: each way keeps the
+    /// clock of its last fill (and, for MRU, hit), and the victim is the
+    /// newest stamp (MRU) or the oldest (FIFO).
+    #[derive(Clone, Debug)]
+    struct ScanStamps {
+        mru: bool,
+        clock: u64,
+        stamps: Vec<u64>,
+        ways: usize,
+    }
+
+    impl ScanStamps {
+        fn new(mru: bool) -> Self {
+            ScanStamps {
+                mru,
+                clock: 0,
+                stamps: Vec::new(),
+                ways: 0,
+            }
+        }
+
+        fn touch(&mut self, set: usize, way: usize) {
+            self.clock += 1;
+            self.stamps[set * self.ways + way] = self.clock;
+        }
+    }
+
+    impl ReplacementPolicy for ScanStamps {
+        fn name(&self) -> &'static str {
+            if self.mru {
+                "MRU"
+            } else {
+                "FIFO"
+            }
+        }
+
+        fn attach(&mut self, num_sets: usize, ways: usize) {
+            self.ways = ways;
+            self.stamps = vec![0; num_sets * ways];
+            self.clock = 0;
+        }
+
+        fn on_hit(&mut self, set: usize, way: usize, _meta: &AccessMeta) {
+            if self.mru {
+                self.touch(set, way);
+            }
+        }
+
+        fn on_fill(&mut self, set: usize, way: usize, _meta: &AccessMeta) {
+            self.touch(set, way);
+        }
+
+        fn on_invalidate(&mut self, set: usize, way: usize) {
+            self.stamps[set * self.ways + way] = 0;
+        }
+
+        fn victim(&mut self, set: usize, lines: &[Line]) -> usize {
+            let stamps = &self.stamps[set * self.ways..];
+            let ways = 0..lines.len();
+            if self.mru {
+                ways.max_by_key(|&w| stamps[w])
+            } else {
+                ways.min_by_key(|&w| stamps[w])
+            }
+            .expect("victim called on empty set")
+        }
+    }
+
+    /// One operation on block `b`.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Access(u64, AccessKind, AccessMeta),
+        FillClean(u64, AccessMeta),
+        Invalidate(u64),
+        UpdateMeta(u64, u64),
+        Probe(u64),
+        Drain,
+    }
+
+    /// Applies `step` to `one`, with `s` sets, fed block `b`, and to
+    /// `two`, with `2s` sets of the same ways, fed block
+    /// `b + s * (b / s)`. Under modulo indexing each of `two`'s first `s`
+    /// sets then sees the history of the same set of `one`, and its
+    /// other sets stay empty. Asserts that both give the same answers,
+    /// evicted lines (addresses mapped back), statistics and occupancy,
+    /// and returns whether `one` evicted a line.
+    fn same_step<P: ReplacementPolicy, Q: ReplacementPolicy>(
+        one: &mut Cache<P>,
+        two: &mut Cache<Q>,
+        step: Step,
+        what: &dyn Fn() -> String,
+    ) -> bool {
+        let sets = one.num_sets() as u64;
+        let at = |b: u64| BlockAddr(b + sets * (b / sets));
+        let back = |e: Evicted| Evicted {
+            addr: BlockAddr(e.addr.0 - sets * (e.addr.0 / (2 * sets))),
+            ..e
+        };
+        let mut evicted = false;
+        match step {
+            Step::Access(b, kind, meta) => {
+                let a = one.access(BlockAddr(b), kind, meta);
+                let o = two.access(at(b), kind, meta);
+                let o = AccessOutcome {
+                    evicted: o.evicted.map(back),
+                    ..o
+                };
+                assert_eq!(a, o, "access: {}", what());
+                evicted = a.evicted.is_some();
+            }
+            Step::FillClean(b, meta) => {
+                one.fill_clean(BlockAddr(b), meta);
+                two.fill_clean(at(b), meta);
+            }
+            Step::Invalidate(b) => {
+                let o = two.invalidate(at(b)).map(back);
+                assert_eq!(one.invalidate(BlockAddr(b)), o, "invalidate: {}", what());
+            }
+            Step::UpdateMeta(b, next_use) => {
+                let update = |m: &mut AccessMeta| m.next_use = next_use;
+                let o = two.update_meta(at(b), update);
+                assert_eq!(
+                    one.update_meta(BlockAddr(b), update),
+                    o,
+                    "update: {}",
+                    what()
+                );
+            }
+            Step::Probe(b) => {
+                let (a, o) = (BlockAddr(b), at(b));
+                assert_eq!(one.contains(a), two.contains(o), "contains: {}", what());
+                assert_eq!(one.peek_meta(a), two.peek_meta(o), "peek: {}", what());
+            }
+            Step::Drain => {
+                let o: Vec<Evicted> = two.drain().into_iter().map(back).collect();
+                assert_eq!(one.drain(), o, "drain: {}", what());
+            }
+        }
+        assert_eq!(one.stats(), two.stats(), "stats: {}", what());
+        assert_eq!(one.occupancy(), two.occupancy(), "occupancy: {}", what());
+        evicted
+    }
+
     /// A fully associative cache answers lookups and free-way searches
-    /// from its tag index; one explicit `n`-way set of the same capacity
-    /// scans. Driven through the same seeded steps under every policy,
-    /// the two must agree on every outcome, evicted line, statistic and
-    /// occupancy.
+    /// from its tag index, and its LIP/BIP/DIP victims from a stamp
+    /// order. The reference has twice the sets of `n` ways (`same_step`)
+    /// and scans its lines and its LIP/BIP/DIP stamps; MRU and FIFO,
+    /// which scan at no geometry, run there as `ScanStamps`. Four sets
+    /// of four ways check that MRU's and FIFO's per-set state keeps the
+    /// sets apart. Driven through the same seeded steps under every
+    /// policy, the two must agree on every outcome, evicted line,
+    /// statistic and occupancy.
     #[test]
     fn tag_index_matches_the_scan() {
         use crate::policy::{by_name, BoxedPolicy, Hawkeye};
@@ -535,28 +682,41 @@ mod tests {
                 _ => by_name(name),
             }
         };
-        for n in [1u64, 2, 3, 17, 300] {
+        let reference = |name: &str| -> BoxedPolicy {
+            match name {
+                "mru" => Box::new(ScanStamps::new(true)),
+                "fifo" => Box::new(ScanStamps::new(false)),
+                _ => policy(name),
+            }
+        };
+        // 64 and 65 ways cross a word of LIP/BIP/DIP's zero-stamp bitset.
+        let fully = [1u64, 2, 3, 17, 63, 64, 65, 300].map(|n| (1, n));
+        for (sets, ways) in fully.into_iter().chain([(4, 4)]) {
+            let n = sets * ways;
             for (seed, name) in policies.into_iter().enumerate() {
-                let mut indexed =
-                    Cache::new(CacheParams::new(n, 1, 0, 1), Indexing::Modulo, policy(name));
-                let mut scanned = Cache::new(
-                    CacheParams::new(n, 1, n as u32, 1),
+                let one = match sets {
+                    1 => CacheParams::new(n, 1, 0, 1),
+                    _ => CacheParams::new(n, 1, ways as u32, 1),
+                };
+                let mut one = Cache::new(one, Indexing::Modulo, policy(name));
+                let mut two = Cache::new(
+                    CacheParams::new(2 * n, 1, ways as u32, 1),
                     Indexing::Modulo,
-                    policy(name),
+                    reference(name),
                 );
-                assert!(indexed.tags.is_some() && scanned.tags.is_none());
+                assert_eq!(one.num_sets() as u64, sets);
+                assert!(one.tags.is_some() == (sets == 1) && two.tags.is_none());
                 let mut rng = SmallRng::seed_from_u64(seed as u64 ^ n << 8);
                 let (mut evictions, mut drains) = (0, 0);
-                for step in 0..1000 + 8 * n {
+                for i in 0..1000 + 16 * n {
                     // Twice the capacity in blocks, so full sets evict.
-                    let addr = BlockAddr(rng.random_range(0..2 * n + 3));
+                    let b = rng.random_range(0..2 * n + 3);
                     let meta = match rng.random_range(0..4u32) {
                         0 => AccessMeta::NONE,
                         1 => AccessMeta::next_use(rng.random_range(0..4 * n)),
-                        2 => AccessMeta::with_user(rng.random_range(0..4 * n), addr.0),
+                        2 => AccessMeta::with_user(rng.random_range(0..4 * n), b),
                         _ => AccessMeta::with_user(u64::MAX, rng.random_range(1..64)),
                     };
-                    let what = format!("{name}, n = {n}, step {step}");
                     // Drain about once per 4n steps, so the sets fill up
                     // between drains.
                     let op = if rng.random_range(0..4 * n + 20) == 0 {
@@ -564,57 +724,80 @@ mod tests {
                     } else {
                         rng.random_range(0..200u32)
                     };
-                    match op {
-                        0..=119 => {
-                            let kind = if rng.random_bool(0.3) {
-                                AccessKind::Write
-                            } else {
-                                AccessKind::Read
-                            };
-                            let a = indexed.access(addr, kind, meta);
-                            assert_eq!(a, scanned.access(addr, kind, meta), "access: {what}");
-                            evictions += u32::from(a.evicted.is_some());
-                        }
-                        120..=139 => {
-                            indexed.fill_clean(addr, meta);
-                            scanned.fill_clean(addr, meta);
-                        }
-                        140..=164 => {
-                            let a = indexed.invalidate(addr);
-                            assert_eq!(a, scanned.invalidate(addr), "invalidate: {what}");
-                        }
-                        165..=179 => {
-                            let update = |m: &mut AccessMeta| m.next_use = step;
-                            let a = indexed.update_meta(addr, update);
-                            assert_eq!(a, scanned.update_meta(addr, update), "update: {what}");
-                        }
-                        180..=199 => {
-                            assert_eq!(
-                                indexed.contains(addr),
-                                scanned.contains(addr),
-                                "contains: {what}"
-                            );
-                            assert_eq!(
-                                indexed.peek_meta(addr),
-                                scanned.peek_meta(addr),
-                                "peek: {what}"
-                            );
-                        }
+                    let step = match op {
+                        0..=119 if rng.random_bool(0.3) => Step::Access(b, AccessKind::Write, meta),
+                        0..=119 => Step::Access(b, AccessKind::Read, meta),
+                        120..=139 => Step::FillClean(b, meta),
+                        140..=164 => Step::Invalidate(b),
+                        165..=179 => Step::UpdateMeta(b, i),
+                        180..=199 => Step::Probe(b),
                         _ => {
-                            assert_eq!(indexed.drain(), scanned.drain(), "drain: {what}");
                             drains += 1;
+                            Step::Drain
                         }
-                    }
-                    assert_eq!(indexed.stats(), scanned.stats(), "stats: {what}");
-                    assert_eq!(
-                        indexed.occupancy(),
-                        scanned.occupancy(),
-                        "occupancy: {what}"
-                    );
+                    };
+                    let what = || format!("{name}, {sets} x {ways}, step {i}: {step:?}");
+                    evictions += u32::from(same_step(&mut one, &mut two, step, &what));
                 }
-                assert!(evictions > 50 && drains > 0, "{name}, n = {n}: too few");
+                assert!(
+                    evictions > 50 && drains > 0,
+                    "{name}, {sets} x {ways}: too few"
+                );
             }
         }
+    }
+
+    /// Every sequence of up to `left` more reads, invalidates and drains
+    /// over four blocks.
+    fn walk<P, Q>(one: &Cache<P>, two: &Cache<Q>, path: &mut Vec<Step>, left: usize)
+    where
+        P: ReplacementPolicy + Clone,
+        Q: ReplacementPolicy + Clone,
+    {
+        if left == 0 {
+            return;
+        }
+        let steps = (0..4)
+            .map(|b| Step::Access(b, AccessKind::Read, AccessMeta::NONE))
+            .chain((0..4).map(Step::Invalidate))
+            .chain([Step::Drain]);
+        let (name, ways) = (one.policy().name(), one.ways());
+        for step in steps {
+            let (mut one, mut two) = (one.clone(), two.clone());
+            path.push(step);
+            let what = || format!("{name}, {ways} ways: {path:?}");
+            same_step(&mut one, &mut two, step, &what);
+            walk(&one, &two, path, left - 1);
+            path.pop();
+        }
+    }
+
+    /// One set of one to three ways under MRU, FIFO and LIP/BIP/DIP
+    /// gives the stamp scans' victims after every sequence of up to five
+    /// steps.
+    #[test]
+    fn victim_orders_match_the_scan_exhaustively() {
+        use crate::policy::{Bip, Dip, Fifo, Lip, Mru};
+        fn check<P, Q>(policy: impl Fn() -> P, reference: impl Fn() -> Q)
+        where
+            P: ReplacementPolicy + Clone,
+            Q: ReplacementPolicy + Clone,
+        {
+            for n in 1..=3 {
+                let one = Cache::new(CacheParams::new(n, 1, 0, 1), Indexing::Modulo, policy());
+                let two = Cache::new(
+                    CacheParams::new(2 * n, 1, n as u32, 1),
+                    Indexing::Modulo,
+                    reference(),
+                );
+                walk(&one, &two, &mut Vec::new(), 5);
+            }
+        }
+        check(Mru::new, || ScanStamps::new(true));
+        check(Fifo::new, || ScanStamps::new(false));
+        check(Lip::new, Lip::new);
+        check(Bip::new, Bip::new);
+        check(Dip::new, Dip::new);
     }
 
     #[test]

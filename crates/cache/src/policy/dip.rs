@@ -4,6 +4,7 @@
 //! streams — included in the toolbox so the Fig. 13-style comparison can
 //! be extended beyond the paper's four policies.
 
+use super::order::WayOrder;
 use super::ReplacementPolicy;
 use crate::cache::Line;
 use crate::meta::AccessMeta;
@@ -18,6 +19,77 @@ struct InsertionLru {
     clock: u64,
     last_touch: Vec<u64>,
     ways: usize,
+    /// A one-set cache's stamps in victim order, so neither the LRU
+    /// insertion nor the victim scans the set.
+    order: Option<StampOrder>,
+}
+
+/// The ways of one set by stamp: the ways with a nonzero stamp in stamp
+/// order, least first, and a bitset of the ways stamped 0.
+///
+/// A nonzero stamp is unique within its set: `touch_mru` stamps the
+/// clock, above every stamp, and `touch_lru` one below the least stamp.
+/// Only `touch_lru`'s clamp at 0 ties ways, and the scan's `min_by_key`
+/// then picks the lowest of them: the lowest set bit.
+#[derive(Clone, Debug)]
+struct StampOrder {
+    nonzero: WayOrder,
+    zero: Vec<u64>,
+}
+
+impl StampOrder {
+    /// Every way starts stamped 0.
+    fn new(ways: usize) -> Self {
+        let mut zero = vec![0; ways.div_ceil(64)];
+        for way in 0..ways {
+            zero[way / 64] |= 1 << (way % 64);
+        }
+        StampOrder {
+            nonzero: WayOrder::empty(1, ways),
+            zero,
+        }
+    }
+
+    fn lowest_zero(&self) -> Option<usize> {
+        let (i, word) = self.zero.iter().enumerate().find(|(_, w)| **w != 0)?;
+        Some(i * 64 + word.trailing_zeros() as usize)
+    }
+
+    fn set_zero(&mut self, way: usize, zero: bool) {
+        let bit = 1 << (way % 64);
+        if zero {
+            self.zero[way / 64] |= bit;
+        } else {
+            self.zero[way / 64] &= !bit;
+        }
+    }
+
+    /// The way with the least stamp, the lowest one among ties.
+    fn least(&self) -> usize {
+        self.lowest_zero().unwrap_or_else(|| self.nonzero.head(0))
+    }
+
+    /// `touch_mru` stamped `way` above every other way.
+    fn promote(&mut self, way: usize) {
+        self.set_zero(way, false);
+        self.nonzero.push_back(0, way);
+    }
+
+    /// `touch_lru` for a one-set cache: stamps `way` one below the least
+    /// stamp, clamped at 0, and moves it to the front or into the ties.
+    /// Kept out of line so that `touch_lru` stays small enough to inline
+    /// into the set-associative fill hooks, as the bare scan did.
+    #[inline(never)]
+    fn demote(&mut self, stamps: &mut [u64], way: usize) {
+        let stamp = stamps[self.least()].saturating_sub(1);
+        stamps[way] = stamp;
+        if stamp == 0 {
+            self.nonzero.remove(0, way);
+            self.set_zero(way, true);
+        } else {
+            self.nonzero.push_front(0, way);
+        }
+    }
 }
 
 impl InsertionLru {
@@ -25,15 +97,24 @@ impl InsertionLru {
         self.ways = ways;
         self.last_touch = vec![0; num_sets * ways];
         self.clock = 0;
+        self.order = (num_sets == 1).then(|| StampOrder::new(ways));
     }
 
+    #[inline]
     fn touch_mru(&mut self, set: usize, way: usize) {
         self.clock += 1;
         self.last_touch[set * self.ways + way] = self.clock;
+        if let Some(order) = &mut self.order {
+            order.promote(way);
+        }
     }
 
     /// Place at the LRU end: older than everything currently in the set.
+    #[inline]
     fn touch_lru(&mut self, set: usize, way: usize) {
+        if let Some(order) = &mut self.order {
+            return order.demote(&mut self.last_touch, way);
+        }
         let base = set * self.ways;
         let min = (0..self.ways)
             .map(|w| self.last_touch[base + w])
@@ -42,7 +123,11 @@ impl InsertionLru {
         self.last_touch[base + way] = min.saturating_sub(1);
     }
 
+    #[inline]
     fn victim(&self, set: usize, n: usize) -> usize {
+        if let Some(order) = &self.order {
+            return order.least();
+        }
         let base = set * self.ways;
         (0..n)
             .min_by_key(|&w| self.last_touch[base + w])
@@ -74,6 +159,7 @@ impl ReplacementPolicy for Lip {
         self.lru.attach(num_sets, ways);
     }
 
+    #[inline]
     fn on_hit(&mut self, set: usize, way: usize, _meta: &AccessMeta) {
         self.lru.touch_mru(set, way);
     }
@@ -121,6 +207,7 @@ impl ReplacementPolicy for Bip {
         self.fills = 0;
     }
 
+    #[inline]
     fn on_hit(&mut self, set: usize, way: usize, _meta: &AccessMeta) {
         self.lru.touch_mru(set, way);
     }
@@ -200,6 +287,7 @@ impl ReplacementPolicy for Dip {
         self.psel = 0;
     }
 
+    #[inline]
     fn on_hit(&mut self, set: usize, way: usize, _meta: &AccessMeta) {
         self.lru.touch_mru(set, way);
     }
@@ -273,6 +361,18 @@ mod tests {
         p.on_hit(0, 0, &AccessMeta::NONE); // promote way 0
         p.on_fill(0, 1, &AccessMeta::NONE); // way 1 inserted at LRU
         assert_eq!(p.victim(0, &lines), 1);
+    }
+
+    /// LRU insertions clamp at stamp 0 and tie, and the scan evicts the
+    /// lowest tied way: the oldest insert, not the newest.
+    #[test]
+    fn lip_zero_stamp_ties_evict_the_lowest_way() {
+        let mut c = Cache::new(CacheParams::new(4, 1, 0, 1), Indexing::Modulo, Lip::new());
+        for b in 0..4 {
+            c.access(BlockAddr(b), AccessKind::Read, AccessMeta::NONE);
+        }
+        let out = c.access(BlockAddr(4), AccessKind::Read, AccessMeta::NONE);
+        assert_eq!(out.evicted.map(|e| e.addr), Some(BlockAddr(0)));
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! First-In-First-Out replacement.
 
+use super::order::WayOrder;
 use super::ReplacementPolicy;
 use crate::cache::Line;
 use crate::meta::AccessMeta;
 
 /// FIFO: evicts the way *filled* longest ago, ignoring hits.
+///
+/// Each set keeps its ways in fill order, oldest first, and the victim is
+/// the head. Invalidating a way leaves it in place: a victim is asked
+/// only of a full set, and the fill that refills the way moves it to the
+/// back.
 #[derive(Clone, Debug, Default)]
 pub struct Fifo {
-    clock: u64,
-    fill_time: Vec<u64>,
-    ways: usize,
+    order: WayOrder,
 }
 
 impl Fifo {
@@ -25,9 +29,7 @@ impl ReplacementPolicy for Fifo {
     }
 
     fn attach(&mut self, num_sets: usize, ways: usize) {
-        self.ways = ways;
-        self.fill_time = vec![0; num_sets * ways];
-        self.clock = 0;
+        self.order = WayOrder::full(num_sets, ways);
     }
 
     fn on_hit(&mut self, _set: usize, _way: usize, _meta: &AccessMeta) {
@@ -35,24 +37,15 @@ impl ReplacementPolicy for Fifo {
     }
 
     fn on_fill(&mut self, set: usize, way: usize, _meta: &AccessMeta) {
-        self.clock += 1;
-        self.fill_time[set * self.ways + way] = self.clock;
+        self.order.push_back(set, way);
     }
 
-    fn on_invalidate(&mut self, set: usize, way: usize) {
-        self.fill_time[set * self.ways + way] = 0;
-    }
-
-    fn victim(&mut self, set: usize, lines: &[Line]) -> usize {
-        let base = set * self.ways;
-        (0..lines.len())
-            .min_by_key(|&w| self.fill_time[base + w])
-            .expect("victim called on empty set")
+    fn victim(&mut self, set: usize, _lines: &[Line]) -> usize {
+        self.order.head(set)
     }
 
     fn set_local(&self) -> bool {
-        // Fill times are compared only within a set; relative order is
-        // all that matters.
+        // Each set's order is its own fill history.
         true
     }
 }

@@ -67,9 +67,14 @@ impl ReplacementPolicy for Lru {
 /// Most-Recently-Used: evicts the way touched most recently. A known-bad
 /// policy for this workload (Fig. 13's worst curve), kept as a comparison
 /// point.
+///
+/// Each set remembers only its last touched way, which is the way with
+/// the newest touch: a victim is asked only of a full set, and a set
+/// with an invalidated way is full again only after a fill, which
+/// touches the refilled way.
 #[derive(Clone, Debug, Default)]
 pub struct Mru {
-    inner: Lru,
+    last: Vec<u32>,
 }
 
 impl Mru {
@@ -84,32 +89,24 @@ impl ReplacementPolicy for Mru {
         "MRU"
     }
 
-    fn attach(&mut self, num_sets: usize, ways: usize) {
-        self.inner.attach(num_sets, ways);
+    fn attach(&mut self, num_sets: usize, _ways: usize) {
+        self.last = vec![0; num_sets];
     }
 
-    fn on_hit(&mut self, set: usize, way: usize, meta: &AccessMeta) {
-        self.inner.on_hit(set, way, meta);
+    fn on_hit(&mut self, set: usize, way: usize, _meta: &AccessMeta) {
+        self.last[set] = way as u32;
     }
 
-    fn on_fill(&mut self, set: usize, way: usize, meta: &AccessMeta) {
-        self.inner.on_fill(set, way, meta);
+    fn on_fill(&mut self, set: usize, way: usize, _meta: &AccessMeta) {
+        self.last[set] = way as u32;
     }
 
-    fn on_invalidate(&mut self, set: usize, way: usize) {
-        self.inner.on_invalidate(set, way);
-    }
-
-    fn victim(&mut self, set: usize, lines: &[Line]) -> usize {
-        let base = set * self.inner.ways;
-        (0..lines.len())
-            .max_by_key(|&w| self.inner.last_touch[base + w])
-            .expect("victim called on empty set")
+    fn victim(&mut self, set: usize, _lines: &[Line]) -> usize {
+        self.last[set] as usize
     }
 
     fn set_local(&self) -> bool {
-        // Same relative-timestamp argument as LRU, maximum instead of
-        // minimum.
+        // Each set's state is its own last touch.
         true
     }
 }

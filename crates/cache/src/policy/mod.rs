@@ -18,6 +18,7 @@ mod hawkeye;
 mod lru;
 mod nru;
 mod opt;
+mod order;
 mod plru;
 mod random;
 mod rrip;
@@ -218,6 +219,10 @@ macro_rules! dispatch_policy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Cache;
+    use crate::index::Indexing;
+    use crate::meta::AccessKind;
+    use tcor_common::{BlockAddr, CacheParams, SmallRng};
 
     #[test]
     fn registry_knows_all_policies() {
@@ -286,5 +291,39 @@ mod tests {
         assert!(!Hawkeye::new().set_local(), "hawkeye's predictor is global");
         // A boxed policy answers for its inner policy.
         assert!(by_name("lru").set_local());
+    }
+
+    /// With one set, set dueling has no followers: DIP's only set is its
+    /// LRU leader and DRRIP's its SRRIP leader, so each replays its
+    /// leader's policy access for access. The fully associative serving
+    /// curves (`results/golden/curves.jsonl`) rely on this: `dip` equals
+    /// `lru` and `drrip` equals `srrip` on every workload.
+    #[test]
+    fn one_set_dueling_is_its_leader() {
+        fn same<P: ReplacementPolicy, Q: ReplacementPolicy>(a: fn() -> P, b: fn() -> Q) {
+            for n in [1, 2, 17, 64, 300] {
+                let params = CacheParams::new(n, 1, 0, 1);
+                let mut a = Cache::new(params, Indexing::Modulo, a());
+                let mut b = Cache::new(params, Indexing::Modulo, b());
+                let name = a.policy().name();
+                let mut rng = SmallRng::seed_from_u64(n);
+                for i in 0..1000 + 8 * n {
+                    let block = BlockAddr(rng.random_range(0..2 * n + 3));
+                    let kind = if rng.random_bool(0.3) {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    let (x, y) = (
+                        a.access(block, kind, AccessMeta::NONE),
+                        b.access(block, kind, AccessMeta::NONE),
+                    );
+                    assert_eq!(x, y, "{name}, n = {n}, access {i}");
+                }
+                assert_eq!(a.stats(), b.stats(), "{name}, n = {n}");
+            }
+        }
+        same(Dip::new, Lru::new);
+        same(Drrip::new, Srrip::new);
     }
 }

@@ -444,21 +444,6 @@ impl Telemetry {
         Ok(())
     }
 
-    /// Writes the JSON-lines log to `path`, creating parent
-    /// directories. Prefer [`stream_to`](Self::stream_to) for live
-    /// runs; this whole-file path remains for post-hoc dumps.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save_jsonl(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let file = File::create(path)?;
-        self.write_jsonl(io::BufWriter::new(file))
-    }
-
     /// A human summary: totals plus the slowest jobs.
     pub fn summary(&self, top: usize) -> String {
         use std::fmt::Write as _;

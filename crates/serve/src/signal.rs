@@ -53,9 +53,3 @@ pub fn install() {
 pub fn requested() -> bool {
     REQUESTED.load(Ordering::SeqCst)
 }
-
-/// Clears the flag (tests only — real shutdown is one-way).
-#[doc(hidden)]
-pub fn reset_for_tests() {
-    REQUESTED.store(false, Ordering::SeqCst);
-}

@@ -46,7 +46,7 @@ pub use orchestrate::{
 };
 pub use output::Table;
 pub use serve_backend::{sim_version, SimBackend};
-pub use suite::{run_suite, BenchmarkRun, SuiteRun};
+pub use suite::{BenchmarkRun, SuiteRun};
 
 /// Every experiment id, in presentation order.
 pub const EXPERIMENTS: [&str; 25] = [
@@ -123,20 +123,4 @@ pub fn try_run_experiment(
             )))
         }
     })
-}
-
-/// Runs one experiment by id, reusing `suite` for the full-system ones
-/// (pass `None` to compute on demand). Compatibility wrapper over
-/// [`try_run_experiment`] with a private store.
-///
-/// # Panics
-///
-/// Panics on an unknown id.
-pub fn run_experiment(id: &str, suite: Option<&SuiteRun>) -> Vec<Table> {
-    let store = tcor_runner::ArtifactStore::new();
-    if let Some(s) = suite {
-        let s = s.clone();
-        let _ = store.get_or_compute(orchestrate::artifact_key(orchestrate::SUITE_DESC), || s);
-    }
-    try_run_experiment(&store, id).unwrap_or_else(|e| panic!("{e}"))
 }

@@ -4,7 +4,7 @@
 use tcor::{FrameReport, System, SystemConfig};
 use tcor_common::TileGrid;
 use tcor_gpu::Scene;
-use tcor_workloads::{suite as benchmarks, BenchmarkProfile};
+use tcor_workloads::BenchmarkProfile;
 
 /// All six configurations of one benchmark: {baseline, TCOR-without-L2,
 /// TCOR} × {64 KiB, 128 KiB}.
@@ -122,18 +122,6 @@ pub fn run_benchmark(profile: &BenchmarkProfile, grid: &TileGrid) -> BenchmarkRu
     assemble_run(profile, &calibrated, |cfg| {
         run_cell(profile, &calibrated.scene, cfg)
     })
-}
-
-/// Runs the full Table II suite (deterministic; takes a few seconds in
-/// release builds).
-pub fn run_suite() -> SuiteRun {
-    let grid = TileGrid::new(1960, 768, 32);
-    SuiteRun {
-        benchmarks: benchmarks()
-            .iter()
-            .map(|b| run_benchmark(b, &grid))
-            .collect(),
-    }
 }
 
 #[cfg(test)]
