@@ -35,6 +35,23 @@ cargo run --release -q -p tcor-sim -- headline --check --telemetry "$CI_TMP/tele
 
 TCOR_SIM=target/release/tcor-sim
 
+echo "== golden check (all) + frame-plan counts, pool width and --serial"
+# Every experiment must match its golden at the pool width and on one
+# worker, and both runs must build the suite's 16 frame plans and replay
+# its 144 frames on them (DESIGN.md "Frame plan"): a plan built twice or
+# a frame that skips its shared plan changes the counts.
+for serial in "" --serial; do
+  # An empty $serial expands to no argument: the pool-width run.
+  "$TCOR_SIM" all --check $serial --telemetry "$CI_TMP/telemetry.jsonl" \
+    --manifest "$CI_TMP/run-manifest.txt" >/dev/null 2>"$CI_TMP/all.err"
+  if ! grep -qx 'frame plans: 16 built, 144 replayed' "$CI_TMP/all.err"; then
+    echo "ci: FAIL: all ${serial:-at pool width} did not build 16 plans and replay 144 frames" >&2
+    grep 'frame plans' "$CI_TMP/all.err" >&2 || true
+    exit 1
+  fi
+done
+rm -f "$CI_TMP/all.err" "$CI_TMP/run-manifest.txt"
+
 echo "== golden check (whole cell reports)"
 # The CSV goldens round to three decimals or to percentages, so they can
 # miss a one-count drift in a cell's counters. results/golden/cells.jsonl
@@ -74,6 +91,19 @@ if ! cmp -s "$CURVES_OUT" results/golden/curves.jsonl; then
   exit 1
 fi
 rm -f "$CURVES_OUT"
+
+echo "== golden check (Chrome trace)"
+# The --trace-out Chrome trace (one traced CCS frame under tcor64,
+# 5,955 events) is part of the byte-identity contract. Its SHA-256 is
+# pinned in results/golden/trace-ccs-tcor64.sha256 (README "Parallel
+# runs, telemetry and golden results" says how to re-record it).
+TRACE_OUT=$CI_TMP/trace.json
+"$TCOR_SIM" --trace-out "$TRACE_OUT" 2>/dev/null
+if [ "$(sha256sum "$TRACE_OUT" | cut -d' ' -f1)" != "$(cat results/golden/trace-ccs-tcor64.sha256)" ]; then
+  echo "ci: FAIL: the Chrome trace differs from results/golden/trace-ccs-tcor64.sha256" >&2
+  exit 1
+fi
+rm -f "$TRACE_OUT"
 
 echo "== golden check (miss curves, single-pass engine)"
 # The single-pass miss-curve engine (OPT stack profiling + per-geometry

@@ -31,7 +31,10 @@
 //! organisation comes from the configuration (`cfg.gpu.tile_cache`), so
 //! the baseline and TCOR replay identical access streams through one
 //! driver. [`Session`] runs a sequence of frames over a memory system
-//! that persists between them (the steady state).
+//! that persists between them (the steady state). The part of a frame
+//! the organisation cannot change — geometry, binning and the other L1s'
+//! miss streams — is a [`FramePlan`], which every configuration with the
+//! same [`PlanKey`] can replay ([`System::replay`]).
 //!
 //! ```
 //! use tcor::{System, SystemConfig};
@@ -63,4 +66,4 @@ pub use attribute_cache::{
     AttributeCache, AttributeCacheConfig, EvictedPrim, ReadResult, WriteResult,
 };
 pub use report::{FrameReport, StructureActivity};
-pub use system::{BaselineSystem, Session, System, SystemConfig, TcorSystem};
+pub use system::{BaselineSystem, FramePlan, PlanKey, Session, System, SystemConfig, TcorSystem};

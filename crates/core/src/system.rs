@@ -9,6 +9,12 @@
 //! driver: the access *streams* are identical by construction and only the
 //! per-access Tile Cache handling differs, exactly as in the paper's
 //! methodology.
+//!
+//! Each frame is a [`FramePlan`] — geometry, binning and the vertex,
+//! texture and instruction L1 miss streams, which no Tile Cache
+//! organisation can change — replayed through the Tile Cache, the L2 and
+//! DRAM. [`System::replay`] lets every configuration with one
+//! [`PlanKey`] share a plan.
 
 use crate::attribute_cache::{
     AttributeCache, AttributeCacheConfig, EvictedPrim, ReadResult, WriteResult,
@@ -19,8 +25,8 @@ use std::collections::VecDeque;
 use tcor_cache::policy::Lru;
 use tcor_cache::{AccessKind, AccessMeta, Cache, Indexing};
 use tcor_common::{
-    BlockAddr, CacheParams, FrameTrace, GpuConfig, PrimitiveId, TileCacheOrg, TileGrid,
-    TraversalOrder, LINE_SIZE,
+    AccessStats, BlockAddr, CacheParams, FrameTrace, GpuConfig, PrimitiveId, TileCacheOrg,
+    TileGrid, TileRank, Traversal, TraversalOrder, LINE_SIZE,
 };
 use tcor_gpu::{
     bin_scene_with, fetch_ops, plb_ops, FetchOp, Frame, GeometryPipeline, MshrTiming, OverlapTest,
@@ -144,12 +150,14 @@ impl SystemConfig {
 
 /// The read-only L1s surrounding the Tile Cache (Fig. 5): vertex,
 /// texture ×4 and instruction caches. Their lines are never dirty, so
-/// misses are the only traffic they forward.
+/// misses are the only traffic they forward; a [`FramePlan`] records
+/// those misses.
 #[derive(Debug)]
 struct OtherL1s {
     vertex: Cache<Lru>,
     textures: Vec<Cache<Lru>>,
     instr: Cache<Lru>,
+    /// The texture cache the next texel fetch goes to (round robin).
     tex_rr: usize,
 }
 
@@ -165,26 +173,6 @@ impl OtherL1s {
         }
     }
 
-    fn read_through(cache: &mut Cache<Lru>, block: BlockAddr, h: &mut MemoryHierarchy) {
-        if !cache.access(block, AccessKind::Read, AccessMeta::NONE).hit {
-            h.access(block, AccessKind::Read, PbTag::NONE);
-        }
-    }
-
-    fn vertex_read(&mut self, block: BlockAddr, h: &mut MemoryHierarchy) {
-        Self::read_through(&mut self.vertex, block, h);
-    }
-
-    fn texture_read(&mut self, block: BlockAddr, h: &mut MemoryHierarchy) {
-        let i = self.tex_rr;
-        self.tex_rr = (self.tex_rr + 1) % self.textures.len();
-        Self::read_through(&mut self.textures[i], block, h);
-    }
-
-    fn instr_read(&mut self, block: BlockAddr, h: &mut MemoryHierarchy) {
-        Self::read_through(&mut self.instr, block, h);
-    }
-
     /// Zeroes all statistics while keeping cache contents (steady-state
     /// frame boundaries).
     fn reset_stats(&mut self) {
@@ -193,6 +181,182 @@ impl OtherL1s {
             t.reset_stats();
         }
         self.instr.reset_stats();
+    }
+}
+
+/// The L1 filter: reads `block` through the read-only L1 `cache` and
+/// records its block number in `misses` when it misses.
+fn filter(cache: &mut Cache<Lru>, block: BlockAddr, misses: &mut Vec<u32>) {
+    if !cache.access(block, AccessKind::Read, AccessMeta::NONE).hit {
+        misses.push(u32::try_from(block.0).expect("L1 miss beyond 32-bit block numbers"));
+    }
+}
+
+/// Forwards recorded L1 misses to the L2 as untagged reads.
+fn read_misses(misses: &[u32], hierarchy: &mut MemoryHierarchy) {
+    for &b in misses {
+        hierarchy.access(BlockAddr(u64::from(b)), AccessKind::Read, PbTag::NONE);
+    }
+}
+
+/// Every configuration field a [`FramePlan`] reads: the ones that shape
+/// geometry, binning, the traversal and the L1 miss streams. The Tile
+/// Cache, the L2, DRAM, the Tiling Engine queues and the shader
+/// throughput are not in it, so configurations that differ only there
+/// share one plan. Its `Debug` form names every field, which makes it a
+/// stable description to hash into a store key.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PlanKey {
+    screen_width: u32,
+    screen_height: u32,
+    tile_size: u32,
+    traversal: Traversal,
+    overlap_test: OverlapTest,
+    raster: RasterParams,
+    vertex_cache: CacheParams,
+    texture_cache: CacheParams,
+    num_texture_caches: u32,
+    instr_cache: CacheParams,
+}
+
+impl PlanKey {
+    /// The key of the plan `cfg` replays on.
+    pub fn of(cfg: &SystemConfig) -> Self {
+        PlanKey {
+            screen_width: cfg.gpu.screen_width,
+            screen_height: cfg.gpu.screen_height,
+            tile_size: cfg.gpu.tile_size,
+            traversal: cfg.gpu.traversal,
+            overlap_test: cfg.overlap_test,
+            raster: cfg.raster,
+            vertex_cache: cfg.gpu.vertex_cache,
+            texture_cache: cfg.gpu.texture_cache,
+            num_texture_caches: cfg.gpu.num_texture_caches,
+            instr_cache: cfg.instr_cache,
+        }
+    }
+
+    /// The [`SystemConfig`] path of the first field in which the two keys
+    /// differ, or `None` when they are equal.
+    pub fn mismatch(&self, other: &PlanKey) -> Option<&'static str> {
+        [
+            ("gpu.screen_width", self.screen_width == other.screen_width),
+            (
+                "gpu.screen_height",
+                self.screen_height == other.screen_height,
+            ),
+            ("gpu.tile_size", self.tile_size == other.tile_size),
+            ("gpu.traversal", self.traversal == other.traversal),
+            ("overlap_test", self.overlap_test == other.overlap_test),
+            ("raster", self.raster == other.raster),
+            ("gpu.vertex_cache", self.vertex_cache == other.vertex_cache),
+            (
+                "gpu.texture_cache",
+                self.texture_cache == other.texture_cache,
+            ),
+            (
+                "gpu.num_texture_caches",
+                self.num_texture_caches == other.num_texture_caches,
+            ),
+            ("instr_cache", self.instr_cache == other.instr_cache),
+        ]
+        .into_iter()
+        .find_map(|(field, same)| (!same).then_some(field))
+    }
+}
+
+/// The part of a frame that no Tile Cache organisation can change, built
+/// once and replayed per configuration ([`System::replay`]): geometry and
+/// binning, the traversal order, the vertex L1 misses, each tile's
+/// texture and instruction L1 misses, and the L1 statistics the report
+/// needs. The L1s see only the scene and the [`PlanKey`] fields, never
+/// the Tile Cache, L2 or DRAM, so every configuration with the plan's
+/// key filters exactly these misses; a replay feeds them to the L2 at
+/// the points the frame produced them, which makes it byte-identical to
+/// running the frame whole.
+#[derive(Debug)]
+pub struct FramePlan {
+    key: PlanKey,
+    grid: TileGrid,
+    order: TraversalOrder,
+    frame: Frame,
+    /// Vertex L1 misses in fetch order, as block numbers.
+    vertex_misses: Box<[u32]>,
+    /// `tile_misses[tile_offsets[r]..tile_offsets[r + 1]]` holds the
+    /// texture then instruction L1 misses of the tile at traversal rank
+    /// `r`, as block numbers.
+    tile_offsets: Box<[u32]>,
+    tile_misses: Box<[u32]>,
+    vertex_stats: AccessStats,
+    texture_stats: AccessStats,
+    instr_stats: AccessStats,
+}
+
+impl FramePlan {
+    /// The plan of a one-shot frame of `scene` under `cfg`: cold L1s and a
+    /// fresh raster stream, as every [`System`] frame starts.
+    pub fn new(cfg: &SystemConfig, scene: &Scene) -> Self {
+        let mut l1s = OtherL1s::new(cfg);
+        Self::build(cfg, scene, &mut l1s, &mut RasterTraffic::new(cfg.raster))
+    }
+
+    /// Runs the Geometry Pipeline, bins the frame and filters the
+    /// frame's vertex, texture and instruction fetches through `l1s`
+    /// (persistent across a [`Session`]'s frames), drawing the texel
+    /// addresses from `raster`.
+    fn build(
+        cfg: &SystemConfig,
+        scene: &Scene,
+        l1s: &mut OtherL1s,
+        raster: &mut RasterTraffic,
+    ) -> Self {
+        l1s.reset_stats();
+        let grid = TileGrid::new(
+            cfg.gpu.screen_width,
+            cfg.gpu.screen_height,
+            cfg.gpu.tile_size,
+        );
+        let order = cfg.gpu.traversal.order(&grid);
+        let mut vertex_misses = Vec::new();
+        let frame = {
+            let geo = GeometryPipeline::new(grid).run(scene);
+            for &b in &geo.vertex_fetch_blocks {
+                filter(&mut l1s.vertex, b, &mut vertex_misses);
+            }
+            bin_scene_with(&geo.visible, &grid, &order, cfg.overlap_test)
+        };
+        let mut tile_offsets = Vec::with_capacity(order.len() + 1);
+        let mut tile_misses = Vec::new();
+        tile_offsets.push(0);
+        for tile in order.iter() {
+            for b in raster.texture_blocks(frame.fragments_per_tile[tile.index()]) {
+                let i = l1s.tex_rr;
+                l1s.tex_rr = (i + 1) % l1s.textures.len();
+                filter(&mut l1s.textures[i], b, &mut tile_misses);
+            }
+            for b in raster.instruction_blocks() {
+                filter(&mut l1s.instr, b, &mut tile_misses);
+            }
+            tile_offsets.push(u32::try_from(tile_misses.len()).expect("L1 misses overflow u32"));
+        }
+        FramePlan {
+            key: PlanKey::of(cfg),
+            grid,
+            order,
+            frame,
+            vertex_misses: vertex_misses.into_boxed_slice(),
+            tile_offsets: tile_offsets.into_boxed_slice(),
+            tile_misses: tile_misses.into_boxed_slice(),
+            vertex_stats: *l1s.vertex.stats(),
+            texture_stats: l1s.textures.iter().map(|c| *c.stats()).sum(),
+            instr_stats: *l1s.instr.stats(),
+        }
+    }
+
+    /// The texture then instruction L1 misses of the tile at `rank`.
+    fn tile_misses(&self, rank: TileRank) -> &[u32] {
+        let r = rank.value() as usize;
+        &self.tile_misses[self.tile_offsets[r] as usize..self.tile_offsets[r + 1] as usize]
     }
 }
 
@@ -354,72 +518,23 @@ fn write_back_prims(evicted: &[EvictedPrim], hierarchy: &mut MemoryHierarchy, ta
     }
 }
 
-/// Runs the Geometry Pipeline (vertex traffic through the persistent
-/// L1s) and bins the frame.
-fn geometry_and_bin(
-    cfg: &SystemConfig,
-    scene: &Scene,
-    l1s: &mut OtherL1s,
-    hierarchy: &mut MemoryHierarchy,
-) -> (TileGrid, TraversalOrder, Frame) {
-    let grid = TileGrid::new(
-        cfg.gpu.screen_width,
-        cfg.gpu.screen_height,
-        cfg.gpu.tile_size,
-    );
-    let order = cfg.gpu.traversal.order(&grid);
-    let geo = GeometryPipeline::new(grid).run(scene);
-    for b in &geo.vertex_fetch_blocks {
-        l1s.vertex_read(*b, hierarchy);
-    }
-    let frame = bin_scene_with(&geo.visible, &grid, &order, cfg.overlap_test);
-    (grid, order, frame)
-}
-
-/// Raster-side traffic for a finished tile.
-fn raster_tile(
-    tile_index: usize,
-    frame: &Frame,
-    grid: &TileGrid,
-    raster: &mut RasterTraffic,
-    l1s: &mut OtherL1s,
-    hierarchy: &mut MemoryHierarchy,
-) {
-    let fragments = frame.fragments_per_tile[tile_index];
-    for b in raster.texture_blocks(fragments) {
-        l1s.texture_read(b, hierarchy);
-    }
-    for b in raster.instruction_blocks() {
-        l1s.instr_read(b, hierarchy);
-    }
-    for b in raster.framebuffer_blocks(tile_index, grid.tile_size()) {
-        hierarchy.write_direct(b);
-    }
-}
-
 /// Assembles the final report from the run's parts.
 #[allow(clippy::too_many_arguments)]
 fn build_report(
     cfg: &SystemConfig,
     tc: &TileCache,
     hierarchy: &MemoryHierarchy,
-    l1s: &OtherL1s,
+    plan: &FramePlan,
     raster: &RasterTraffic,
-    frame: &Frame,
     fetch_cycles: u64,
     prims_fetched: u64,
     plb_cycles: u64,
     coupled_cycles: f64,
     pb_footprint_bytes: u64,
 ) -> FrameReport {
-    let fragments = frame.total_fragments();
+    let fragments = plan.frame.total_fragments();
     let shader_instructions = raster.shader_instructions_executed(fragments);
     let shader_throughput = (cfg.fragment_processors * cfg.simd_lanes) as f64;
-    let tex_stats = l1s
-        .textures
-        .iter()
-        .map(|c| *c.stats())
-        .sum::<tcor_common::AccessStats>();
     let (system, mut structures) = match tc {
         TileCache::Unified(cache) => (
             "baseline",
@@ -451,21 +566,21 @@ fn build_report(
     };
     structures.push(StructureActivity {
         name: "vertex$",
-        size_bytes: l1s.vertex.params().size_bytes,
+        size_bytes: cfg.gpu.vertex_cache.size_bytes,
         instances: 1,
-        stats: *l1s.vertex.stats(),
+        stats: plan.vertex_stats,
     });
     structures.push(StructureActivity {
         name: "tex$",
-        size_bytes: l1s.textures[0].params().size_bytes,
-        instances: l1s.textures.len() as u32,
-        stats: tex_stats,
+        size_bytes: cfg.gpu.texture_cache.size_bytes,
+        instances: cfg.gpu.num_texture_caches,
+        stats: plan.texture_stats,
     });
     structures.push(StructureActivity {
         name: "instr$",
-        size_bytes: l1s.instr.params().size_bytes,
+        size_bytes: cfg.instr_cache.size_bytes,
         instances: 1,
-        stats: *l1s.instr.stats(),
+        stats: plan.instr_stats,
     });
     let mut report = FrameReport {
         system,
@@ -485,7 +600,7 @@ fn build_report(
         coupled_cycles,
         fragments,
         shader_instructions,
-        num_primitives: frame.binned.num_primitives(),
+        num_primitives: plan.frame.binned.num_primitives(),
         pb_footprint_bytes,
         attr_buffer_utilization: 0.0,
         attr_line_utilization: 0.0,
@@ -581,7 +696,7 @@ impl System {
 
     /// Runs one frame and reports every measured quantity.
     pub fn run_frame(&self, scene: &Scene) -> FrameReport {
-        Session::new(self.cfg.clone()).frame(scene, true, &mut FrameTrace::disabled())
+        self.replay(&FramePlan::new(&self.cfg, scene))
     }
 
     /// Like [`run_frame`](Self::run_frame), but also records the Tiling
@@ -589,8 +704,28 @@ impl System {
     /// series, Tile Cache occupancy) for the trace exporter.
     pub fn run_frame_traced(&self, scene: &Scene) -> (FrameReport, FrameTrace) {
         let mut trace = FrameTrace::enabled();
-        let report = Session::new(self.cfg.clone()).frame(scene, true, &mut trace);
+        let report = self.replay_into(&FramePlan::new(&self.cfg, scene), &mut trace);
         (report, trace)
+    }
+
+    /// Replays a shared [`FramePlan`] and reports the frame exactly as
+    /// [`run_frame`](Self::run_frame) reports the plan's scene. The plan
+    /// may come from [`FramePlan::new`] under any configuration with this
+    /// one's [`PlanKey`].
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if the plan's key is not this
+    /// configuration's.
+    pub fn replay(&self, plan: &FramePlan) -> FrameReport {
+        self.replay_into(plan, &mut FrameTrace::disabled())
+    }
+
+    /// A one-shot replay over a cold memory system.
+    fn replay_into(&self, plan: &FramePlan, trace: &mut FrameTrace) -> FrameReport {
+        let mut hierarchy =
+            MemoryHierarchy::new(self.cfg.gpu.l2, self.cfg.gpu.memory, self.cfg.l2_mode);
+        replay_frame(&self.cfg, plan, &mut hierarchy, true, trace)
     }
 }
 
@@ -623,226 +758,243 @@ impl Session {
     /// and texture working set.
     pub fn run_frame(&mut self, scene: &Scene) -> FrameReport {
         self.hierarchy.reset_counters();
-        self.l1s.reset_stats();
-        self.frame(scene, false, &mut FrameTrace::disabled())
-    }
-
-    /// One frame over this session's memory system, for either Tile Cache
-    /// organisation. `one_shot` selects cold-start semantics: apply the L2
-    /// warm start and dispose of the whole Parameter Buffer at frame end;
-    /// steady state (`false`) keeps the L2 across frames. `trace` collects
-    /// the Tiling Engine timeline; pass [`FrameTrace::disabled`] for
-    /// measurement runs (a disabled collector records nothing and perturbs
-    /// nothing).
-    fn frame(&mut self, scene: &Scene, one_shot: bool, trace: &mut FrameTrace) -> FrameReport {
-        let Session {
-            cfg,
-            hierarchy,
-            l1s,
-            raster,
-        } = self;
-        let (grid, order, frame) = geometry_and_bin(cfg, scene, l1s, hierarchy);
-        let mut tc = TileCache::new(cfg);
-        // The baseline keeps the strided PB-Lists layout (Fig. 3); TCOR
-        // uses the configured scheme (interleaved, Fig. 6, unless ablated).
-        let list_scheme = match tc {
-            TileCache::Unified(_) => ListsScheme::Baseline,
-            TileCache::Split { .. } => cfg.list_scheme,
-        };
-        let tagger = Tagger {
-            lists: ListsLayout::new(list_scheme, grid.num_tiles() as u32),
-            attrs: AttributesLayout::new(&frame.binned.attr_counts()),
-            frame: &frame.binned,
-            order: &order,
-        };
-
-        if one_shot && cfg.warm_l2 {
-            warm_l2(hierarchy, &tagger);
-        }
-
-        // --- Polygon List Builder phase.
-        let mut plb_cycles = 0u64;
-        for op in plb_ops(&frame.binned, &order) {
-            plb_cycles += 1;
-            match op {
-                PlbOp::PmdWrite { tile, n, .. } => {
-                    let block = tagger.lists.pmd_block(tile, n);
-                    write_block(
-                        tc.blocks(),
-                        block,
-                        cfg.fetch_on_write_miss,
-                        hierarchy,
-                        &tagger,
-                    );
-                }
-                PlbOp::AttrWrite { prim, k } => match &mut tc {
-                    TileCache::Unified(cache) => {
-                        let block = tagger.attrs.attr_block(prim.index(), k);
-                        write_block(cache, block, cfg.fetch_on_write_miss, hierarchy, &tagger);
-                    }
-                    TileCache::Split {
-                        attrs, bypassed, ..
-                    } => {
-                        // The Attribute Cache allocates or bypasses a whole
-                        // primitive on its first attribute write.
-                        if k == 0 {
-                            let p = frame.binned.primitive(prim);
-                            *bypassed = match attrs.write(prim, p.attr_count, p.first_use()) {
-                                WriteResult::Allocated { evicted } => {
-                                    write_back_prims(&evicted, hierarchy, &tagger);
-                                    None
-                                }
-                                WriteResult::Bypassed => Some(prim),
-                            };
-                        }
-                        if *bypassed == Some(prim) {
-                            let block = tagger.attrs.attr_block(prim.index(), k);
-                            hierarchy.access(block, AccessKind::Write, tagger.attr_tag(prim));
-                        }
-                    }
-                },
-            }
-        }
-
-        // --- Tile Fetcher phase.
-        let mut timing = MshrTiming::new(cfg.mshrs);
-        let mut prims_fetched = 0u64;
-        let mut coupled_cycles = 0.0f64;
-        let mut tile_mark = 0u64;
-        for op in fetch_ops(&frame.binned, &order) {
-            match op {
-                FetchOp::ListRead { tile, first_n } => {
-                    let block = tagger.lists.pmd_block(tile, first_n);
-                    read_block(tc.blocks(), block, hierarchy, &tagger, &mut timing);
-                }
-                FetchOp::PrimRead { tile, prim, .. } => {
-                    prims_fetched += 1;
-                    let p = frame.binned.primitive(prim);
-                    match &mut tc {
-                        TileCache::Unified(cache) => {
-                            for k in 0..p.attr_count {
-                                let block = tagger.attrs.attr_block(prim.index(), k);
-                                read_block(cache, block, hierarchy, &tagger, &mut timing);
-                            }
-                        }
-                        TileCache::Split { attrs, queue, .. } => {
-                            let opt_number = p.next_use_after(order.rank_of(tile));
-                            loop {
-                                match attrs.read(prim, p.attr_count, opt_number) {
-                                    ReadResult::Hit => {
-                                        timing.issue_hit();
-                                        break;
-                                    }
-                                    ReadResult::Miss { evicted } => {
-                                        write_back_prims(&evicted, hierarchy, &tagger);
-                                        for k in 0..p.attr_count {
-                                            let block = tagger.attrs.attr_block(prim.index(), k);
-                                            let lat = hierarchy.access(
-                                                block,
-                                                AccessKind::Read,
-                                                tagger.attr_tag(prim),
-                                            );
-                                            timing.issue_miss(lat as u64);
-                                        }
-                                        break;
-                                    }
-                                    ReadResult::Stalled => {
-                                        // Wait for the Rasterizer to consume
-                                        // the oldest queued primitive, then
-                                        // retry.
-                                        let oldest = queue.pop_front().unwrap_or_else(|| {
-                                            panic!(
-                                                "attribute cache deadlock: {prim:?} \
-                                                 needs {} entries",
-                                                p.attr_count
-                                            )
-                                        });
-                                        attrs.unlock(oldest);
-                                        timing.bubble(1);
-                                    }
-                                }
-                            }
-                            queue.push_back(prim);
-                            if queue.len() > cfg.queue_depth {
-                                let oldest = queue.pop_front().expect("nonempty");
-                                attrs.unlock(oldest);
-                            }
-                        }
-                    }
-                }
-                FetchOp::TileDone { tile } => {
-                    hierarchy.tile_done();
-                    // Fetch/raster coupling: this tile's rasterization
-                    // cannot finish before its primitives were fetched.
-                    let span_start = tile_mark;
-                    let fetch_t = timing.now().saturating_sub(tile_mark) as f64;
-                    tile_mark = timing.now();
-                    if trace.is_enabled() {
-                        emit_tile_trace(trace, plb_cycles, span_start, &timing, hierarchy, tile);
-                        let now = plb_cycles + timing.now();
-                        match &tc {
-                            TileCache::Unified(_) => trace.counter(
-                                "tile$",
-                                "prims",
-                                now,
-                                vec![("fetched", prims_fetched)],
-                            ),
-                            TileCache::Split { attrs, .. } => trace.counter(
-                                "attr$",
-                                "attr_cache",
-                                now,
-                                vec![
-                                    ("resident", attrs.resident_primitives() as u64),
-                                    ("free_entries", attrs.free_entries() as u64),
-                                    ("locked", attrs.locked_primitives()),
-                                ],
-                            ),
-                        }
-                    }
-                    let raster_t = frame.fragments_per_tile[tile.index()]
-                        * cfg.raster.shader_instructions as f64
-                        / (cfg.fragment_processors * cfg.simd_lanes) as f64
-                        + 32.0;
-                    coupled_cycles += fetch_t.max(raster_t);
-                    raster_tile(tile.index(), &frame, &grid, raster, l1s, hierarchy);
-                }
-            }
-        }
-        let fetch_cycles = timing.finish();
-        emit_phase_trace(trace, plb_cycles, fetch_cycles);
-
-        // --- End of frame. Draining the Attribute Cache also unlocks the
-        // primitives still in the output queue.
-        if let TileCache::Split { attrs, .. } = &mut tc {
-            write_back_prims(&attrs.drain(), hierarchy, &tagger);
-        }
-        for wb in tc.blocks().drain_dirty() {
-            hierarchy.access(wb, AccessKind::Write, tagger.tag_of(wb));
-        }
-        let pb_footprint = tagger
-            .lists
-            .footprint_bytes(frame.binned.max_list_len() as u32)
-            + tagger.attrs.footprint_bytes();
-        if one_shot {
-            hierarchy.end_frame();
-        } else {
-            hierarchy.frame_boundary();
-        }
-
-        build_report(
-            cfg,
-            &tc,
-            hierarchy,
-            l1s,
-            raster,
-            &frame,
-            fetch_cycles,
-            prims_fetched,
-            plb_cycles,
-            coupled_cycles,
-            pb_footprint,
+        let plan = FramePlan::build(&self.cfg, scene, &mut self.l1s, &mut self.raster);
+        replay_frame(
+            &self.cfg,
+            &plan,
+            &mut self.hierarchy,
+            false,
+            &mut FrameTrace::disabled(),
         )
     }
+}
+
+/// Replays `plan` under `cfg` over `hierarchy`: the Tile Cache, L2, DRAM
+/// and timing part of a frame, for either Tile Cache organisation. The
+/// L2 sees the plan's L1 misses where the frame produced them: the vertex
+/// misses first, then, at each tile's `TileDone`, its texture misses, its
+/// instruction misses and its framebuffer writes. `one_shot` selects
+/// cold-start semantics: apply the L2 warm start and dispose of the whole
+/// Parameter Buffer at frame end; steady state (`false`) keeps the L2
+/// across frames. `trace` collects the Tiling Engine timeline; pass
+/// [`FrameTrace::disabled`] for measurement runs (a disabled collector
+/// records nothing and perturbs nothing).
+fn replay_frame(
+    cfg: &SystemConfig,
+    plan: &FramePlan,
+    hierarchy: &mut MemoryHierarchy,
+    one_shot: bool,
+    trace: &mut FrameTrace,
+) -> FrameReport {
+    if let Some(field) = plan.key.mismatch(&PlanKey::of(cfg)) {
+        panic!("frame plan replayed under a config with a different `{field}`");
+    }
+    let FramePlan {
+        grid, order, frame, ..
+    } = plan;
+    // Framebuffer addresses and shader work only read the parameters.
+    let raster = RasterTraffic::new(cfg.raster);
+    read_misses(&plan.vertex_misses, hierarchy);
+    let mut tc = TileCache::new(cfg);
+    // The baseline keeps the strided PB-Lists layout (Fig. 3); TCOR
+    // uses the configured scheme (interleaved, Fig. 6, unless ablated).
+    let list_scheme = match tc {
+        TileCache::Unified(_) => ListsScheme::Baseline,
+        TileCache::Split { .. } => cfg.list_scheme,
+    };
+    let tagger = Tagger {
+        lists: ListsLayout::new(list_scheme, grid.num_tiles() as u32),
+        attrs: AttributesLayout::new(&frame.binned.attr_counts()),
+        frame: &frame.binned,
+        order,
+    };
+
+    if one_shot && cfg.warm_l2 {
+        warm_l2(hierarchy, &tagger);
+    }
+
+    // --- Polygon List Builder phase.
+    let mut plb_cycles = 0u64;
+    for op in plb_ops(&frame.binned, order) {
+        plb_cycles += 1;
+        match op {
+            PlbOp::PmdWrite { tile, n, .. } => {
+                let block = tagger.lists.pmd_block(tile, n);
+                write_block(
+                    tc.blocks(),
+                    block,
+                    cfg.fetch_on_write_miss,
+                    hierarchy,
+                    &tagger,
+                );
+            }
+            PlbOp::AttrWrite { prim, k } => match &mut tc {
+                TileCache::Unified(cache) => {
+                    let block = tagger.attrs.attr_block(prim.index(), k);
+                    write_block(cache, block, cfg.fetch_on_write_miss, hierarchy, &tagger);
+                }
+                TileCache::Split {
+                    attrs, bypassed, ..
+                } => {
+                    // The Attribute Cache allocates or bypasses a whole
+                    // primitive on its first attribute write.
+                    if k == 0 {
+                        let p = frame.binned.primitive(prim);
+                        *bypassed = match attrs.write(prim, p.attr_count, p.first_use()) {
+                            WriteResult::Allocated { evicted } => {
+                                write_back_prims(&evicted, hierarchy, &tagger);
+                                None
+                            }
+                            WriteResult::Bypassed => Some(prim),
+                        };
+                    }
+                    if *bypassed == Some(prim) {
+                        let block = tagger.attrs.attr_block(prim.index(), k);
+                        hierarchy.access(block, AccessKind::Write, tagger.attr_tag(prim));
+                    }
+                }
+            },
+        }
+    }
+
+    // --- Tile Fetcher phase.
+    let mut timing = MshrTiming::new(cfg.mshrs);
+    let mut prims_fetched = 0u64;
+    let mut coupled_cycles = 0.0f64;
+    let mut tile_mark = 0u64;
+    for op in fetch_ops(&frame.binned, order) {
+        match op {
+            FetchOp::ListRead { tile, first_n } => {
+                let block = tagger.lists.pmd_block(tile, first_n);
+                read_block(tc.blocks(), block, hierarchy, &tagger, &mut timing);
+            }
+            FetchOp::PrimRead { tile, prim, .. } => {
+                prims_fetched += 1;
+                let p = frame.binned.primitive(prim);
+                match &mut tc {
+                    TileCache::Unified(cache) => {
+                        for k in 0..p.attr_count {
+                            let block = tagger.attrs.attr_block(prim.index(), k);
+                            read_block(cache, block, hierarchy, &tagger, &mut timing);
+                        }
+                    }
+                    TileCache::Split { attrs, queue, .. } => {
+                        let opt_number = p.next_use_after(order.rank_of(tile));
+                        loop {
+                            match attrs.read(prim, p.attr_count, opt_number) {
+                                ReadResult::Hit => {
+                                    timing.issue_hit();
+                                    break;
+                                }
+                                ReadResult::Miss { evicted } => {
+                                    write_back_prims(&evicted, hierarchy, &tagger);
+                                    for k in 0..p.attr_count {
+                                        let block = tagger.attrs.attr_block(prim.index(), k);
+                                        let lat = hierarchy.access(
+                                            block,
+                                            AccessKind::Read,
+                                            tagger.attr_tag(prim),
+                                        );
+                                        timing.issue_miss(lat as u64);
+                                    }
+                                    break;
+                                }
+                                ReadResult::Stalled => {
+                                    // Wait for the Rasterizer to consume
+                                    // the oldest queued primitive, then
+                                    // retry.
+                                    let oldest = queue.pop_front().unwrap_or_else(|| {
+                                        panic!(
+                                            "attribute cache deadlock: {prim:?} \
+                                                 needs {} entries",
+                                            p.attr_count
+                                        )
+                                    });
+                                    attrs.unlock(oldest);
+                                    timing.bubble(1);
+                                }
+                            }
+                        }
+                        queue.push_back(prim);
+                        if queue.len() > cfg.queue_depth {
+                            let oldest = queue.pop_front().expect("nonempty");
+                            attrs.unlock(oldest);
+                        }
+                    }
+                }
+            }
+            FetchOp::TileDone { tile } => {
+                hierarchy.tile_done();
+                // Fetch/raster coupling: this tile's rasterization
+                // cannot finish before its primitives were fetched.
+                let span_start = tile_mark;
+                let fetch_t = timing.now().saturating_sub(tile_mark) as f64;
+                tile_mark = timing.now();
+                if trace.is_enabled() {
+                    emit_tile_trace(trace, plb_cycles, span_start, &timing, hierarchy, tile);
+                    let now = plb_cycles + timing.now();
+                    match &tc {
+                        TileCache::Unified(_) => {
+                            trace.counter("tile$", "prims", now, vec![("fetched", prims_fetched)])
+                        }
+                        TileCache::Split { attrs, .. } => trace.counter(
+                            "attr$",
+                            "attr_cache",
+                            now,
+                            vec![
+                                ("resident", attrs.resident_primitives() as u64),
+                                ("free_entries", attrs.free_entries() as u64),
+                                ("locked", attrs.locked_primitives()),
+                            ],
+                        ),
+                    }
+                }
+                let raster_t = frame.fragments_per_tile[tile.index()]
+                    * cfg.raster.shader_instructions as f64
+                    / (cfg.fragment_processors * cfg.simd_lanes) as f64
+                    + 32.0;
+                coupled_cycles += fetch_t.max(raster_t);
+                // Raster-side traffic of the finished tile.
+                read_misses(plan.tile_misses(order.rank_of(tile)), hierarchy);
+                for b in raster.framebuffer_blocks(tile.index(), grid.tile_size()) {
+                    hierarchy.write_direct(b);
+                }
+            }
+        }
+    }
+    let fetch_cycles = timing.finish();
+    emit_phase_trace(trace, plb_cycles, fetch_cycles);
+
+    // --- End of frame. Draining the Attribute Cache also unlocks the
+    // primitives still in the output queue.
+    if let TileCache::Split { attrs, .. } = &mut tc {
+        write_back_prims(&attrs.drain(), hierarchy, &tagger);
+    }
+    for wb in tc.blocks().drain_dirty() {
+        hierarchy.access(wb, AccessKind::Write, tagger.tag_of(wb));
+    }
+    let pb_footprint = tagger
+        .lists
+        .footprint_bytes(frame.binned.max_list_len() as u32)
+        + tagger.attrs.footprint_bytes();
+    if one_shot {
+        hierarchy.end_frame();
+    } else {
+        hierarchy.frame_boundary();
+    }
+
+    build_report(
+        cfg,
+        &tc,
+        hierarchy,
+        plan,
+        &raster,
+        fetch_cycles,
+        prims_fetched,
+        plb_cycles,
+        coupled_cycles,
+        pb_footprint,
+    )
 }
 
 #[cfg(test)]
@@ -982,6 +1134,39 @@ mod tests {
                 r.l2_wb_blocks + r.dead_drops,
                 "L2 writeback disposal does not balance"
             );
+        }
+    }
+
+    #[test]
+    fn replaying_under_another_plan_key_panics_naming_the_field() {
+        let cfg = SystemConfig::paper_tcor_64k();
+        let plan = FramePlan::new(&cfg, &test_scene(50));
+        type Edit = fn(&mut SystemConfig);
+        let edits: [(&str, Edit); 10] = [
+            ("gpu.screen_width", |c| c.gpu.screen_width = 1024),
+            ("gpu.screen_height", |c| c.gpu.screen_height = 512),
+            ("gpu.tile_size", |c| c.gpu.tile_size = 16),
+            ("gpu.traversal", |c| c.gpu.traversal = Traversal::Scanline),
+            ("overlap_test", |c| c.overlap_test = OverlapTest::Exact),
+            ("raster", |c| c.raster.seed ^= 1),
+            ("gpu.vertex_cache", |c| {
+                c.gpu.vertex_cache = CacheParams::new(32 << 10, LINE_SIZE, 4, 1)
+            }),
+            ("gpu.texture_cache", |c| {
+                c.gpu.texture_cache = CacheParams::new(32 << 10, LINE_SIZE, 4, 1)
+            }),
+            ("gpu.num_texture_caches", |c| c.gpu.num_texture_caches = 2),
+            ("instr_cache", |c| {
+                c.instr_cache = CacheParams::new(4 << 10, LINE_SIZE, 4, 1)
+            }),
+        ];
+        for (field, edit) in edits {
+            let mut other = cfg.clone();
+            edit(&mut other);
+            let sys = System::new(other);
+            let panic = std::panic::catch_unwind(|| sys.replay(&plan)).expect_err(field);
+            let msg = panic.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains(&format!("`{field}`")), "{msg}");
         }
     }
 }

@@ -397,6 +397,16 @@ impl Telemetry {
             .collect()
     }
 
+    /// The sum of counter `name` over every completed job.
+    pub fn counter_total(&self, name: &str) -> u64 {
+        self.records()
+            .iter()
+            .flat_map(|r| &r.counters)
+            .filter(|(n, _)| n == name)
+            .map(|(_, v)| v)
+            .sum()
+    }
+
     /// `(job id, label, panic message)` of every failed job.
     pub fn failures(&self) -> Vec<(usize, String, String)> {
         self.lock()
@@ -651,6 +661,16 @@ mod tests {
         assert!(text.contains("\"endpoint\":\"/v1/cell\""));
         assert!(text.contains("\"key\":7"));
         assert!(text.contains("\"t_ms\":"));
+    }
+
+    #[test]
+    fn counter_totals_sum_over_jobs() {
+        let t = Telemetry::new();
+        t.job_end(0, "a", 0, vec![("builds".into(), 1), ("replays".into(), 6)]);
+        t.job_end(1, "b", 1, vec![("replays".into(), 4)]);
+        assert_eq!(t.counter_total("builds"), 1);
+        assert_eq!(t.counter_total("replays"), 10);
+        assert_eq!(t.counter_total("absent"), 0);
     }
 
     #[test]

@@ -9,23 +9,40 @@
 
 use crate::orchestrate::calibrated_scene;
 use crate::output::{f3, Table};
-use tcor::{System, SystemConfig};
+use crate::plans::{replay_shared, PlanWork};
+use tcor::SystemConfig;
 use tcor_cache::policy::Opt;
 use tcor_cache::profile::simulate_policy;
 use tcor_cache::{AccessMeta, Cache, Indexing};
 use tcor_common::{CacheParams, TcorResult, TileGrid, Traversal};
-use tcor_gpu::bin_scene;
+use tcor_gpu::{bin_scene, RasterParams};
 use tcor_pbuf::ListsScheme;
 use tcor_runner::ArtifactStore;
 use tcor_workloads::trace::opt_number_annotations;
 use tcor_workloads::{primitive_trace, prims_capacity, suite};
 
-/// Runs all four ablations over the suite and tabulates the outcome.
+/// Full TCOR at the 64 KiB budget, then its D3 (baseline strided list
+/// layout under the split caches), D2 (write bypass disabled) and D5
+/// (modulo indexing in the Primitive Buffer) variants. All four replay
+/// one frame plan.
+pub(crate) fn variants(rp: RasterParams) -> [SystemConfig; 4] {
+    let tcor = SystemConfig::paper_tcor_64k().with_raster(rp);
+    let mut d3 = tcor.clone();
+    d3.list_scheme = ListsScheme::Baseline;
+    let mut d2 = tcor.clone();
+    d2.attr_write_bypass = false;
+    let mut d5 = tcor.clone();
+    d5.attr_indexing = Indexing::Modulo;
+    [tcor, d3, d2, d5]
+}
+
+/// Runs all four ablations over the suite and tabulates the outcome,
+/// counting its frame replays in `work`.
 ///
 /// # Errors
 ///
-/// Propagates store corruption from the scene lookups.
-pub fn ablation(store: &ArtifactStore) -> TcorResult<Table> {
+/// Propagates store corruption from the scene and plan lookups.
+pub fn ablation(store: &ArtifactStore, work: &PlanWork) -> TcorResult<Table> {
     let grid = TileGrid::new(1960, 768, 32);
     let order = Traversal::ZOrder.order(&grid);
     let mut t = Table::new(
@@ -42,32 +59,17 @@ pub fn ablation(store: &ArtifactStore) -> TcorResult<Table> {
         ],
     );
     for b in suite() {
-        let cal = calibrated_scene(store, &b, &grid)?;
-        let scene = &cal.scene;
-        let rp = b.raster_params();
-
-        // Full TCOR reference.
-        let tcor = System::new(SystemConfig::paper_tcor_64k().with_raster(rp)).run_frame(scene);
-        let reference = tcor.pb_l2_accesses() as f64;
-
-        // D3: baseline (strided) list layout under the TCOR split caches.
-        let mut cfg = SystemConfig::paper_tcor_64k().with_raster(rp);
-        cfg.list_scheme = ListsScheme::Baseline;
-        let d3 = System::new(cfg).run_frame(scene).pb_l2_accesses() as f64 / reference;
-
-        // D2: write bypass disabled.
-        let mut cfg = SystemConfig::paper_tcor_64k().with_raster(rp);
-        cfg.attr_write_bypass = false;
-        let d2 = System::new(cfg).run_frame(scene).pb_l2_accesses() as f64 / reference;
-
-        // D5: modulo indexing in the Primitive Buffer.
-        let mut cfg = SystemConfig::paper_tcor_64k().with_raster(rp);
-        cfg.attr_indexing = Indexing::Modulo;
-        let d5 = System::new(cfg).run_frame(scene).pb_l2_accesses() as f64 / reference;
+        let [tcor, d3, d2, d5] = variants(b.raster_params()).map(|cfg| {
+            replay_shared(store, &b, &grid, cfg, work).map(|r| r.pb_l2_accesses() as f64)
+        });
+        // D3, D2 and D5 traffic, normalized to full TCOR.
+        let reference = tcor?;
+        let (d3, d2, d5) = (d3? / reference, d2? / reference, d5? / reference);
 
         // D1: exact Belady vs hardware OPT Numbers on a 4-way,
         // 48 KiB-equivalent primitive-granularity cache.
-        let frame = bin_scene(scene, &grid, &order);
+        let cal = calibrated_scene(store, &b, &grid)?;
+        let frame = bin_scene(&cal.scene, &grid, &order);
         let trace = primitive_trace(&frame.binned, &order);
         let cap = prims_capacity(48 << 10);
         let lines = ((cap as u64 / 4).max(1)) * 4;

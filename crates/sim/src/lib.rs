@@ -31,6 +31,7 @@ pub mod loadgen;
 pub mod misscurves;
 pub mod orchestrate;
 pub mod output;
+pub mod plans;
 pub mod report_json;
 pub mod scaling;
 pub mod serve_backend;
@@ -45,6 +46,7 @@ pub use orchestrate::{
     run_experiments, run_experiments_strict, ExecMode, ExperimentOutcome, RunOptions, RunOutcome,
 };
 pub use output::Table;
+pub use plans::PlanWork;
 pub use serve_backend::{sim_version, SimBackend};
 pub use suite::{BenchmarkRun, SuiteRun};
 
@@ -79,7 +81,8 @@ pub const EXPERIMENTS: [&str; 25] = [
 
 /// Runs one experiment by id against `store`, computing (and memoizing)
 /// whatever shared artifacts it needs — the full-system [`SuiteRun`],
-/// the aggregated PB traces, calibrated scenes.
+/// the aggregated PB traces, calibrated scenes, frame plans — and
+/// counting its frame-plan builds and replays in `work`.
 ///
 /// # Errors
 ///
@@ -88,8 +91,9 @@ pub const EXPERIMENTS: [&str; 25] = [
 pub fn try_run_experiment(
     store: &tcor_runner::ArtifactStore,
     id: &str,
+    work: &PlanWork,
 ) -> tcor_common::TcorResult<Vec<Table>> {
-    let suite = || orchestrate::suite_from_store(store);
+    let suite = || orchestrate::suite_from_store(store, work);
     Ok(match id {
         "table1" => vec![tables::table1()],
         "table2" => vec![tables::table2(&*suite()?)],
@@ -111,10 +115,10 @@ pub fn try_run_experiment(
         "fig23" => vec![figures::fig23_24(&*suite()?, false)],
         "fig24" => vec![figures::fig23_24(&*suite()?, true)],
         "headline" => vec![figures::headline(&*suite()?)],
-        "ablation" => vec![ablation::ablation(store)?],
-        "scaling" => vec![scaling::scaling(store)?],
-        "sweep" => vec![sweep::sweep(store)?],
-        "traversal" => vec![traversal_study::traversal_study(store)?],
+        "ablation" => vec![ablation::ablation(store, work)?],
+        "scaling" => vec![scaling::scaling(store, work)?],
+        "sweep" => vec![sweep::sweep(store, work)?],
+        "traversal" => vec![traversal_study::traversal_study(store, work)?],
         "utilization" => vec![utilization::utilization(&*suite()?)],
         other => {
             return Err(tcor_common::TcorError::config(format!(

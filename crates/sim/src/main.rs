@@ -174,7 +174,7 @@ fn run_audit(
     store: &tcor_runner::ArtifactStore,
     inject_fault: bool,
 ) -> tcor_common::TcorResult<usize> {
-    let suite = tcor_sim::orchestrate::suite_from_store(store)?;
+    let suite = tcor_sim::orchestrate::suite_from_store(store, &tcor_sim::PlanWork::default())?;
     let mut violations = Vec::new();
     let mut cells = 0usize;
     for b in &suite.benchmarks {
@@ -1420,6 +1420,11 @@ fn main() -> ExitCode {
 
     eprintln!("telemetry: {}", telemetry_path.display());
     eprint!("{}", telemetry.summary(5));
+    eprintln!(
+        "frame plans: {} built, {} replayed",
+        telemetry.counter_total("plan_builds"),
+        telemetry.counter_total("plan_replays")
+    );
     eprintln!(
         "artifact store: {} computed, {} shared",
         store.computes(),

@@ -4,8 +4,9 @@
 //! inputs per experiment: every miss-curve figure rebuilt all ten suite
 //! traces, and every suite cell re-calibrated its scene. Here each
 //! experiment becomes a node of a dependency DAG whose shared inputs —
-//! calibrated scenes, the aggregated PB traces, the 60 full-system cell
-//! reports, the assembled [`SuiteRun`] — live in a content-addressed
+//! calibrated scenes, the aggregated PB traces, the frame plans
+//! ([`crate::plans`]), the 60 full-system cell reports, the assembled
+//! [`SuiteRun`] — live in a content-addressed
 //! [`ArtifactStore`], computed exactly once per process and shared
 //! across however many workers the executor runs.
 //!
@@ -22,7 +23,9 @@
 
 use crate::misscurves;
 use crate::output::Table;
-use crate::suite::{assemble_run, run_cell, SuiteRun, CELL_CONFIGS};
+use crate::plans::{frame_plan, replay_shared, PlanWork};
+use crate::suite::{assemble_run, cell_config, SuiteRun, CELL_CONFIGS};
+use crate::{scaling, sweep, traversal_study};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -45,7 +48,7 @@ pub fn artifact_key(desc: &str) -> u64 {
     tcor_common::fxhash64(desc.as_bytes())
 }
 
-fn scene_key(profile: &BenchmarkProfile, grid: &TileGrid) -> u64 {
+pub(crate) fn scene_key(profile: &BenchmarkProfile, grid: &TileGrid) -> u64 {
     artifact_key(&format!(
         "scene/{}/seed={:#x}/{}x{}/tile={}",
         profile.alias,
@@ -85,7 +88,8 @@ pub fn calibrated_scene(
     })
 }
 
-/// One full-system cell (benchmark × configuration), memoized.
+/// One full-system cell (benchmark × configuration), memoized, replayed
+/// on the workload's shared frame plan. Counts its plan work in `work`.
 ///
 /// # Errors
 ///
@@ -93,22 +97,28 @@ pub fn calibrated_scene(
 pub fn cell_report(
     store: &ArtifactStore,
     profile: &BenchmarkProfile,
-    scene: &CalibratedScene,
     cfg: &str,
+    work: &PlanWork,
 ) -> TcorResult<Arc<FrameReport>> {
-    store.get_or_compute(cell_key(profile, cfg), || {
-        run_cell(profile, &scene.scene, cfg)
+    store.get_or_try_compute(cell_key(profile, cfg), || {
+        replay_shared(
+            store,
+            profile,
+            &paper_grid(),
+            cell_config(profile, cfg),
+            work,
+        )
     })
 }
 
 /// The full Table II suite, assembled from memoized cells. Any cells
 /// already computed by the job graph are reused; missing ones are
-/// computed here (the serial / on-demand path).
+/// computed here (the serial / on-demand path), counted in `work`.
 ///
 /// # Errors
 ///
 /// Propagates store corruption from any scene or cell lookup.
-pub fn suite_from_store(store: &ArtifactStore) -> TcorResult<Arc<SuiteRun>> {
+pub fn suite_from_store(store: &ArtifactStore, work: &PlanWork) -> TcorResult<Arc<SuiteRun>> {
     let key = artifact_key(SUITE_DESC);
     if let Some(suite) = store.get::<SuiteRun>(key)? {
         return Ok(suite);
@@ -121,7 +131,7 @@ pub fn suite_from_store(store: &ArtifactStore) -> TcorResult<Arc<SuiteRun>> {
         let cal = calibrated_scene(store, p, &grid)?;
         let mut cells: Vec<Arc<FrameReport>> = Vec::with_capacity(CELL_CONFIGS.len());
         for cfg in CELL_CONFIGS {
-            cells.push(cell_report(store, p, &cal, cfg)?);
+            cells.push(cell_report(store, p, cfg, work)?);
         }
         runs.push(assemble_run(p, &cal, |cfg| {
             let i = CELL_CONFIGS
@@ -160,6 +170,18 @@ fn needs_traces(id: &str) -> bool {
 /// Whether `id` reads calibrated scenes directly (outside suite/traces).
 fn needs_scenes(id: &str) -> bool {
     matches!(id, "ablation" | "scaling" | "sweep" | "traversal")
+}
+
+/// Whether `id` replays `alias`'s shared frame plan: the suite's cells
+/// and the ablation replay every workload's, the other studies their
+/// own workloads'.
+fn needs_plan(id: &str, alias: &str) -> bool {
+    match id {
+        "sweep" => sweep::WORKLOADS.contains(&alias),
+        "scaling" => alias == scaling::WORKLOAD,
+        "traversal" => traversal_study::WORKLOADS.contains(&alias),
+        _ => needs_suite(id) || id == "ablation",
+    }
 }
 
 /// How to execute a job graph.
@@ -314,19 +336,46 @@ pub fn run_experiments(
         })
     });
 
-    // Tier 2b: the 60 full-system cells, each depending only on its
-    // scene, then one assembly barrier producing the SuiteRun.
-    let suite_job = want_suite.then(|| {
-        let mut cells = Vec::with_capacity(profiles.len() * CELL_CONFIGS.len());
-        for (p, sid) in profiles.iter().zip(&scene_ids) {
-            for cfg in CELL_CONFIGS {
-                let (p, grid) = (*p, grid);
-                cells.push(g.add_job(
-                    format!("cell:{}/{cfg}", p.alias),
+    // Tier 2b: one frame plan per workload that the cells or a study
+    // replays. A workload's six cells, the ablation, the sweep and the
+    // scaling study all replay the same plan; building it in its own job
+    // keeps the workers from waiting on it inside their cells.
+    let plan_ids: Vec<Option<JobId>> = profiles
+        .iter()
+        .zip(&scene_ids)
+        .map(|(p, sid)| {
+            let (p, grid) = (*p, grid);
+            ids.iter().any(|id| needs_plan(id, p.alias)).then(|| {
+                g.add_job(
+                    format!("plan:{}", p.alias),
                     &[*sid],
                     move |ctx: &JobCtx<'_>| {
-                        let cal = calibrated_scene(ctx.store(), &p, &grid)?;
-                        let r = cell_report(ctx.store(), &p, &cal, cfg)?;
+                        let work = PlanWork::default();
+                        let cfg = cell_config(&p, CELL_CONFIGS[0]);
+                        frame_plan(ctx.store(), &p, &grid, &cfg, &work)?;
+                        work.emit(ctx);
+                        Ok(None)
+                    },
+                )
+            })
+        })
+        .collect();
+
+    // Tier 2c: the 60 full-system cells, each depending only on its
+    // plan, then one assembly barrier producing the SuiteRun.
+    let suite_job = want_suite.then(|| {
+        let mut cells = Vec::with_capacity(profiles.len() * CELL_CONFIGS.len());
+        for (p, plan) in profiles.iter().zip(&plan_ids) {
+            let plan = plan.expect("the suite replays every workload's plan");
+            for cfg in CELL_CONFIGS {
+                let p = *p;
+                cells.push(g.add_job(
+                    format!("cell:{}/{cfg}", p.alias),
+                    &[plan],
+                    move |ctx: &JobCtx<'_>| {
+                        let work = PlanWork::default();
+                        let r = cell_report(ctx.store(), &p, cfg, &work)?;
+                        work.emit(ctx);
                         ctx.counter("pb_l2_accesses", r.pb_l2_accesses());
                         ctx.counter("pb_mm_accesses", r.pb_mm_accesses());
                         ctx.counter("l2_hits", r.l2_stats.hits());
@@ -337,7 +386,9 @@ pub fn run_experiments(
             }
         }
         g.add_job("suite:assemble", &cells, |ctx: &JobCtx<'_>| {
-            let suite = suite_from_store(ctx.store())?;
+            let work = PlanWork::default();
+            let suite = suite_from_store(ctx.store(), &work)?;
+            work.emit(ctx);
             ctx.counter("benchmarks", suite.benchmarks.len() as u64);
             Ok(None)
         })
@@ -355,11 +406,18 @@ pub fn run_experiments(
         }
         if needs_scenes(id) {
             deps.extend_from_slice(&scene_ids);
+            for (p, plan) in profiles.iter().zip(&plan_ids) {
+                if needs_plan(id, p.alias) {
+                    deps.extend(*plan);
+                }
+            }
         }
         let id = id.clone();
         exp_jobs.push(
             g.add_job(format!("exp:{id}"), &deps, move |ctx: &JobCtx<'_>| {
-                let tables = crate::try_run_experiment(ctx.store(), &id)?;
+                let work = PlanWork::default();
+                let tables = crate::try_run_experiment(ctx.store(), &id, &work)?;
+                work.emit(ctx);
                 // Miss-curve experiments publish how many times they
                 // streamed the suite; surface it on the job-end event.
                 if let Some(n) = misscurves::trace_passes(ctx.store(), &id) {

@@ -8,28 +8,47 @@
 //! baseline's slow Tile Fetcher becomes the frame-time bottleneck while
 //! TCOR keeps scaling.
 
-use crate::orchestrate::calibrated_scene;
 use crate::output::Table;
-use tcor::{System, SystemConfig};
+use crate::plans::{replay_shared, PlanWork};
+use tcor::SystemConfig;
 use tcor_common::{TcorResult, TileGrid};
 use tcor_energy::EnergyModel;
+use tcor_gpu::RasterParams;
 use tcor_runner::ArtifactStore;
 use tcor_workloads::suite;
 
+/// The raster-heavy benchmark the study scales.
+pub const WORKLOAD: &str = "Snp";
+
+/// Fragment processors per point: 1×..8× the Table I four.
+pub(crate) const PROCESSORS: [u32; 4] = [4, 8, 16, 32];
+
+/// The baseline and TCOR configurations at 64 KiB with `processors`
+/// fragment processors.
+pub(crate) fn configs(processors: u32, rp: RasterParams) -> [SystemConfig; 2] {
+    [
+        SystemConfig::paper_baseline_64k(),
+        SystemConfig::paper_tcor_64k(),
+    ]
+    .map(|cfg| SystemConfig {
+        fragment_processors: processors,
+        ..cfg.with_raster(rp)
+    })
+}
+
 /// FPS of baseline and TCOR as fragment-shading throughput scales
-/// (1×..8× the Table I configuration), on a raster-heavy benchmark.
+/// (1×..8× the Table I configuration), on a raster-heavy benchmark,
+/// counting its frame replays in `work`.
 ///
 /// # Errors
 ///
-/// Propagates store corruption from the scene lookup.
-pub fn scaling(store: &ArtifactStore) -> TcorResult<Table> {
+/// Propagates store corruption from the scene and plan lookups.
+pub fn scaling(store: &ArtifactStore, work: &PlanWork) -> TcorResult<Table> {
     let grid = TileGrid::new(1960, 768, 32);
     let profile = suite()
         .into_iter()
-        .find(|b| b.alias == "Snp")
+        .find(|b| b.alias == WORKLOAD)
         .expect("Snp in suite");
-    let cal = calibrated_scene(store, &profile, &grid)?;
-    let scene = &cal.scene;
     let rp = profile.raster_params();
     let model = EnergyModel::default();
 
@@ -44,15 +63,10 @@ pub fn scaling(store: &ArtifactStore) -> TcorResult<Table> {
             "baseline_fetch_bound_frac",
         ],
     );
-    for mult in [1u32, 2, 4, 8] {
-        let procs = 4 * mult;
-        let mut base_cfg = SystemConfig::paper_baseline_64k().with_raster(rp);
-        base_cfg.fragment_processors = procs;
-        let mut tcor_cfg = SystemConfig::paper_tcor_64k().with_raster(rp);
-        tcor_cfg.fragment_processors = procs;
-
-        let base = System::new(base_cfg).run_frame(scene);
-        let tcor = System::new(tcor_cfg).run_frame(scene);
+    for procs in PROCESSORS {
+        let [base, tcor] =
+            configs(procs, rp).map(|cfg| replay_shared(store, &profile, &grid, cfg, work));
+        let (base, tcor) = (base?, tcor?);
         let fb = model.evaluate(&base).fps(600_000_000);
         let ft = model.evaluate(&tcor).fps(600_000_000);
         // How much of the baseline's overlapped phase is fetch-bound:
@@ -76,7 +90,7 @@ mod tests {
 
     #[test]
     fn tcor_fps_advantage_grows_with_raster_throughput() {
-        let t = scaling(&ArtifactStore::new()).unwrap();
+        let t = scaling(&ArtifactStore::new(), &PlanWork::default()).unwrap();
         assert_eq!(t.rows.len(), 4);
         let gain =
             |row: &Vec<String>| -> f64 { row[3].trim_end_matches('%').parse::<f64>().unwrap() };

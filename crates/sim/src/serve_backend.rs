@@ -19,7 +19,8 @@
 //! the disk tier dedups the double put).
 
 use crate::misscurves::{workload_curve, SERVE_POLICIES};
-use crate::orchestrate::{calibrated_scene, cell_report, paper_grid};
+use crate::orchestrate::cell_report;
+use crate::plans::PlanWork;
 use crate::report_json::{frame_report_json, misscurve_json};
 use crate::suite::CELL_CONFIGS;
 use std::sync::Arc;
@@ -43,6 +44,7 @@ pub fn sim_version() -> u64 {
 pub struct SimBackend {
     store: ArtifactStore,
     cache: Option<Arc<dyn ResultCache>>,
+    plans: PlanWork,
 }
 
 impl SimBackend {
@@ -56,14 +58,21 @@ impl SimBackend {
     /// share one set of entries.
     pub fn with_cache(cache: Arc<dyn ResultCache>) -> Self {
         SimBackend {
-            store: ArtifactStore::new(),
             cache: Some(cache),
+            ..Self::default()
         }
     }
 
     /// The artifact store backing this backend (for observability).
     pub fn store(&self) -> &ArtifactStore {
         &self.store
+    }
+
+    /// The frame plans this backend built and the frames it replayed on
+    /// them. A workload's six cells share one plan, so the store holds
+    /// at most one plan per plan key that a cell or a table reaches.
+    pub fn plan_work(&self) -> &PlanWork {
+        &self.plans
     }
 
     fn profile(&self, workload: &str) -> TcorResult<BenchmarkProfile> {
@@ -87,9 +96,7 @@ impl SimBackend {
                 CELL_CONFIGS.join(", ")
             )));
         }
-        let grid = paper_grid();
-        let scene = calibrated_scene(&self.store, &profile, &grid)?;
-        let report = cell_report(&self.store, &profile, &scene, config)?;
+        let report = cell_report(&self.store, &profile, config, &self.plans)?;
         Ok(ApiBody {
             content_type: "application/json".to_string(),
             body: frame_report_json(workload, config, &report).render() + "\n",
@@ -105,7 +112,7 @@ impl SimBackend {
     }
 
     fn table(&self, experiment: &str) -> TcorResult<ApiBody> {
-        let tables = crate::try_run_experiment(&self.store, experiment)?;
+        let tables = crate::try_run_experiment(&self.store, experiment, &self.plans)?;
         Ok(ApiBody {
             content_type: "text/csv; charset=utf-8".to_string(),
             body: tables.iter().map(crate::Table::to_csv).collect(),
@@ -241,11 +248,12 @@ mod tests {
             .unwrap();
         assert_eq!(via_table.body, via_run.body);
         assert_eq!(via_table.content_type, "text/csv; charset=utf-8");
-        let direct: String = crate::try_run_experiment(&ArtifactStore::new(), "fig10")
-            .unwrap()
-            .iter()
-            .map(crate::Table::to_csv)
-            .collect();
+        let direct: String =
+            crate::try_run_experiment(&ArtifactStore::new(), "fig10", &PlanWork::default())
+                .unwrap()
+                .iter()
+                .map(crate::Table::to_csv)
+                .collect();
         assert_eq!(via_table.body, direct);
     }
 }

@@ -1,9 +1,8 @@
 //! Full-system runs over the benchmark suite — the shared substrate of
 //! Figures 14–24.
 
-use tcor::{FrameReport, System, SystemConfig};
+use tcor::{FramePlan, FrameReport, System, SystemConfig};
 use tcor_common::TileGrid;
-use tcor_gpu::Scene;
 use tcor_workloads::BenchmarkProfile;
 
 /// All six configurations of one benchmark: {baseline, TCOR-without-L2,
@@ -75,24 +74,24 @@ pub const CELL_CONFIGS: [&str; 6] = [
     "tcor128",
 ];
 
-/// Runs one configuration cell of one benchmark on an already
-/// calibrated scene.
+/// The configuration of one suite cell, with the benchmark's raster
+/// calibration. All six share one [`tcor::PlanKey`]: they differ only
+/// in the Tile Cache and the L2.
 ///
 /// # Panics
 ///
 /// Panics on a name outside [`CELL_CONFIGS`].
-pub fn run_cell(profile: &BenchmarkProfile, scene: &Scene, cfg: &str) -> FrameReport {
-    let rp = profile.raster_params();
-    let run = |cfg: SystemConfig| System::new(cfg.with_raster(rp)).run_frame(scene);
+pub fn cell_config(profile: &BenchmarkProfile, cfg: &str) -> SystemConfig {
     match cfg {
-        "base64" => run(SystemConfig::paper_baseline_64k()),
-        "tcor_nol2_64" => run(SystemConfig::paper_tcor_64k().without_l2_enhancements()),
-        "tcor64" => run(SystemConfig::paper_tcor_64k()),
-        "base128" => run(SystemConfig::paper_baseline_128k()),
-        "tcor_nol2_128" => run(SystemConfig::paper_tcor_128k().without_l2_enhancements()),
-        "tcor128" => run(SystemConfig::paper_tcor_128k()),
+        "base64" => SystemConfig::paper_baseline_64k(),
+        "tcor_nol2_64" => SystemConfig::paper_tcor_64k().without_l2_enhancements(),
+        "tcor64" => SystemConfig::paper_tcor_64k(),
+        "base128" => SystemConfig::paper_baseline_128k(),
+        "tcor_nol2_128" => SystemConfig::paper_tcor_128k().without_l2_enhancements(),
+        "tcor128" => SystemConfig::paper_tcor_128k(),
         other => panic!("unknown cell config `{other}`"),
     }
+    .with_raster(profile.raster_params())
 }
 
 /// Assembles a [`BenchmarkRun`] from a calibrated scene and a cell
@@ -116,11 +115,13 @@ pub fn assemble_run(
     }
 }
 
-/// Runs one benchmark through all six configurations.
+/// Runs one benchmark through all six configurations, replaying one
+/// frame plan.
 pub fn run_benchmark(profile: &BenchmarkProfile, grid: &TileGrid) -> BenchmarkRun {
     let calibrated = tcor_workloads::synth::calibrate(profile, grid);
+    let plan = FramePlan::new(&cell_config(profile, CELL_CONFIGS[0]), &calibrated.scene);
     assemble_run(profile, &calibrated, |cfg| {
-        run_cell(profile, &calibrated.scene, cfg)
+        System::new(cell_config(profile, cfg)).replay(&plan)
     })
 }
 

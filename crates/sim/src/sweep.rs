@@ -7,16 +7,23 @@
 //! capacity (the Fig. 11 "6.8× smaller cache" claim, measured in the
 //! full system).
 
-use crate::orchestrate::calibrated_scene;
 use crate::output::Table;
-use tcor::{System, SystemConfig};
+use crate::plans::{replay_shared, PlanWork};
+use tcor::SystemConfig;
 use tcor_common::{CacheParams, GpuConfig, TcorResult, TileCacheOrg, TileGrid, LINE_SIZE};
+use tcor_gpu::RasterParams;
 use tcor_mem::L2Mode;
 use tcor_runner::ArtifactStore;
 use tcor_workloads::suite;
 
-fn baseline_cfg(total_kib: u64) -> SystemConfig {
-    let mut cfg = SystemConfig::paper_baseline_64k();
+/// The sweep's small-PB and large-PB benchmarks.
+pub const WORKLOADS: [&str; 2] = ["CCS", "DDS"];
+
+/// The Tile Cache budgets swept, in KiB.
+pub(crate) const BUDGETS_KIB: [u64; 7] = [32, 48, 64, 96, 128, 192, 256];
+
+pub(crate) fn baseline_cfg(total_kib: u64, rp: RasterParams) -> SystemConfig {
+    let mut cfg = SystemConfig::paper_baseline_64k().with_raster(rp);
     cfg.gpu = GpuConfig {
         tile_cache: TileCacheOrg::Unified {
             cache: CacheParams::new(total_kib << 10, LINE_SIZE, 4, 1),
@@ -26,8 +33,8 @@ fn baseline_cfg(total_kib: u64) -> SystemConfig {
     cfg
 }
 
-fn tcor_cfg(total_kib: u64) -> SystemConfig {
-    let mut cfg = SystemConfig::paper_tcor_64k();
+pub(crate) fn tcor_cfg(total_kib: u64, rp: RasterParams) -> SystemConfig {
+    let mut cfg = SystemConfig::paper_tcor_64k().with_raster(rp);
     // The paper's split keeps a fixed 16 KiB Primitive List Cache and
     // gives the rest to the Attribute Cache.
     let list_kib = 16u64.min(total_kib / 2);
@@ -44,15 +51,15 @@ fn tcor_cfg(total_kib: u64) -> SystemConfig {
 }
 
 /// PB L2 accesses across Tile Cache budgets, for a small-PB and a
-/// large-PB benchmark.
+/// large-PB benchmark, counting its frame replays in `work`.
 ///
 /// # Errors
 ///
-/// Propagates store corruption from the scene lookups.
-pub fn sweep(store: &ArtifactStore) -> TcorResult<Table> {
+/// Propagates store corruption from the scene and plan lookups.
+pub fn sweep(store: &ArtifactStore, work: &PlanWork) -> TcorResult<Table> {
     let grid = TileGrid::new(1960, 768, 32);
     let all = suite();
-    let picks: Vec<_> = ["CCS", "DDS"]
+    let picks: Vec<_> = WORKLOADS
         .iter()
         .map(|a| all.iter().find(|b| &b.alias == a).unwrap())
         .collect();
@@ -67,19 +74,14 @@ pub fn sweep(store: &ArtifactStore) -> TcorResult<Table> {
             "dds_tcor",
         ],
     );
-    let scenes: Vec<_> = picks
-        .iter()
-        .map(|b| calibrated_scene(store, b, &grid))
-        .collect::<TcorResult<_>>()?;
-    for kib in [32u64, 48, 64, 96, 128, 192, 256] {
+    for kib in BUDGETS_KIB {
         let mut row = vec![kib.to_string()];
-        for (b, cal) in picks.iter().zip(&scenes) {
-            let scene = &cal.scene;
+        for b in &picks {
             let rp = b.raster_params();
-            let base = System::new(baseline_cfg(kib).with_raster(rp)).run_frame(scene);
-            let tcor = System::new(tcor_cfg(kib).with_raster(rp)).run_frame(scene);
-            row.push(base.pb_l2_accesses().to_string());
-            row.push(tcor.pb_l2_accesses().to_string());
+            for cfg in [baseline_cfg(kib, rp), tcor_cfg(kib, rp)] {
+                let r = replay_shared(store, b, &grid, cfg, work)?;
+                row.push(r.pb_l2_accesses().to_string());
+            }
         }
         t.push_row(row);
     }
@@ -93,8 +95,12 @@ mod tests {
     #[test]
     fn configs_preserve_budget() {
         for kib in [32u64, 64, 128] {
-            assert_eq!(baseline_cfg(kib).gpu.tile_cache.total_bytes(), kib << 10);
-            assert_eq!(tcor_cfg(kib).gpu.tile_cache.total_bytes(), kib << 10);
+            let rp = RasterParams::default();
+            assert_eq!(
+                baseline_cfg(kib, rp).gpu.tile_cache.total_bytes(),
+                kib << 10
+            );
+            assert_eq!(tcor_cfg(kib, rp).gpu.tile_cache.total_bytes(), kib << 10);
         }
     }
 
@@ -105,8 +111,8 @@ mod tests {
         let b = suite().into_iter().find(|b| b.alias == "GTr").unwrap();
         let scene = tcor_workloads::generate_scene(&b, &grid);
         let rp = b.raster_params();
-        let small = System::new(tcor_cfg(32).with_raster(rp)).run_frame(&scene);
-        let big = System::new(tcor_cfg(128).with_raster(rp)).run_frame(&scene);
+        let small = tcor::System::new(tcor_cfg(32, rp)).run_frame(&scene);
+        let big = tcor::System::new(tcor_cfg(128, rp)).run_frame(&scene);
         assert!(big.pb_l2_accesses() <= small.pb_l2_accesses());
     }
 }

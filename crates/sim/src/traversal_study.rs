@@ -12,20 +12,42 @@
 //! dead-line turnover; scanline stretches vertical neighbours far apart.
 
 use crate::output::{f3, Table};
-use tcor::{System, SystemConfig};
+use crate::plans::{replay_shared, PlanWork};
+use tcor::SystemConfig;
 use tcor_common::{TcorResult, Traversal};
+use tcor_gpu::RasterParams;
 use tcor_runner::ArtifactStore;
 use tcor_workloads::suite;
 
-/// PB L2 accesses and primitives/cycle per traversal order.
+/// The two contrasting benchmarks the study runs.
+pub const WORKLOADS: [&str; 2] = ["CCS", "TRu"];
+
+/// The traversal orders compared, with their table labels.
+pub(crate) const ORDERS: [(Traversal, &str); 4] = [
+    (Traversal::Scanline, "scanline"),
+    (Traversal::Serpentine, "serpentine"),
+    (Traversal::ZOrder, "z-order"),
+    (Traversal::Hilbert, "hilbert"),
+];
+
+/// Full TCOR at 64 KiB under traversal `order`. Each order is its own
+/// frame plan; Z-order's is the suite cells'.
+pub(crate) fn config(order: Traversal, rp: RasterParams) -> SystemConfig {
+    let mut cfg = SystemConfig::paper_tcor_64k().with_raster(rp);
+    cfg.gpu.traversal = order;
+    cfg
+}
+
+/// PB L2 accesses and primitives/cycle per traversal order, counting its
+/// plan builds and frame replays in `work`.
 ///
 /// # Errors
 ///
-/// Propagates store corruption from the scene lookups.
-pub fn traversal_study(store: &ArtifactStore) -> TcorResult<Table> {
+/// Propagates store corruption from the scene and plan lookups.
+pub fn traversal_study(store: &ArtifactStore, work: &PlanWork) -> TcorResult<Table> {
     let grid = tcor_common::TileGrid::new(1960, 768, 32);
     let all = suite();
-    let picks: Vec<_> = ["CCS", "TRu"]
+    let picks: Vec<_> = WORKLOADS
         .iter()
         .map(|a| all.iter().find(|b| &b.alias == a).unwrap())
         .collect();
@@ -35,17 +57,8 @@ pub fn traversal_study(store: &ArtifactStore) -> TcorResult<Table> {
         &["bench", "order", "pb_l2", "ppc"],
     );
     for b in picks {
-        let cal = crate::orchestrate::calibrated_scene(store, b, &grid)?;
-        let scene = &cal.scene;
-        for (order, name) in [
-            (Traversal::Scanline, "scanline"),
-            (Traversal::Serpentine, "serpentine"),
-            (Traversal::ZOrder, "z-order"),
-            (Traversal::Hilbert, "hilbert"),
-        ] {
-            let mut cfg = SystemConfig::paper_tcor_64k().with_raster(b.raster_params());
-            cfg.gpu.traversal = order;
-            let r = System::new(cfg).run_frame(scene);
+        for (order, name) in ORDERS {
+            let r = replay_shared(store, b, &grid, config(order, b.raster_params()), work)?;
             t.push_row(vec![
                 b.alias.to_string(),
                 name.to_string(),
@@ -63,7 +76,7 @@ mod tests {
 
     #[test]
     fn every_traversal_runs_and_zorder_is_listed() {
-        let t = traversal_study(&ArtifactStore::new()).unwrap();
+        let t = traversal_study(&ArtifactStore::new(), &PlanWork::default()).unwrap();
         assert_eq!(t.rows.len(), 8);
         assert!(t.rows.iter().any(|r| r[1] == "z-order"));
         // All traversals produce valid throughput.

@@ -42,3 +42,52 @@ fn parallel_output_is_bit_identical_to_serial() {
         );
     }
 }
+
+/// The plan counters of every job of one run, sorted by job label.
+fn plan_counters(mode: ExecMode) -> Vec<(String, Vec<(String, u64)>)> {
+    let ids: Vec<String> = ["scaling", "traversal"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    let store = ArtifactStore::new();
+    let telemetry = Telemetry::new();
+    run_experiments_strict(&ids, mode, &store, &telemetry).expect("valid ids");
+    let mut jobs: Vec<_> = telemetry
+        .records()
+        .into_iter()
+        .map(|r| {
+            let plan: Vec<_> = r
+                .counters
+                .into_iter()
+                .filter(|(name, _)| name.starts_with("plan_"))
+                .collect();
+            (r.label, plan)
+        })
+        .filter(|(_, plan)| !plan.is_empty())
+        .collect();
+    jobs.sort();
+    jobs
+}
+
+/// Plan work is counted where it happens and never depends on the
+/// schedule: each `plan:` job builds its workload's plan, the scaling
+/// study replays Snp's, and the traversal study replays the Z-order
+/// plans and builds the other three orders of each workload itself.
+#[test]
+fn plan_work_lands_on_the_same_jobs_in_every_mode() {
+    let counts = |pairs: &[(&str, u64)]| -> Vec<(String, u64)> {
+        pairs.iter().map(|(n, v)| (n.to_string(), *v)).collect()
+    };
+    let want = vec![
+        ("exp:scaling".to_string(), counts(&[("plan_replays", 8)])),
+        (
+            "exp:traversal".to_string(),
+            counts(&[("plan_builds", 6), ("plan_replays", 8)]),
+        ),
+        ("plan:CCS".to_string(), counts(&[("plan_builds", 1)])),
+        ("plan:Snp".to_string(), counts(&[("plan_builds", 1)])),
+        ("plan:TRu".to_string(), counts(&[("plan_builds", 1)])),
+    ];
+    assert_eq!(plan_counters(ExecMode::Serial), want);
+    assert_eq!(plan_counters(ExecMode::Parallel(2)), want);
+}

@@ -59,11 +59,15 @@ fn serve_api_end_to_end_over_the_real_simulator() {
         table.header("content-type"),
         Some("text/csv; charset=utf-8")
     );
-    let direct: String = tcor_sim::try_run_experiment(&ArtifactStore::new(), "fig10")
-        .unwrap()
-        .iter()
-        .map(tcor_sim::Table::to_csv)
-        .collect();
+    let direct: String = tcor_sim::try_run_experiment(
+        &ArtifactStore::new(),
+        "fig10",
+        &tcor_sim::PlanWork::default(),
+    )
+    .unwrap()
+    .iter()
+    .map(tcor_sim::Table::to_csv)
+    .collect();
     assert_eq!(table.body, direct, "serve CSV == CLI CSV");
 
     // A full cell over loopback is byte-identical to the `cell` CLI
