@@ -144,21 +144,37 @@ if [ "$code" -ne 5 ]; then
   exit 1
 fi
 
-echo "== fault-injection smoke (inject, then resume + golden check)"
-# Seed 42 deterministically panics one scene job: the run must contain
-# the failure (exit 3, the cell-failure code) while independent
-# experiments complete, and the clean resumed run must re-execute only
-# the missing experiments and still match the goldens bit-for-bit.
+echo "== fault-injection smoke (inject at pool width and --serial, then resume + golden check)"
+# Seed 42 deterministically panics two cell jobs, cell:Snp/tcor_nol2_64
+# and cell:TRu/tcor_nol2_128: the run must contain the failures (exit 3,
+# the cell-failure code) while independent experiments complete, and
+# the clean resumed run must re-execute only the missing experiments and
+# still match the goldens bit-for-bit. The injector keys every ask on a
+# job label, so the --serial run must fail the same jobs as the
+# pool-width one.
 SMOKE_MANIFEST=$CI_TMP/manifest.txt
-rm -f "$SMOKE_MANIFEST"
-set +e
-cargo run --release -q -p tcor-sim -- all --inject-faults 42 \
-  --manifest "$SMOKE_MANIFEST" --telemetry "$CI_TMP/telemetry.jsonl" \
-  >/dev/null 2>&1
-code=$?
-set -e
-if [ "$code" -ne 3 ]; then
-  echo "ci: FAIL: injected-fault run exited $code, expected 3 (cell failure)" >&2
+failed_labels() {
+  grep '"event":"job_failed"' "$1" | sed -n 's/.*"label":"\([^"]*\)".*/\1/p' | sort
+}
+for serial in "" --serial; do
+  rm -f "$SMOKE_MANIFEST"
+  set +e
+  # An empty $serial expands to no argument: the pool-width run.
+  cargo run --release -q -p tcor-sim -- all --inject-faults 42 $serial \
+    --manifest "$SMOKE_MANIFEST" --telemetry "$CI_TMP/faults${serial}.jsonl" \
+    >/dev/null 2>&1
+  code=$?
+  set -e
+  if [ "$code" -ne 3 ]; then
+    echo "ci: FAIL: injected-fault run ${serial:-at pool width} exited $code, expected 3 (cell failure)" >&2
+    exit 1
+  fi
+done
+failed_labels "$CI_TMP/faults.jsonl" >"$CI_TMP/failed.txt"
+failed_labels "$CI_TMP/faults--serial.jsonl" >"$CI_TMP/failed-serial.txt"
+if [ ! -s "$CI_TMP/failed.txt" ] || ! cmp -s "$CI_TMP/failed.txt" "$CI_TMP/failed-serial.txt"; then
+  echo "ci: FAIL: seed 42 failed different jobs at pool width and --serial" >&2
+  diff "$CI_TMP/failed.txt" "$CI_TMP/failed-serial.txt" >&2 || true
   exit 1
 fi
 cargo run --release -q -p tcor-sim -- all --resume --check \

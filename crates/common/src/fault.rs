@@ -1,17 +1,16 @@
-//! Process-wide deterministic fault injection: the chaos layer's
-//! trigger side.
+//! Deterministic fault injection: the one injector behind the runner's
+//! `--inject-faults`, the daemon's `--fault-spec` and the chaos layer.
 //!
-//! The runner's `FaultPlan` (PR 2) injects faults into *jobs* it
-//! schedules itself; this module generalizes the idea to any code
-//! path in the process. A [`FaultInjector`] is armed from a **seed**
-//! plus a **spec string** naming *fault points* — stable identifiers
-//! like `pcache/read` or `serve/drop_conn` that components ask about
-//! at the moment they are about to do the real operation:
+//! A [`FaultInjector`] is armed from a **seed** plus a **spec string**
+//! naming *fault points* — stable identifiers like `pcache/read`,
+//! `serve/drop_conn` or `runner/job_panic` that components ask about at
+//! the moment they are about to do the real operation:
 //!
 //! ```text
 //! spec     := clause [ "," clause ]*
 //! clause   := point "=" pct [ "@" arg ] [ "#" limit ]
-//! point    := fault-point name ("pcache/read", "serve/drop_conn", ...)
+//! point    := fault-point name ("pcache/read", "serve/drop_conn", ...),
+//!             optionally followed by "/" key to target one keyed ask
 //! pct      := fire probability in percent (0..=100)
 //! arg      := optional u64 payload (a byte offset, a stall in ms)
 //! limit    := optional cap on total fires for this point
@@ -22,16 +21,30 @@
 //! recovery). `serve/drop_conn=25@0` drops a quarter of responses
 //! after zero body bytes.
 //!
-//! Decisions are deterministic: the `n`-th ask at a given point rolls
-//! a xoshiro256++ stream keyed by `seed ^ fxhash64(point) ^ mix(n)`,
-//! so a fixed seed replays the same per-point fire pattern on every
-//! run regardless of thread interleaving across *different* points.
+//! There are two kinds of ask, both deterministic:
 //!
-//! The injector is **process-wide and zero-cost when disarmed**: the
+//! * **Ordinal** ([`FaultInjector::fire`]): the `n`-th ask at a point
+//!   rolls a xoshiro256++ stream seeded by `seed ^ fxhash64(point) ^
+//!   mix(n)`, so a fixed seed replays the same per-point fire pattern
+//!   on every run regardless of thread interleaving across *different*
+//!   points.
+//! * **Keyed** ([`FaultInjector::fire_keyed`]): the ask names a stable
+//!   key (a job label, a file tag) and rolls a stream seeded by `seed ^
+//!   fxhash64(point) ^ fxhash64(key)` alone, so its answer does not
+//!   depend on how many asks came before or which thread asked. The
+//!   runner's points are keyed: a parallel job schedule fails the same
+//!   jobs as a serial one. A clause named `point/key` matches only that
+//!   key and takes precedence over a clause named `point`, so
+//!   `runner/job_panic/scene:Snp=100` panics exactly one job. A
+//!   `#limit` on a keyed point counts fires in ask order, which makes
+//!   that point depend on the schedule again; the runner's preset sets
+//!   none.
+//!
+//! The process-wide injector is **zero-cost when disarmed**: the
 //! global [`fire`] helper is a single relaxed atomic load on the
 //! disarmed path, so production binaries pay nothing. Components that
-//! need hermetic tests can hold their own injector instance instead
-//! of arming the global one.
+//! need hermetic tests (and the runner, which is handed its injector)
+//! hold their own instance instead of arming the global one.
 
 use crate::hash::fxhash64;
 use crate::rng::Xoshiro256pp;
@@ -59,6 +72,7 @@ struct PointState {
 }
 
 /// A seeded, spec-driven fault injector.
+#[derive(Debug)]
 pub struct FaultInjector {
     seed: u64,
     rules: Vec<Rule>,
@@ -144,12 +158,45 @@ impl FaultInjector {
         let entry = state.entry(rule.point.clone()).or_default();
         let n = entry.asks;
         entry.asks += 1;
+        self.decide(
+            rule,
+            entry,
+            fxhash64(point.as_bytes()) ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        )
+    }
+
+    /// Asks whether the fault at `point` fires for `key`. The answer
+    /// depends only on the seed, `point` and `key` (and on the clause's
+    /// `#limit`, if it has one), never on the asks before it. A clause
+    /// named `point/key` takes precedence over one named `point`.
+    pub fn fire_keyed(&self, point: &str, key: &str) -> Option<u64> {
+        let names_key = |r: &&Rule| {
+            r.point
+                .strip_prefix(point)
+                .and_then(|rest| rest.strip_prefix('/'))
+                == Some(key)
+        };
+        let rule = self
+            .rules
+            .iter()
+            .find(names_key)
+            .or_else(|| self.rules.iter().find(|r| r.point == point))?;
+        let mut state = self.lock();
+        let entry = state.entry(rule.point.clone()).or_default();
+        self.decide(
+            rule,
+            entry,
+            fxhash64(point.as_bytes()) ^ fxhash64(key.as_bytes()),
+        )
+    }
+
+    /// One draw for `rule` from the stream `self.seed ^ stream`,
+    /// counted in `entry` when it fires.
+    fn decide(&self, rule: &Rule, entry: &mut PointState, stream: u64) -> Option<u64> {
         if rule.limit.is_some_and(|limit| entry.fired >= limit) {
             return None;
         }
-        let mut rng = Xoshiro256pp::seed_from_u64(
-            self.seed ^ fxhash64(point.as_bytes()) ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
+        let mut rng = Xoshiro256pp::seed_from_u64(self.seed ^ stream);
         if rng.random_range(0..100u64) < rule.pct {
             entry.fired += 1;
             Some(rule.arg)
@@ -271,6 +318,54 @@ mod tests {
         let c = FaultInjector::parse(43, "p/x=30").unwrap();
         let zs: Vec<bool> = (0..200).map(|_| c.fire("p/x").is_some()).collect();
         assert_ne!(xs, zs, "a different seed reschedules");
+    }
+
+    #[test]
+    fn keyed_asks_ignore_ask_order_and_other_points() {
+        let keys: Vec<String> = (0..300).map(|i| format!("job:{i}")).collect();
+        let answers = |inj: &FaultInjector, keys: &mut dyn Iterator<Item = &String>| {
+            keys.map(|k| inj.fire_keyed("p/x", k).is_some())
+                .collect::<Vec<bool>>()
+        };
+        let a = FaultInjector::parse(42, "p/x=30,p/y=30").unwrap();
+        let forward = answers(&a, &mut keys.iter());
+        // Backwards, after unrelated ordinal and keyed asks: same answers.
+        let b = FaultInjector::parse(42, "p/x=30,p/y=30").unwrap();
+        for k in &keys {
+            let _ = (b.fire("p/x"), b.fire_keyed("p/y", k));
+        }
+        let mut backward = answers(&b, &mut keys.iter().rev());
+        backward.reverse();
+        assert_eq!(forward, backward);
+        // Each answer is the documented draw and nothing else.
+        for (k, &fired) in keys.iter().zip(&forward) {
+            let seed = 42 ^ fxhash64(b"p/x") ^ fxhash64(k.as_bytes());
+            let draw = Xoshiro256pp::seed_from_u64(seed).random_range(0..100u64);
+            assert_eq!(fired, draw < 30, "{k}");
+        }
+        let c = FaultInjector::parse(43, "p/x=30").unwrap();
+        assert_ne!(
+            forward,
+            answers(&c, &mut keys.iter()),
+            "a new seed reschedules"
+        );
+        let fired = forward.iter().filter(|&&f| f).count() as u64;
+        assert_eq!(a.snapshot(), [("p/x".into(), fired), ("p/y".into(), 0)]);
+    }
+
+    #[test]
+    fn a_clause_naming_the_key_wins_over_the_point() {
+        let one = FaultInjector::parse(0, "runner/job_panic/scene:Snp=100").unwrap();
+        assert_eq!(one.fire_keyed("runner/job_panic", "scene:Snp"), Some(0));
+        assert_eq!(one.fire_keyed("runner/job_panic", "scene:GTr"), None);
+        assert_eq!(one.fire_keyed("runner/job_delay", "scene:Snp"), None);
+        let quiet_key = FaultInjector::parse(0, "w=100@7,w/golden:t=0").unwrap();
+        assert_eq!(quiet_key.fire_keyed("w", "golden:t"), None);
+        assert_eq!(quiet_key.fire_keyed("w", "golden:u"), Some(7));
+        // Keys may hold `/` and `:`: only the whole key matches.
+        let nested = FaultInjector::parse(0, "p/cell:CCS/tcor64=100").unwrap();
+        assert!(nested.fire_keyed("p", "cell:CCS/tcor64").is_some());
+        assert!(nested.fire_keyed("p", "cell:CCS").is_none());
     }
 
     #[test]

@@ -14,24 +14,29 @@
 //! (pointing at the root failure), and every independent job still runs
 //! to completion — one bad cell never tears down the suite. An optional
 //! watchdog flags (but does not kill — `std` cannot cancel a thread)
-//! jobs that exceed a wall-time budget, and a [`FaultPlan`] can inject
-//! deterministic panics/stalls to exercise all of the above.
+//! jobs that exceed a wall-time budget, and a
+//! [`FaultInjector`] can inject deterministic panics/stalls, keyed on
+//! job labels, to exercise all of the above.
+//!
+//! Both executors run a claimed job through the same body (injected
+//! faults, the contained call, the overtime check and the job's
+//! telemetry); they differ only in how they order jobs and hand poison
+//! to dependents.
 //!
 //! Determinism: every job writes its outcome into its own id-indexed
 //! slot, so the returned report is ordered by [`JobId`] and
 //! bit-identical to [`execute_serial`] for deterministic jobs, whatever
 //! the schedule.
 
-use crate::fault::{FaultPlan, JobFault};
 use crate::job::{JobCtx, JobGraph, JobId};
 use crate::store::ArtifactStore;
 use crate::telemetry::Telemetry;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-use tcor_common::{TcorError, TcorResult};
+use tcor_common::{FaultInjector, TcorError, TcorResult};
 
 /// Worker count the CLI defaults to: every hardware thread.
 pub fn default_workers() -> usize {
@@ -46,9 +51,12 @@ pub struct ExecOptions {
     /// Wall-time budget per job; jobs over budget are flagged in
     /// telemetry and in [`RunReport::timed_out`] (they are not killed).
     pub job_timeout: Option<Duration>,
-    /// Deterministic fault injection (panics/stalls keyed by job
-    /// label); `None` in production runs.
-    pub fault_plan: Option<FaultPlan>,
+    /// Deterministic fault injection; `None` in production runs. Each
+    /// job asks the keyed points `runner/job_panic` (the job panics)
+    /// and `runner/job_delay` (it stalls for the clause's `@arg`
+    /// milliseconds first) with its label as the key, so the same jobs
+    /// fail at any worker count.
+    pub faults: Option<Arc<FaultInjector>>,
 }
 
 /// How one job ended.
@@ -80,6 +88,16 @@ impl<T> JobOutcome<T> {
     /// Whether the job ran to completion.
     pub fn is_completed(&self) -> bool {
         matches!(self, JobOutcome::Completed(_))
+    }
+
+    /// The poison job `id` hands its dependents: `root failed job id +
+    /// 1`, or `0` when it completed.
+    fn poison(&self, id: usize) -> usize {
+        match self {
+            JobOutcome::Completed(_) => 0,
+            JobOutcome::Failed { .. } => id + 1,
+            JobOutcome::Skipped { failed_dep } => failed_dep + 1,
+        }
     }
 }
 
@@ -189,8 +207,138 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Locks `m`. Job panics are contained before they can poison the
+/// executor's locks; any residual poisoning (e.g. an allocation
+/// failure) leaves single-step updates that are safe to keep using.
+fn lock<U>(m: &Mutex<U>) -> MutexGuard<'_, U> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Asks the runner's keyed fault points about the job labelled `label`:
+/// `runner/job_panic` panics it, `runner/job_delay` first stalls it for
+/// the clause's `@arg` milliseconds (long enough for a tight watchdog
+/// budget to flag).
+fn inject_job_faults(faults: &FaultInjector, label: &str) {
+    if faults.fire_keyed("runner/job_panic", label).is_some() {
+        panic!(
+            "injected fault: panic in `{label}` (seed {})",
+            faults.seed()
+        );
+    }
+    if let Some(ms) = faults.fire_keyed("runner/job_delay", label) {
+        std::thread::sleep(Duration::from_millis(ms));
+    }
+}
+
 /// A job body as stored in the executor: boxed, claimed exactly once.
 type BoxedTask<'g, T> = Box<dyn FnOnce(&JobCtx<'_>) -> T + Send + 'g>;
+
+/// What both executors share for one run: the labels, the options, the
+/// watchdog's view of running jobs and the overtime flags — and the
+/// one job body, [`Ledger::run`].
+struct Ledger<'env> {
+    labels: Vec<String>,
+    opts: &'env ExecOptions,
+    store: &'env ArtifactStore,
+    telemetry: &'env Telemetry,
+    /// Start instant of the currently running job, for the watchdog.
+    started: Vec<Mutex<Option<Instant>>>,
+    /// Whether the watchdog (or the completion check) already flagged
+    /// the job, so it is reported at most once.
+    flagged: Vec<AtomicBool>,
+    timed_out: Mutex<Vec<usize>>,
+}
+
+impl<'env> Ledger<'env> {
+    fn new(
+        labels: Vec<String>,
+        opts: &'env ExecOptions,
+        store: &'env ArtifactStore,
+        telemetry: &'env Telemetry,
+    ) -> Self {
+        let n = labels.len();
+        Ledger {
+            labels,
+            opts,
+            store,
+            telemetry,
+            started: (0..n).map(|_| Mutex::new(None)).collect(),
+            flagged: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            timed_out: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Flags `job` as over budget exactly once (watchdog or completion).
+    fn flag_overtime(&self, job: usize, elapsed: Duration, budget: Duration) {
+        if !self.flagged[job].swap(true, Ordering::Relaxed) {
+            self.telemetry
+                .job_timeout(job, &self.labels[job], elapsed, budget);
+            lock(&self.timed_out).push(job);
+        }
+    }
+
+    /// Records `job` as skipped behind the failed job `root`.
+    fn skip<T>(&self, job: usize, root: usize) -> JobOutcome<T> {
+        self.telemetry
+            .job_skipped(job, &self.labels[job], root, &self.labels[root]);
+        JobOutcome::Skipped { failed_dep: root }
+    }
+
+    /// Runs the claimed `job` on `worker`: its injected faults and body
+    /// under `catch_unwind`, the overtime check, then its `job_end` or
+    /// `job_failed` event. With no injector set, the only fault cost is
+    /// the `Option` check.
+    fn run<T>(&self, job: usize, worker: usize, work: Option<BoxedTask<'_, T>>) -> JobOutcome<T> {
+        let label = &self.labels[job];
+        let Some(work) = work else {
+            // Unreachable by construction (each id is claimed once);
+            // recorded as a failure rather than tearing down the run.
+            let msg = "executor invariant violated: job claimed twice".to_string();
+            self.telemetry.job_failed(job, label, worker, &msg);
+            return JobOutcome::Failed { panic_msg: msg };
+        };
+        let ctx = JobCtx::new(self.store);
+        self.telemetry.job_start(job, label, worker);
+        let t0 = Instant::now();
+        *lock(&self.started[job]) = Some(t0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(faults) = &self.opts.faults {
+                inject_job_faults(faults, label);
+            }
+            work(&ctx)
+        }));
+        let elapsed = t0.elapsed();
+        *lock(&self.started[job]) = None;
+        if let Some(budget) = self.opts.job_timeout {
+            if elapsed > budget {
+                self.flag_overtime(job, elapsed, budget);
+            }
+        }
+        match result {
+            Ok(out) => {
+                self.telemetry
+                    .job_end(job, label, worker, ctx.take_counters());
+                JobOutcome::Completed(out)
+            }
+            Err(payload) => {
+                let msg = panic_message(payload.as_ref());
+                self.telemetry.job_failed(job, label, worker, &msg);
+                JobOutcome::Failed { panic_msg: msg }
+            }
+        }
+    }
+
+    fn into_report<T>(self, outcomes: Vec<JobOutcome<T>>) -> RunReport<T> {
+        RunReport {
+            outcomes,
+            labels: self.labels,
+            timed_out: self
+                .timed_out
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner),
+        }
+    }
+}
 
 struct Coord {
     /// Jobs sitting in some queue, not yet claimed.
@@ -207,59 +355,44 @@ struct Shared<'g, 'env, T> {
     /// zero enqueues it.
     pending: Vec<AtomicUsize>,
     dependents: Vec<Vec<usize>>,
-    labels: Vec<String>,
     tasks: Vec<Mutex<Option<BoxedTask<'g, T>>>>,
     results: Vec<Mutex<Option<JobOutcome<T>>>>,
     /// `0` = clean; otherwise `root failed job id + 1`, installed by
     /// whichever failed/skipped predecessor got there first.
     poisoned: Vec<AtomicUsize>,
-    /// Start instant of the currently running job, for the watchdog.
-    started: Vec<Mutex<Option<Instant>>>,
-    /// Whether the watchdog (or the post-run check) already flagged
-    /// the job, so it is reported at most once.
-    flagged: Vec<AtomicBool>,
-    timed_out: Mutex<Vec<usize>>,
-    opts: &'env ExecOptions,
-    store: &'env ArtifactStore,
-    telemetry: &'env Telemetry,
+    ledger: Ledger<'env>,
 }
 
 impl<T> Shared<'_, '_, T> {
-    fn lock<'m, U>(m: &'m Mutex<U>) -> std::sync::MutexGuard<'m, U> {
-        // Job panics are contained before they can poison these locks;
-        // any residual poisoning (e.g. an allocation failure) leaves
-        // single-step updates that are safe to keep using.
-        m.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Queues `job` on `worker`'s deque and wakes one sleeper.
     fn push(&self, worker: usize, job: usize) {
-        Self::lock(&self.queues[worker]).push_back(job);
-        Self::lock(&self.coord).queued += 1;
+        lock(&self.queues[worker]).push_back(job);
+        lock(&self.coord).queued += 1;
         self.cv.notify_one();
     }
 
     /// Own queue (LIFO) first, then steal round-robin (FIFO).
     fn try_claim(&self, worker: usize) -> Option<usize> {
-        if let Some(j) = Self::lock(&self.queues[worker]).pop_back() {
-            Self::lock(&self.coord).queued -= 1;
+        if let Some(j) = lock(&self.queues[worker]).pop_back() {
+            lock(&self.coord).queued -= 1;
             return Some(j);
         }
         let n = self.queues.len();
         for k in 1..n {
             let victim = (worker + k) % n;
-            if let Some(j) = Self::lock(&self.queues[victim]).pop_front() {
-                Self::lock(&self.coord).queued -= 1;
+            if let Some(j) = lock(&self.queues[victim]).pop_front() {
+                lock(&self.coord).queued -= 1;
                 return Some(j);
             }
         }
         None
     }
 
-    /// Records `outcome` for `job`, propagates poison (`root id + 1`,
-    /// `0` for none) to dependents, unblocks them, and retires the job.
-    fn finish(&self, worker: usize, job: usize, outcome: JobOutcome<T>, poison: usize) {
-        *Self::lock(&self.results[job]) = Some(outcome);
+    /// Records `outcome` for `job`, propagates its poison to
+    /// dependents, unblocks them, and retires the job.
+    fn finish(&self, worker: usize, job: usize, outcome: JobOutcome<T>) {
+        let poison = outcome.poison(job);
+        *lock(&self.results[job]) = Some(outcome);
         // Unblock dependents; newly ready ones run on this worker's
         // queue (their inputs are hot here), idle workers steal.
         for &d in &self.dependents[job] {
@@ -277,83 +410,22 @@ impl<T> Shared<'_, '_, T> {
                 self.push(worker, d);
             }
         }
-        let mut coord = Self::lock(&self.coord);
+        let mut coord = lock(&self.coord);
         coord.unfinished -= 1;
         if coord.unfinished == 0 {
             self.cv.notify_all();
         }
     }
 
-    /// Flags `job` as over budget exactly once (watchdog or post-run).
-    fn flag_overtime(&self, job: usize, elapsed: Duration, budget: Duration) {
-        if !self.flagged[job].swap(true, Ordering::Relaxed) {
-            self.telemetry
-                .job_timeout(job, &self.labels[job], elapsed, budget);
-            Self::lock(&self.timed_out).push(job);
-        }
-    }
-
     fn run_job(&self, worker: usize, job: usize) {
-        let label = &self.labels[job];
         let poison = self.poisoned[job].load(Ordering::Acquire);
-        if poison != 0 {
-            let root = poison - 1;
-            self.telemetry
-                .job_skipped(job, label, root, &self.labels[root]);
-            self.finish(
-                worker,
-                job,
-                JobOutcome::Skipped { failed_dep: root },
-                poison,
-            );
-            return;
-        }
-        let Some(work) = Self::lock(&self.tasks[job]).take() else {
-            // Unreachable by construction (each id is claimed once);
-            // recorded as a failure rather than tearing down the pool.
-            let msg = "executor invariant violated: job claimed twice".to_string();
-            self.telemetry.job_failed(job, label, worker, &msg);
-            self.finish(worker, job, JobOutcome::Failed { panic_msg: msg }, job + 1);
-            return;
+        let outcome = if poison == 0 {
+            let work = lock(&self.tasks[job]).take();
+            self.ledger.run(job, worker, work)
+        } else {
+            self.ledger.skip(job, poison - 1)
         };
-        let fault = self
-            .opts
-            .fault_plan
-            .as_ref()
-            .and_then(|p| p.job_fault(label).map(|f| (f, p.seed())));
-        let ctx = JobCtx::new(self.store);
-        self.telemetry.job_start(job, label, worker);
-        let t0 = Instant::now();
-        *Self::lock(&self.started[job]) = Some(t0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            match fault {
-                Some((JobFault::Panic, seed)) => {
-                    panic!("injected fault: panic in `{label}` (plan seed {seed})")
-                }
-                Some((JobFault::Delay(d), _)) => std::thread::sleep(d),
-                None => {}
-            }
-            work(&ctx)
-        }));
-        let elapsed = t0.elapsed();
-        *Self::lock(&self.started[job]) = None;
-        if let Some(budget) = self.opts.job_timeout {
-            if elapsed > budget {
-                self.flag_overtime(job, elapsed, budget);
-            }
-        }
-        match result {
-            Ok(out) => {
-                self.telemetry
-                    .job_end(job, label, worker, ctx.take_counters());
-                self.finish(worker, job, JobOutcome::Completed(out), 0);
-            }
-            Err(payload) => {
-                let msg = panic_message(payload.as_ref());
-                self.telemetry.job_failed(job, label, worker, &msg);
-                self.finish(worker, job, JobOutcome::Failed { panic_msg: msg }, job + 1);
-            }
-        }
+        self.finish(worker, job, outcome);
     }
 
     fn worker_loop(&self, worker: usize) {
@@ -362,7 +434,7 @@ impl<T> Shared<'_, '_, T> {
                 self.run_job(worker, job);
                 continue;
             }
-            let mut coord = Self::lock(&self.coord);
+            let mut coord = lock(&self.coord);
             loop {
                 if coord.unfinished == 0 {
                     return;
@@ -382,7 +454,7 @@ impl<T> Shared<'_, '_, T> {
         let poll = (budget / 4).clamp(Duration::from_millis(10), Duration::from_millis(500));
         loop {
             {
-                let coord = Self::lock(&self.coord);
+                let coord = lock(&self.coord);
                 if coord.unfinished == 0 {
                     return;
                 }
@@ -395,15 +467,15 @@ impl<T> Shared<'_, '_, T> {
                 }
             }
             let now = Instant::now();
-            for job in 0..self.started.len() {
-                if self.flagged[job].load(Ordering::Relaxed) {
+            for (job, started) in self.ledger.started.iter().enumerate() {
+                if self.ledger.flagged[job].load(Ordering::Relaxed) {
                     continue;
                 }
-                let started = *Self::lock(&self.started[job]);
+                let started = *lock(started);
                 if let Some(t0) = started {
                     let elapsed = now.saturating_duration_since(t0);
                     if elapsed > budget {
-                        self.flag_overtime(job, elapsed, budget);
+                        self.ledger.flag_overtime(job, elapsed, budget);
                     }
                 }
             }
@@ -458,19 +530,13 @@ pub fn execute<T: Send>(
     telemetry: &Telemetry,
 ) -> RunReport<T> {
     let n = graph.len();
-    if n == 0 {
-        return RunReport {
-            outcomes: Vec::new(),
-            labels: Vec::new(),
-            timed_out: Vec::new(),
-        };
-    }
-    let workers = workers.clamp(1, n);
-    if workers == 1 {
+    let workers = workers.min(n);
+    if workers <= 1 {
         // One worker would drain the queue in topological id order
         // anyway; the serial path does exactly that without paying for
         // the pool machinery (serial and parallel outputs are already
-        // bit-identical — this makes the times match too).
+        // bit-identical — this makes the times match too). An empty
+        // graph lands here too.
         return execute_serial(graph, opts, store, telemetry);
     }
     let prepared = prepare(graph);
@@ -484,16 +550,10 @@ pub fn execute<T: Send>(
         cv: Condvar::new(),
         pending: prepared.pending,
         dependents: prepared.dependents,
-        labels: prepared.labels,
         tasks: prepared.tasks,
         results: (0..n).map(|_| Mutex::new(None)).collect(),
         poisoned: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-        started: (0..n).map(|_| Mutex::new(None)).collect(),
-        flagged: (0..n).map(|_| AtomicBool::new(false)).collect(),
-        timed_out: Mutex::new(Vec::new()),
-        opts,
-        store,
-        telemetry,
+        ledger: Ledger::new(prepared.labels, opts, store, telemetry),
     };
     // Seed roots round-robin so the pool starts balanced.
     for (k, &r) in prepared.roots.iter().enumerate() {
@@ -501,9 +561,8 @@ pub fn execute<T: Send>(
     }
 
     std::thread::scope(|s| {
-        if opts.job_timeout.is_some() {
+        if let Some(budget) = opts.job_timeout {
             let shared = &shared;
-            let budget = opts.job_timeout.unwrap_or_default();
             let _ = std::thread::Builder::new()
                 .name("tcor-watchdog".to_string())
                 .spawn_scoped(s, move || shared.watchdog_loop(budget));
@@ -535,14 +594,7 @@ pub fn execute<T: Send>(
                 })
         })
         .collect();
-    RunReport {
-        outcomes,
-        labels: shared.labels,
-        timed_out: shared
-            .timed_out
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner),
-    }
+    shared.ledger.into_report(outcomes)
 }
 
 /// The reference path: runs every job on the calling thread in id
@@ -557,84 +609,31 @@ pub fn execute_serial<T>(
     telemetry: &Telemetry,
 ) -> RunReport<T> {
     let prepared = prepare(graph);
-    let n = prepared.labels.len();
-    let mut outcomes: Vec<JobOutcome<T>> = Vec::with_capacity(n);
+    let ledger = Ledger::new(prepared.labels, opts, store, telemetry);
+    let mut outcomes: Vec<JobOutcome<T>> = Vec::with_capacity(prepared.tasks.len());
     // `0` = clean, else root failed job id + 1 (ids are topological, so
     // a single forward pass propagates poison transitively).
-    let mut poisoned = vec![0usize; n];
-    let mut timed_out = Vec::new();
+    let mut poisoned = vec![0usize; prepared.tasks.len()];
     for (i, task) in prepared.tasks.into_iter().enumerate() {
-        let label = &prepared.labels[i];
-        let poison = poisoned[i];
+        let outcome = match poisoned[i] {
+            0 => ledger.run(
+                i,
+                0,
+                task.into_inner().unwrap_or_else(PoisonError::into_inner),
+            ),
+            poison => ledger.skip(i, poison - 1),
+        };
+        let poison = outcome.poison(i);
         if poison != 0 {
-            let root = poison - 1;
-            telemetry.job_skipped(i, label, root, &prepared.labels[root]);
             for &d in &prepared.dependents[i] {
                 if poisoned[d] == 0 {
                     poisoned[d] = poison;
                 }
             }
-            outcomes.push(JobOutcome::Skipped { failed_dep: root });
-            continue;
         }
-        let Some(work) = task.into_inner().unwrap_or_else(PoisonError::into_inner) else {
-            // Unreachable by construction; recorded, not propagated.
-            let msg = "executor invariant violated: job claimed twice".to_string();
-            telemetry.job_failed(i, label, 0, &msg);
-            for &d in &prepared.dependents[i] {
-                if poisoned[d] == 0 {
-                    poisoned[d] = i + 1;
-                }
-            }
-            outcomes.push(JobOutcome::Failed { panic_msg: msg });
-            continue;
-        };
-        let fault = opts
-            .fault_plan
-            .as_ref()
-            .and_then(|p| p.job_fault(label).map(|f| (f, p.seed())));
-        let ctx = JobCtx::new(store);
-        telemetry.job_start(i, label, 0);
-        let t0 = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            match fault {
-                Some((JobFault::Panic, seed)) => {
-                    panic!("injected fault: panic in `{label}` (plan seed {seed})")
-                }
-                Some((JobFault::Delay(d), _)) => std::thread::sleep(d),
-                None => {}
-            }
-            work(&ctx)
-        }));
-        let elapsed = t0.elapsed();
-        if let Some(budget) = opts.job_timeout {
-            if elapsed > budget {
-                telemetry.job_timeout(i, label, elapsed, budget);
-                timed_out.push(i);
-            }
-        }
-        match result {
-            Ok(out) => {
-                telemetry.job_end(i, label, 0, ctx.take_counters());
-                outcomes.push(JobOutcome::Completed(out));
-            }
-            Err(payload) => {
-                let msg = panic_message(payload.as_ref());
-                telemetry.job_failed(i, label, 0, &msg);
-                for &d in &prepared.dependents[i] {
-                    if poisoned[d] == 0 {
-                        poisoned[d] = i + 1;
-                    }
-                }
-                outcomes.push(JobOutcome::Failed { panic_msg: msg });
-            }
-        }
+        outcomes.push(outcome);
     }
-    RunReport {
-        outcomes,
-        labels: prepared.labels,
-        timed_out,
-    }
+    ledger.into_report(outcomes)
 }
 
 /// Fans a flat list of independent tasks across `workers` threads and
@@ -852,13 +851,17 @@ mod tests {
         assert_eq!(report.outcomes[2], JobOutcome::Skipped { failed_dep: 0 });
     }
 
+    fn injecting(spec: &str, seed: u64) -> ExecOptions {
+        ExecOptions {
+            faults: Some(Arc::new(FaultInjector::parse(seed, spec).unwrap())),
+            ..ExecOptions::default()
+        }
+    }
+
     #[test]
     fn injected_fault_panics_the_targeted_job_only() {
         let counter = AtomicU64::new(0);
-        let opts = ExecOptions {
-            fault_plan: Some(FaultPlan::panic_on("b")),
-            ..ExecOptions::default()
-        };
+        let opts = injecting("runner/job_panic/b=100", 0);
         let store = ArtifactStore::new();
         let t = Telemetry::new();
         let report = execute(diamond(&counter), 2, &opts, &store, &t);
@@ -871,6 +874,36 @@ mod tests {
         assert!(report.outcomes[0].is_completed());
         assert!(report.outcomes[2].is_completed());
         assert_eq!(report.outcomes[3], JobOutcome::Skipped { failed_dep: 1 });
+    }
+
+    /// Keyed faults depend on job labels, not on the schedule: a seeded
+    /// panic rate fails the same jobs, and skips the same dependents, at
+    /// every worker count and on the serial path.
+    #[test]
+    fn seeded_job_panics_fail_the_same_labels_at_any_width() {
+        // 30 chains of 10 jobs: a failure skips the rest of its chain.
+        let graph = || {
+            let mut g: JobGraph<'_, usize> = JobGraph::new();
+            for i in 0..300usize {
+                let deps: Vec<JobId> = i.checked_sub(30).map(JobId).into_iter().collect();
+                g.add_job(format!("job:{}/{}", i % 30, i / 30), &deps, move |_| i);
+            }
+            g
+        };
+        let opts = injecting("runner/job_panic=4", 42);
+        let labels = |report: RunReport<usize>| {
+            let failed: Vec<String> = report.failures().iter().map(|f| f.1.into()).collect();
+            let skipped: Vec<String> = report.skips().iter().map(|s| s.1.into()).collect();
+            (failed, skipped)
+        };
+        let store = ArtifactStore::new();
+        let serial = labels(execute_serial(graph(), &opts, &store, &Telemetry::new()));
+        assert!(!serial.0.is_empty() && !serial.1.is_empty(), "{serial:?}");
+        assert!(serial.0.len() + serial.1.len() < 300, "some jobs complete");
+        for workers in [1, 2, 8] {
+            let report = execute(graph(), workers, &opts, &store, &Telemetry::new());
+            assert_eq!(labels(report), serial, "workers={workers}");
+        }
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! or an injected I/O fault — mid-update leaves the previous baseline
 //! intact and readable, never a half-written file.
 
-use crate::fault::FaultPlan;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use tcor_common::{fxhash64, hash_hex, write_atomic, TcorError, TcorResult};
+use std::sync::Arc;
+use tcor_common::{fxhash64, hash_hex, write_atomic, FaultInjector, TcorError, TcorResult};
 
 /// One differing line in a golden mismatch.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,7 +60,7 @@ impl GoldenStatus {
 /// A directory of golden files with a hash manifest.
 pub struct GoldenStore {
     dir: PathBuf,
-    faults: Option<FaultPlan>,
+    faults: Option<Arc<FaultInjector>>,
 }
 
 impl GoldenStore {
@@ -75,11 +75,12 @@ impl GoldenStore {
         }
     }
 
-    /// Arms fault injection: updates whose tag (`golden:<id>` or
-    /// `golden:MANIFEST`) the plan selects fail with an injected I/O
-    /// error *before* touching disk.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+    /// Arms fault injection: each write asks the keyed point
+    /// `runner/golden_write` with its tag (`golden:<id>` or
+    /// `golden:MANIFEST`), and a write that fires fails with an
+    /// injected I/O error *before* touching disk.
+    pub fn with_faults(mut self, faults: Arc<FaultInjector>) -> Self {
+        self.faults = Some(faults);
         self
     }
 
@@ -121,12 +122,10 @@ impl GoldenStore {
     }
 
     fn check_fault(&self, tag: &str) -> TcorResult<()> {
-        if let Some(plan) = &self.faults {
-            if plan.io_fault(tag) {
-                return Err(plan.io_error(tag));
-            }
+        match &self.faults {
+            Some(f) if f.fire_keyed("runner/golden_write", tag).is_some() => Err(f.io_error(tag)),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Records `content` as the golden for `id` and updates the
@@ -136,7 +135,7 @@ impl GoldenStore {
     /// # Errors
     ///
     /// Propagates filesystem errors, and injected faults when armed
-    /// via [`with_fault_plan`](Self::with_fault_plan).
+    /// via [`with_faults`](Self::with_faults).
     pub fn update(&self, id: &str, content: &str) -> TcorResult<()> {
         std::fs::create_dir_all(&self.dir)
             .map_err(|e| TcorError::io(format!("creating {}", self.dir.display()), e))?;
@@ -279,16 +278,19 @@ mod tests {
     fn injected_io_fault_leaves_the_previous_baseline_readable() {
         let s = temp_store("fault");
         s.update("t", "v1\n").unwrap();
-        let faulty = GoldenStore::new(s.dir().to_path_buf())
-            .with_fault_plan(FaultPlan::fail_io_on("golden:t"));
+        let failing = |tag: &str| {
+            let spec = format!("runner/golden_write/{tag}=100");
+            GoldenStore::new(s.dir().to_path_buf())
+                .with_faults(Arc::new(FaultInjector::parse(0, &spec).unwrap()))
+        };
+        let faulty = failing("golden:t");
         let err = faulty.update("t", "v2\n").unwrap_err();
         assert_eq!(err.kind(), tcor_common::ErrorKind::Io);
         assert!(err.to_string().contains("injected fault"));
         // The old golden still checks out: nothing was half-written.
         assert_eq!(s.check("t", "v1\n"), GoldenStatus::Match);
         // A manifest-stage fault likewise leaves the baseline intact.
-        let faulty = GoldenStore::new(s.dir().to_path_buf())
-            .with_fault_plan(FaultPlan::fail_io_on("golden:MANIFEST"));
+        let faulty = failing("golden:MANIFEST");
         assert!(faulty.update("t", "v3\n").is_err());
         // The file was re-staged but the manifest still pins v1's hash,
         // so the store reports the inconsistency rather than passing.

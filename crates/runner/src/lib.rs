@@ -26,12 +26,15 @@
 //!   against committed golden results.
 //! - **Fault isolation** — a panicking job is contained
 //!   ([`JobOutcome::Failed`]) and its dependents skipped while
-//!   independent jobs complete; a [`FaultPlan`] injects deterministic
-//!   panics, stalls and I/O errors to exercise every recovery path;
-//!   the [`RunManifest`] makes partial runs resumable.
+//!   independent jobs complete; a [`tcor_common::FaultInjector`] in
+//!   [`ExecOptions`] and [`GoldenStore`] injects deterministic panics,
+//!   stalls and I/O errors to exercise every recovery path, asking
+//!   three keyed points (`runner/job_panic` and `runner/job_delay` per
+//!   job label, `runner/golden_write` per golden file), so a parallel
+//!   schedule fails the same jobs as a serial one; the [`RunManifest`]
+//!   makes partial runs resumable.
 
 pub mod executor;
-pub mod fault;
 pub mod golden;
 pub mod job;
 pub mod json;
@@ -42,7 +45,6 @@ pub mod telemetry;
 pub use executor::{
     default_workers, execute, execute_serial, scatter, ExecOptions, JobOutcome, RunReport,
 };
-pub use fault::{FaultPlan, JobFault};
 pub use golden::{GoldenStatus, GoldenStore, LineDiff};
 pub use job::{Job, JobCtx, JobGraph, JobId};
 pub use json::Json;

@@ -3,7 +3,7 @@
 //!
 //! Each event thread owns a set of `set_nonblocking` connections and
 //! drives a per-connection state machine — read-accumulate →
-//! [`parse_request`] → dispatch → write-drain — around a `poll(2)`
+//! [`parse_request_limited`] → dispatch → write-drain — around a `poll(2)`
 //! readiness wait (declared directly, like [`crate::signal`]: std
 //! links libc anyway). Thread 0 additionally owns the nonblocking
 //! listener and deals accepted connections round-robin across the

@@ -1,19 +1,19 @@
-//! Minimal HTTP/1.1 framing: blocking reads for clients, incremental
-//! buffer parsing for the event loop.
+//! Minimal HTTP/1.1 framing: incremental request parsing for the event
+//! loop, and response serialization.
 //!
 //! Just enough of RFC 9112 for a loopback result service: explicit
 //! `Content-Length` bodies, `Connection` negotiation (keep-alive by
 //! default on HTTP/1.1, close on HTTP/1.0 or an explicit `close`
 //! token), and hard limits on line, header-count and body sizes so a
-//! misbehaving peer cannot balloon memory. The server side accumulates
-//! bytes into a per-connection buffer and calls [`parse_request`] —
-//! which either yields a complete request plus its consumed length
-//! (enabling pipelining: the remainder of the buffer is the next
-//! request) or reports "incomplete, keep reading". Anything outside
-//! the envelope is a typed [`ErrorKind::Serve`](tcor_common::ErrorKind)
+//! misbehaving peer cannot balloon memory. The server accumulates
+//! bytes into a per-connection buffer and calls
+//! [`parse_request_limited`] — which yields a complete request plus its
+//! consumed length (enabling pipelining: the remainder of the buffer is
+//! the next request), reports "incomplete, keep reading", or convicts
+//! an over-limit body from the head alone. Anything else outside the
+//! envelope is a typed [`ErrorKind::Serve`](tcor_common::ErrorKind)
 //! error, answered with a 400 by the caller.
 
-use std::io::{BufRead, BufReader, Read, Write};
 use tcor_common::{TcorError, TcorResult};
 
 /// Longest accepted request/header line, bytes.
@@ -76,38 +76,6 @@ impl Request {
     }
 }
 
-fn read_line<R: BufRead>(r: &mut R) -> TcorResult<String> {
-    let mut line = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        match r.read(&mut byte) {
-            Ok(0) => break,
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    break;
-                }
-                line.push(byte[0]);
-                if line.len() > MAX_LINE {
-                    return Err(TcorError::serve(format!(
-                        "request line exceeds {MAX_LINE} bytes"
-                    )));
-                }
-            }
-            Err(e) => {
-                return Err(TcorError::with_source(
-                    tcor_common::ErrorKind::Serve,
-                    "reading request line",
-                    e,
-                ))
-            }
-        }
-    }
-    if line.last() == Some(&b'\r') {
-        line.pop();
-    }
-    String::from_utf8(line).map_err(|_| TcorError::serve("request line is not UTF-8"))
-}
-
 /// Parses one request line + header block into their parts.
 fn parse_head(start: &str, header_lines: &[String]) -> TcorResult<Request> {
     let mut parts = start.split_whitespace();
@@ -143,7 +111,7 @@ fn parse_head(start: &str, header_lines: &[String]) -> TcorResult<Request> {
 
 /// Parses `Content-Length` without enforcing any body limit — limits
 /// are per-route, applied by the caller against the parsed head.
-fn content_length_raw(headers: &[(String, String)]) -> TcorResult<usize> {
+fn content_length(headers: &[(String, String)]) -> TcorResult<usize> {
     headers
         .iter()
         .find(|(k, _)| k == "content-length")
@@ -153,16 +121,6 @@ fn content_length_raw(headers: &[(String, String)]) -> TcorResult<usize> {
         })
         .transpose()
         .map(|len| len.unwrap_or(0))
-}
-
-fn content_length(headers: &[(String, String)]) -> TcorResult<usize> {
-    let len = content_length_raw(headers)?;
-    if len > MAX_BODY {
-        return Err(TcorError::serve(format!(
-            "body of {len} bytes exceeds the {MAX_BODY}-byte limit"
-        )));
-    }
-    Ok(len)
 }
 
 /// The incremental parser's verdict on the front of a buffer.
@@ -246,7 +204,7 @@ pub fn parse_request_limited(
         }
     };
     let mut request = parse_head(&lines[0], &lines[1..])?;
-    let body_len = content_length_raw(&request.headers)?;
+    let body_len = content_length(&request.headers)?;
     let limit = limit_for(&request);
     if body_len > limit {
         return Ok(ParseOutcome::BodyTooLarge {
@@ -261,56 +219,6 @@ pub fn parse_request_limited(
     request.body = String::from_utf8(buf[body_start..total].to_vec())
         .map_err(|_| TcorError::serve("body is not UTF-8"))?;
     Ok(ParseOutcome::Complete(request, total))
-}
-
-/// [`parse_request_limited`] under the flat [`MAX_BODY`] limit, with
-/// the legacy `Option` shape: an over-limit body is a serve-class
-/// error (connection poisoned) rather than a typed 413.
-///
-/// # Errors
-///
-/// Everything [`parse_request_limited`] rejects, plus bodies over
-/// [`MAX_BODY`].
-pub fn parse_request(buf: &[u8]) -> TcorResult<Option<(Request, usize)>> {
-    match parse_request_limited(buf, |_| MAX_BODY)? {
-        ParseOutcome::Complete(request, consumed) => Ok(Some((request, consumed))),
-        ParseOutcome::Incomplete { .. } => Ok(None),
-        ParseOutcome::BodyTooLarge { declared, limit } => Err(TcorError::serve(format!(
-            "body of {declared} bytes exceeds the {limit}-byte limit"
-        ))),
-    }
-}
-
-/// Reads and parses one request from `stream` (blocking; client-side
-/// and test substrate — the server uses [`parse_request`]).
-///
-/// # Errors
-///
-/// Returns a serve-class error for an empty/garbled request line, too
-/// many or too long headers, an oversized or short body, or transport
-/// failures (including read-timeout expiry).
-pub fn read_request<S: Read>(stream: S) -> TcorResult<Request> {
-    let mut reader = BufReader::new(stream);
-    let start = read_line(&mut reader)?;
-    let mut header_lines = Vec::new();
-    loop {
-        let line = read_line(&mut reader)?;
-        if line.is_empty() {
-            break;
-        }
-        if header_lines.len() > MAX_HEADERS {
-            return Err(TcorError::serve(format!("more than {MAX_HEADERS} headers")));
-        }
-        header_lines.push(line);
-    }
-    let mut request = parse_head(&start, &header_lines)?;
-    let body_len = content_length(&request.headers)?;
-    let mut body = vec![0u8; body_len];
-    reader.read_exact(&mut body).map_err(|e| {
-        TcorError::with_source(tcor_common::ErrorKind::Serve, "reading request body", e)
-    })?;
-    request.body = String::from_utf8(body).map_err(|_| TcorError::serve("body is not UTF-8"))?;
-    Ok(request)
 }
 
 /// A response ready to serialize. The `Connection:` header follows the
@@ -386,12 +294,10 @@ impl Response {
     }
 
     /// The fully serialized response (status line, headers, the
-    /// negotiated `Connection:` header, body) — the exact bytes
-    /// [`write_to`] sends. Exposed so the serve-plane fault layer can
+    /// negotiated `Connection:` header, body) — the exact bytes the
+    /// event loop sends. Exposed so the serve-plane fault layer can
     /// truncate or corrupt a response *after* serialization, the way a
     /// failing network would.
-    ///
-    /// [`write_to`]: Response::write_to
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
@@ -416,29 +322,30 @@ impl Response {
         bytes.extend_from_slice(self.body.as_bytes());
         bytes
     }
-
-    /// Serializes the response onto `w`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors as serve-class errors.
-    pub fn write_to<W: Write>(&self, mut w: W) -> TcorResult<()> {
-        w.write_all(&self.to_bytes())
-            .and_then(|()| w.flush())
-            .map_err(|e| {
-                TcorError::with_source(tcor_common::ErrorKind::Serve, "writing response", e)
-            })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `raw` parsed under the flat [`MAX_BODY`] limit.
+    fn parse(raw: &[u8]) -> TcorResult<ParseOutcome> {
+        parse_request_limited(raw, |_| MAX_BODY)
+    }
+
+    /// The complete request at the front of `raw` and the bytes it took.
+    fn complete(raw: &str) -> (Request, usize) {
+        match parse(raw.as_bytes()).unwrap() {
+            ParseOutcome::Complete(request, consumed) => (request, consumed),
+            other => panic!("expected a complete request, got {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_a_get_with_headers() {
         let raw = "GET /health HTTP/1.1\r\nHost: localhost\r\nX-Probe: 1\r\n\r\n";
-        let req = read_request(raw.as_bytes()).unwrap();
+        let (req, consumed) = complete(raw);
+        assert_eq!(consumed, raw.len());
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/health");
         assert_eq!(req.version, "HTTP/1.1");
@@ -450,30 +357,37 @@ mod tests {
     #[test]
     fn parses_a_post_body_by_content_length() {
         let raw = "POST /v1/run HTTP/1.1\r\nContent-Length: 14\r\n\r\nexperiment=fig10";
-        let req = read_request(raw.as_bytes()).unwrap();
+        let (req, consumed) = complete(raw);
         assert_eq!(req.body, "experiment=fig"); // exactly 14 bytes
+        assert_eq!(&raw[consumed..], "10", "the rest is the next request");
     }
 
     #[test]
     fn rejects_garbage_and_oversize() {
-        assert!(read_request("\r\n\r\n".as_bytes()).is_err());
-        assert!(read_request("GET /x SPDY/9\r\n\r\n".as_bytes()).is_err());
+        assert!(parse(b"\r\n\r\n").is_err());
+        assert!(parse(b"GET /x SPDY/9\r\n\r\n").is_err());
         let huge = format!(
             "POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY + 1
         );
-        let err = read_request(huge.as_bytes()).unwrap_err();
+        assert!(matches!(
+            parse(huge.as_bytes()).unwrap(),
+            ParseOutcome::BodyTooLarge { .. }
+        ));
+        let err = parse(b"POST /x HTTP/1.1\r\nContent-Length: x\r\n\r\n").unwrap_err();
         assert_eq!(err.kind(), tcor_common::ErrorKind::Serve);
     }
 
     #[test]
     fn incremental_parse_waits_for_completion_then_consumes_exactly() {
         let raw = b"POST /v1/run HTTP/1.1\r\nContent-Length: 5\r\n\r\nhelloGET /next";
-        let (req, consumed) = parse_request(raw).unwrap().expect("complete");
+        let ParseOutcome::Complete(req, consumed) = parse(raw).unwrap() else {
+            panic!("complete");
+        };
         // Every proper prefix short of head+body is "keep reading".
         for cut in 0..consumed {
             assert!(
-                parse_request(&raw[..cut]).unwrap().is_none(),
+                matches!(parse(&raw[..cut]).unwrap(), ParseOutcome::Incomplete { .. }),
                 "cut at {cut} must be incomplete"
             );
         }
@@ -483,18 +397,13 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parse_rejects_what_read_request_rejects() {
-        assert!(parse_request(b"\r\n\r\n").is_err());
-        assert!(parse_request(b"GET /x SPDY/9\r\n\r\n").is_err());
-        assert!(parse_request(b"no colon header\r\nGET / HTTP/1.1\r\n\r\n").is_err());
-        let huge = format!(
-            "POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-            MAX_BODY + 1
-        );
-        assert!(parse_request(huge.as_bytes()).is_err());
+    fn incremental_parse_rejects_malformed_heads() {
+        assert!(parse(b"\r\n\r\n").is_err());
+        assert!(parse(b"GET /x SPDY/9\r\n\r\n").is_err());
+        assert!(parse(b"no colon header\r\nGET / HTTP/1.1\r\n\r\n").is_err());
         // A never-terminating header block errors instead of buffering.
         let drip = vec![b'a'; MAX_HEAD + 2];
-        assert!(parse_request(&drip).is_err());
+        assert!(parse(&drip).is_err());
     }
 
     #[test]
@@ -542,7 +451,7 @@ mod tests {
 
     #[test]
     fn connection_token_negotiation() {
-        let parse = |raw: &str| parse_request(raw.as_bytes()).unwrap().unwrap().0;
+        let parse = |raw: &str| complete(raw).0;
         // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
         assert!(parse("GET / HTTP/1.1\r\n\r\n").wants_keep_alive());
         assert!(!parse("GET / HTTP/1.0\r\n\r\n").wants_keep_alive());
@@ -559,12 +468,10 @@ mod tests {
 
     #[test]
     fn response_serializes_with_close_and_length() {
-        let mut buf = Vec::new();
-        Response::text(200, "ok\n")
+        let bytes = Response::text(200, "ok\n")
             .with_header("X-Tcor-Cache", "hit")
-            .write_to(&mut buf)
-            .unwrap();
-        let text = String::from_utf8(buf).unwrap();
+            .to_bytes();
+        let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 3\r\n"));
         assert!(text.contains("Connection: close\r\n"));

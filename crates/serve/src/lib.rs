@@ -56,10 +56,7 @@ pub use client::{
 };
 pub use coalesce::{FollowerHandle, Join, LeaderToken, Singleflight, Waited};
 pub use hist::LatencyHistogram;
-pub use http::{
-    parse_request, parse_request_limited, read_request, ParseOutcome, Request, Response, MAX_BODY,
-    STREAM_MAX_BODY,
-};
+pub use http::{parse_request_limited, ParseOutcome, Request, Response, MAX_BODY, STREAM_MAX_BODY};
 pub use metrics::ServeMetrics;
 pub use pool::{BoundedQueue, Pushed};
 pub use router::{body_limit, route, ApiCall, Route, StreamOp};

@@ -583,19 +583,8 @@ fn answer_api(shared: &Shared, call: &ApiCall, arrived: Instant) -> (Response, &
     // that was not their own request's fault — unless the retry leader
     // panics too.
     for attempt in 0..2u32 {
-        if let Some((body, tier)) = shared.cache.get(&key) {
-            ServeMetrics::bump(&shared.metrics.warm_hits);
-            match tier {
-                Tier::Mem => ServeMetrics::bump(&shared.metrics.mem_hits),
-                Tier::Disk => ServeMetrics::bump(&shared.metrics.disk_hits),
-            }
-            // The span source distinguishes the tiers ("cache" =
-            // memory, "disk" = restored and promoted).
-            let source = match tier {
-                Tier::Mem => "cache",
-                Tier::Disk => "disk",
-            };
-            return (ok_response(&body, tier.label()), source);
+        if let Some(hit) = shared.try_warm(call) {
+            return hit;
         }
         match shared.flights.join(key.identity) {
             Join::Leader(token) => {

@@ -1,15 +1,22 @@
 //! Decoder-totality fuzzing for HTTP request parsing.
 //!
-//! `read_request` sits on the network boundary: every byte sequence a
-//! peer can send must come back as `Ok` or a typed serve-class error —
-//! never a panic, never an unbounded allocation. The fuzz here is
-//! seeded (Xoshiro, fixed seed) so a failure reproduces exactly; the
-//! corpus is structured mutations of valid requests (which land near
-//! the parser's edge cases) plus fully random buffers (which land far
-//! from them).
+//! `parse_request_limited` sits on the network boundary: the daemon
+//! parses every request it receives with it, under the per-route
+//! `body_limit`, exactly as [`parse`] does here. Every byte sequence a
+//! peer can send must come back as a parse outcome or a typed
+//! serve-class error — never a panic, never an unbounded allocation.
+//! The fuzz here is seeded (Xoshiro, fixed seed) so a failure
+//! reproduces exactly; the corpus is structured mutations of valid
+//! requests (which land near the parser's edge cases) plus fully random
+//! buffers (which land far from them).
 
-use tcor_common::{ErrorKind, Xoshiro256pp};
-use tcor_serve::read_request;
+use tcor_common::{ErrorKind, TcorResult, Xoshiro256pp};
+use tcor_serve::{body_limit, parse_request_limited, ParseOutcome, MAX_BODY};
+
+/// One parse of the front of `buf`, as the daemon's event loop does it.
+fn parse(buf: &[u8]) -> TcorResult<ParseOutcome> {
+    parse_request_limited(buf, |req| body_limit(&req.method, &req.path))
+}
 
 /// Valid requests covering every shape the daemon routes: header-only
 /// GETs, a body-carrying POST, and an empty-body POST.
@@ -52,9 +59,20 @@ fn mutate(rng: &mut Xoshiro256pp, base: &[u8]) -> Vec<u8> {
 #[test]
 fn the_valid_corpus_parses_clean() {
     for raw in VALID {
-        let req = read_request(raw.as_bytes()).expect("valid corpus request");
+        let Ok(ParseOutcome::Complete(req, consumed)) = parse(raw.as_bytes()) else {
+            panic!("valid corpus request did not complete: {raw:?}");
+        };
+        assert_eq!(consumed, raw.len());
         assert!(!req.method.is_empty());
         assert!(req.path.starts_with('/'));
+        // A truncated buffer is "keep reading", never an error.
+        for cut in 0..raw.len() {
+            let outcome = parse(&raw.as_bytes()[..cut]);
+            assert!(
+                matches!(outcome, Ok(ParseOutcome::Incomplete { .. })),
+                "{raw:?} cut at {cut}"
+            );
+        }
     }
 }
 
@@ -65,7 +83,7 @@ fn mutated_requests_never_panic_and_fail_typed() {
     for round in 0..2000 {
         let base = VALID[round % VALID.len()].as_bytes();
         let fuzzed = mutate(&mut rng, base);
-        match read_request(fuzzed.as_slice()) {
+        match parse(&fuzzed) {
             Ok(_) => ok += 1,
             Err(e) => {
                 assert_eq!(
@@ -91,27 +109,34 @@ fn random_buffers_never_panic() {
         let buf: Vec<u8> = (0..len)
             .map(|_| rng.random_range(0..256u64) as u8)
             .collect();
-        if let Err(e) = read_request(buf.as_slice()) {
+        if let Err(e) = parse(&buf) {
             assert_eq!(e.kind(), ErrorKind::Serve);
         }
     }
 }
 
 /// The parser's limits hold under adversarial (not random) input: a
-/// line that never ends, a header flood, and a declared body larger
-/// than the cap are all refused without reading unbounded memory.
+/// line that never ends and a header flood are refused, and a declared
+/// body larger than the route's cap is convicted from the head alone,
+/// all without reading unbounded memory.
 #[test]
 fn adversarial_inputs_hit_the_declared_limits() {
     let endless_line = vec![b'A'; 1 << 20];
-    assert!(read_request(endless_line.as_slice()).is_err());
+    assert!(parse(&endless_line).is_err());
 
     let mut flood = String::from("GET / HTTP/1.1\r\n");
     for i in 0..1000 {
         flood.push_str(&format!("X-H{i}: v\r\n"));
     }
     flood.push_str("\r\n");
-    assert!(read_request(flood.as_bytes()).is_err());
+    assert!(parse(flood.as_bytes()).is_err());
 
     let oversize = "POST / HTTP/1.1\r\nContent-Length: 18446744073709551615\r\n\r\n";
-    assert!(read_request(oversize.as_bytes()).is_err());
+    assert!(matches!(
+        parse(oversize.as_bytes()),
+        Ok(ParseOutcome::BodyTooLarge {
+            declared: usize::MAX,
+            limit: MAX_BODY
+        })
+    ));
 }

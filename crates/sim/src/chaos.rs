@@ -26,6 +26,7 @@
 //! `--bench-out FILE` records the run (requests, retries, kills,
 //! breaker activity) as machine-readable JSON for CI.
 
+use crate::loadgen::counter;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode, Stdio};
@@ -145,15 +146,6 @@ impl Daemon {
         request_retrying(&mut self.client, "GET", path, None, policy)
             .map_err(|e| format!("GET {path}: {e}"))
     }
-}
-
-/// Counter value out of a `/metrics` body (0 when absent).
-fn counter(metrics: &str, path: &str) -> u64 {
-    metrics
-        .lines()
-        .find_map(|l| l.strip_prefix(&format!("{path} = ")))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
 }
 
 fn parse_opts(args: &[String]) -> Result<ChaosOpts, String> {

@@ -252,7 +252,7 @@ fn run_tier(
 }
 
 /// A counter out of a `/metrics` body (0 when absent).
-fn counter(metrics: &str, path: &str) -> u64 {
+pub(crate) fn counter(metrics: &str, path: &str) -> u64 {
     metrics
         .lines()
         .find_map(|l| l.strip_prefix(&format!("{path} = ")))

@@ -57,10 +57,11 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
-use tcor_common::{fxhash64, hash_hex, TcorError};
+use tcor_common::{fxhash64, hash_hex, FaultInjector, TcorError};
 use tcor_runner::{
-    default_workers, FaultPlan, GoldenStatus, GoldenStore, Json, RunManifest, RunStatus, Telemetry,
+    default_workers, GoldenStatus, GoldenStore, Json, RunManifest, RunStatus, Telemetry,
 };
 use tcor_sim::orchestrate::ExecMode;
 use tcor_sim::{
@@ -1093,6 +1094,15 @@ fn bench_serve(path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The fault schedule `--inject-faults SEED` arms, over the runner's
+/// three keyed points: 4% of jobs panic, 8% stall for 10 ms first, and
+/// 10% of golden writes fail. Every ask is keyed on a job label or a
+/// golden tag, so the same jobs fail at any worker count. No clause has
+/// a `#limit`: counting fires would make the schedule depend on ask
+/// order again.
+const INJECT_FAULTS_PRESET: &str =
+    "runner/job_panic=4,runner/job_delay=8@10,runner/golden_write=10";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("trace") {
@@ -1169,7 +1179,7 @@ fn main() -> ExitCode {
     let mut inject_audit_fault = false;
     let mut trace_out: Option<PathBuf> = None;
     let mut job_timeout: Option<Duration> = None;
-    let mut fault_plan: Option<FaultPlan> = None;
+    let mut faults: Option<Arc<FaultInjector>> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -1207,7 +1217,10 @@ fn main() -> ExitCode {
                         }
                     },
                     "--inject-faults" => match value.parse::<u64>() {
-                        Ok(seed) => fault_plan = Some(FaultPlan::seeded(seed)),
+                        Ok(seed) => {
+                            let preset = FaultInjector::parse(seed, INJECT_FAULTS_PRESET);
+                            faults = Some(Arc::new(preset.expect("the preset spec parses")));
+                        }
                         _ => {
                             eprintln!("--inject-faults needs an integer seed, got `{value}`");
                             return ExitCode::from(2);
@@ -1295,7 +1308,7 @@ fn main() -> ExitCode {
     let opts = RunOptions {
         mode,
         job_timeout,
-        fault_plan: fault_plan.clone(),
+        faults: faults.clone(),
     };
     let outcome = match run_experiments(&run_ids, &opts, &store, &telemetry) {
         Ok(o) => o,
@@ -1306,8 +1319,8 @@ fn main() -> ExitCode {
     };
 
     let mut golden = GoldenStore::new(&golden_dir);
-    if let Some(plan) = &fault_plan {
-        golden = golden.with_fault_plan(plan.clone());
+    if let Some(faults) = faults {
+        golden = golden.with_faults(faults);
     }
     let mut drifted = 0usize;
     let mut corrupt = 0usize;

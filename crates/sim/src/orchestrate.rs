@@ -30,10 +30,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use tcor::FrameReport;
-use tcor_common::{TcorError, TcorResult, TileGrid};
+use tcor_common::{FaultInjector, TcorError, TcorResult, TileGrid};
 use tcor_runner::{
-    execute, execute_serial, ArtifactStore, ExecOptions, FaultPlan, JobCtx, JobGraph, JobId,
-    JobOutcome, Telemetry,
+    execute, execute_serial, ArtifactStore, ExecOptions, JobCtx, JobGraph, JobId, JobOutcome,
+    Telemetry,
 };
 use tcor_workloads::synth::CalibratedScene;
 use tcor_workloads::{suite as benchmarks, BenchmarkProfile};
@@ -167,11 +167,6 @@ fn needs_traces(id: &str) -> bool {
     matches!(id, "fig1" | "fig11" | "fig12" | "fig13" | "fig13x")
 }
 
-/// Whether `id` reads calibrated scenes directly (outside suite/traces).
-fn needs_scenes(id: &str) -> bool {
-    matches!(id, "ablation" | "scaling" | "sweep" | "traversal")
-}
-
 /// Whether `id` replays `alias`'s shared frame plan: the suite's cells
 /// and the ablation replay every workload's, the other studies their
 /// own workloads'.
@@ -182,6 +177,12 @@ fn needs_plan(id: &str, alias: &str) -> bool {
         "traversal" => traversal_study::WORKLOADS.contains(&alias),
         _ => needs_suite(id) || id == "ablation",
     }
+}
+
+/// Whether `id` reads `alias`'s calibrated scene: through its frame
+/// plan or through the suite PB traces.
+fn needs_scene(id: &str, alias: &str) -> bool {
+    needs_traces(id) || needs_plan(id, alias)
 }
 
 /// How to execute a job graph.
@@ -202,8 +203,10 @@ pub struct RunOptions {
     /// Wall-time budget per job; over-budget jobs are flagged by the
     /// watchdog (they are never killed — results stay deterministic).
     pub job_timeout: Option<Duration>,
-    /// Deterministic fault injection (`--inject-faults <seed>`).
-    pub fault_plan: Option<FaultPlan>,
+    /// Deterministic fault injection (`--inject-faults <seed>`): the
+    /// executor's keyed `runner/job_panic` and `runner/job_delay`
+    /// points, asked per job label.
+    pub faults: Option<Arc<FaultInjector>>,
 }
 
 /// How one requested experiment ended.
@@ -275,7 +278,7 @@ impl RunOutcome {
 /// [`ExecMode::Parallel`] independent cells and experiments run
 /// concurrently, and completed output is identical to
 /// [`ExecMode::Serial`]. A panicking job (organic or injected via
-/// [`RunOptions::fault_plan`]) fails its experiment and skips its
+/// [`RunOptions::faults`]) fails its experiment and skips its
 /// dependents; independent experiments complete.
 ///
 /// # Errors
@@ -302,31 +305,35 @@ pub fn run_experiments(
     let profiles = benchmarks();
     let want_suite = ids.iter().any(|id| needs_suite(id));
     let want_traces = ids.iter().any(|id| needs_traces(id));
-    let want_scenes = want_suite || want_traces || ids.iter().any(|id| needs_scenes(id));
 
     type JobResult = TcorResult<Option<(usize, Vec<Table>)>>;
     let mut g: JobGraph<'_, JobResult> = JobGraph::new();
 
-    // Tier 1: one calibration job per benchmark scene.
-    let mut scene_ids: Vec<JobId> = Vec::new();
-    if want_scenes {
-        for p in &profiles {
+    // Tier 1: one calibration job per benchmark scene that a requested
+    // experiment reads.
+    let scene_ids: Vec<Option<JobId>> = profiles
+        .iter()
+        .map(|p| {
             let (p, grid) = (*p, grid);
-            scene_ids.push(g.add_job(
-                format!("scene:{}", p.alias),
-                &[],
-                move |ctx: &JobCtx<'_>| {
-                    let cal = calibrated_scene(ctx.store(), &p, &grid)?;
-                    ctx.counter("prims", cal.num_prims as u64);
-                    Ok(None)
-                },
-            ));
-        }
-    }
+            ids.iter().any(|id| needs_scene(id, p.alias)).then(|| {
+                g.add_job(
+                    format!("scene:{}", p.alias),
+                    &[],
+                    move |ctx: &JobCtx<'_>| {
+                        let cal = calibrated_scene(ctx.store(), &p, &grid)?;
+                        ctx.counter("prims", cal.num_prims as u64);
+                        Ok(None)
+                    },
+                )
+            })
+        })
+        .collect();
 
-    // Tier 2a: the aggregated PB traces (miss-curve substrate).
+    // Tier 2a: the aggregated PB traces (miss-curve substrate), over
+    // every scene.
     let traces_job = want_traces.then(|| {
-        g.add_job("traces:suite", &scene_ids, |ctx: &JobCtx<'_>| {
+        let scenes: Vec<JobId> = scene_ids.iter().flatten().copied().collect();
+        g.add_job("traces:suite", &scenes, |ctx: &JobCtx<'_>| {
             let traces = misscurves::suite_traces(ctx.store())?;
             ctx.counter(
                 "trace_accesses",
@@ -346,9 +353,10 @@ pub fn run_experiments(
         .map(|(p, sid)| {
             let (p, grid) = (*p, grid);
             ids.iter().any(|id| needs_plan(id, p.alias)).then(|| {
+                let sid = sid.expect("a workload with a plan has a scene job");
                 g.add_job(
                     format!("plan:{}", p.alias),
-                    &[*sid],
+                    &[sid],
                     move |ctx: &JobCtx<'_>| {
                         let work = PlanWork::default();
                         let cfg = cell_config(&p, CELL_CONFIGS[0]);
@@ -394,23 +402,23 @@ pub fn run_experiments(
         })
     });
 
-    // Tier 3: the experiments themselves, in input order.
+    // Tier 3: the experiments themselves, in input order. A study
+    // depends on the plans it replays, so it waits only for its own
+    // workloads' scenes.
     let mut exp_jobs: Vec<JobId> = Vec::with_capacity(ids.len());
     for (idx, id) in ids.iter().enumerate() {
         let mut deps = Vec::new();
         if needs_suite(id) {
             deps.extend(suite_job);
-        }
-        if needs_traces(id) {
-            deps.extend(traces_job);
-        }
-        if needs_scenes(id) {
-            deps.extend_from_slice(&scene_ids);
+        } else {
             for (p, plan) in profiles.iter().zip(&plan_ids) {
                 if needs_plan(id, p.alias) {
                     deps.extend(*plan);
                 }
             }
+        }
+        if needs_traces(id) {
+            deps.extend(traces_job);
         }
         let id = id.clone();
         exp_jobs.push(
@@ -431,7 +439,7 @@ pub fn run_experiments(
     telemetry.enable_progress(g.len());
     let exec_opts = ExecOptions {
         job_timeout: opts.job_timeout,
-        fault_plan: opts.fault_plan.clone(),
+        faults: opts.faults.clone(),
     };
     // Tell the miss-curve engine how many workers its per-geometry
     // replays may scatter across: serial runs stay strictly serial
@@ -593,7 +601,9 @@ mod tests {
         let store = ArtifactStore::new();
         let t = Telemetry::new();
         let opts = RunOptions {
-            fault_plan: Some(FaultPlan::panic_on("exp:table1")),
+            faults: Some(Arc::new(
+                FaultInjector::parse(0, "runner/job_panic/exp:table1=100").unwrap(),
+            )),
             ..RunOptions::default()
         };
         let ids = vec!["table1".to_string(), "fig10".to_string()];

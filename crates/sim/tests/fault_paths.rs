@@ -9,8 +9,9 @@
 //!    previous baseline fully readable.
 
 use std::path::PathBuf;
-use tcor_common::{fxhash64, hash_hex};
-use tcor_runner::{ArtifactStore, FaultPlan, GoldenStatus, GoldenStore, RunManifest, Telemetry};
+use std::sync::Arc;
+use tcor_common::{fxhash64, hash_hex, FaultInjector};
+use tcor_runner::{ArtifactStore, GoldenStatus, GoldenStore, RunManifest, Telemetry};
 use tcor_sim::{run_experiments, ExperimentOutcome, RunOptions};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -28,24 +29,31 @@ fn csv_hash(csv: &str) -> String {
     hash_hex(fxhash64(csv.as_bytes()))
 }
 
-/// Scenario 1: panic one scene-calibration job. The experiment that
-/// consumes every scene is skipped (not panicked, not half-run), the
-/// scene-independent experiment completes, and the failure shows up
-/// in both the run outcome and the telemetry log.
+/// Run options whose injector fires exactly the clauses of `spec`.
+fn injecting(spec: &str) -> RunOptions {
+    RunOptions {
+        faults: Some(Arc::new(FaultInjector::parse(0, spec).unwrap())),
+        ..RunOptions::default()
+    }
+}
+
+/// Scenario 1: panic the scene-calibration job of the one workload the
+/// scaling study reads. Its plan and the study are skipped (not
+/// panicked, not half-run) with the scene as their root, the
+/// scene-independent experiment completes, the run calibrates no other
+/// scene, and the failure shows up in both the run outcome and the
+/// telemetry log.
 #[test]
 fn one_injected_panic_fails_one_job_and_skips_only_its_dependents() {
     let store = ArtifactStore::new();
     let telemetry = Telemetry::new();
-    let opts = RunOptions {
-        fault_plan: Some(FaultPlan::panic_on("scene:GTr")),
-        ..RunOptions::default()
-    };
+    let opts = injecting("runner/job_panic/scene:Snp=100");
     let out = run_experiments(&ids(&["scaling", "table1"]), &opts, &store, &telemetry).unwrap();
 
     assert!(!out.all_ok());
     match &out.experiments[0].1 {
         ExperimentOutcome::Skipped { dep_label } => {
-            assert_eq!(dep_label, "scene:GTr");
+            assert_eq!(dep_label, "scene:Snp");
         }
         other => panic!("scaling should be skipped behind the failed scene, got {other:?}"),
     }
@@ -56,11 +64,27 @@ fn one_injected_panic_fails_one_job_and_skips_only_its_dependents() {
 
     let failures = telemetry.failures();
     assert_eq!(failures.len(), 1, "exactly one job panicked: {failures:?}");
-    assert_eq!(failures[0].1, "scene:GTr");
+    assert_eq!(failures[0].1, "scene:Snp");
     assert!(failures[0].2.contains("injected fault"));
-    assert_eq!(telemetry.skips().len(), 1, "exactly one job was skipped");
+    let skips: Vec<(String, String)> = telemetry
+        .skips()
+        .into_iter()
+        .map(|(_, label, root)| (label, root))
+        .collect();
+    assert_eq!(
+        skips,
+        [("plan:Snp", "scene:Snp"), ("exp:scaling", "scene:Snp")]
+            .map(|(l, r)| (l.to_string(), r.to_string()))
+    );
+    let labels = failures
+        .iter()
+        .map(|f| f.1.clone())
+        .chain(telemetry.records().into_iter().map(|r| r.label))
+        .chain(skips.into_iter().map(|s| s.0));
+    let scenes: Vec<String> = labels.filter(|l| l.starts_with("scene:")).collect();
+    assert_eq!(scenes, ["scene:Snp"], "the run makes one scene job");
     let summary = out.failure_summary.expect("failures must be summarized");
-    assert!(summary.contains("scene:GTr"));
+    assert!(summary.contains("scene:Snp"));
 }
 
 /// Scenario 2: a faulted run records `failed` in the run manifest;
@@ -88,10 +112,7 @@ fn resume_recomputes_only_failed_experiments_and_matches_golden() {
     // exactly as the binary does.
     let store = ArtifactStore::new();
     let telemetry = Telemetry::new();
-    let opts = RunOptions {
-        fault_plan: Some(FaultPlan::panic_on("exp:table1")),
-        ..RunOptions::default()
-    };
+    let opts = injecting("runner/job_panic/exp:table1=100");
     let out = run_experiments(&all, &opts, &store, &telemetry).unwrap();
     let mut manifest = RunManifest::new(&manifest_path);
     for (id, outcome) in out.experiments {
@@ -177,7 +198,8 @@ fn injected_io_error_during_golden_update_leaves_baseline_readable() {
     clean.update("t1", old).unwrap();
     assert!(clean.check("t1", old).is_match());
 
-    let faulty = GoldenStore::new(&dir).with_fault_plan(FaultPlan::fail_io_on("golden:t1"));
+    let faults = FaultInjector::parse(0, "runner/golden_write/golden:t1=100").unwrap();
+    let faulty = GoldenStore::new(&dir).with_faults(Arc::new(faults));
     let err = faulty.update("t1", new).unwrap_err();
     assert!(err.to_string().contains("injected fault"), "{err}");
 

@@ -2,9 +2,10 @@
 //!
 //! A [`SessionRegistry`] owns every live session behind one mutex.
 //! Each session pairs a [`ChunkDecoder`] (transactional incremental
-//! parse) with a [`StreamingProfiler`] (exact online OPT + LRU), plus
-//! the byte/block budgets that keep a hostile or runaway upload from
-//! exhausting the daemon:
+//! parse) with a [`StreamingProfiler`] (exact online OPT + LRU) until
+//! it finishes; a finished session keeps only its final curves at its
+//! grid and the counters its documents print. Budgets keep a hostile or
+//! runaway upload from exhausting the daemon:
 //!
 //! * **byte budget** — checked *before* decoding; a breach is a 413
 //!   and the session stays intact (the client may finish with what it
@@ -133,14 +134,68 @@ pub struct ChunkReceipt {
     pub bytes: u64,
 }
 
-/// One live streaming session.
+/// One streaming session.
 struct Session {
     label: String,
     grid: CapacityGrid,
+    state: State,
+    last_touch: Instant,
+}
+
+/// A session ingests until it finishes; then only its numbers remain.
+enum State {
+    /// Ingesting (boxed: the profiler dwarfs the finished numbers).
+    Live(Box<Ingest>),
+    /// Finished: the whole stream's curves, computed once at finish.
+    Finished(Curves),
+}
+
+/// An ingesting session's decoder carry, profiler and bytes taken.
+#[derive(Default)]
+struct Ingest {
     decoder: ChunkDecoder,
     profiler: StreamingProfiler,
     bytes_in: u64,
-    last_touch: Instant,
+}
+
+/// What a curve document prints: both curves at the session's grid and
+/// the ingest counters.
+struct Curves {
+    accesses: u64,
+    distinct_blocks: u64,
+    window: u64,
+    peak_window: u64,
+    opt: Vec<f64>,
+    lru: Vec<f64>,
+}
+
+impl Curves {
+    /// `profiler`'s curves at `grid`: exact for the prefix ingested so
+    /// far, or for the whole stream once finalized.
+    fn of(profiler: &StreamingProfiler, grid: &CapacityGrid) -> Self {
+        let snapshot;
+        let opt = if profiler.is_finalized() {
+            profiler.opt()
+        } else {
+            snapshot = profiler.snapshot_opt();
+            &snapshot
+        };
+        let total = profiler.total_accesses();
+        let curve_of = |misses_at: &dyn Fn(usize) -> u64| -> Vec<f64> {
+            grid.caps
+                .iter()
+                .map(|&c| miss_ratio(misses_at(c), total))
+                .collect()
+        };
+        Curves {
+            accesses: total,
+            distinct_blocks: profiler.distinct_blocks() as u64,
+            window: profiler.window_len() as u64,
+            peak_window: profiler.peak_window() as u64,
+            opt: curve_of(&|c| opt.misses_at(c)),
+            lru: curve_of(&|c| profiler.lru().misses_at(c)),
+        }
+    }
 }
 
 struct Inner {
@@ -206,9 +261,7 @@ impl SessionRegistry {
             Session {
                 label,
                 grid,
-                decoder: ChunkDecoder::new(),
-                profiler: StreamingProfiler::new(),
-                bytes_in: 0,
+                state: State::Live(Box::default()),
                 last_touch: now,
             },
         );
@@ -226,22 +279,27 @@ impl SessionRegistry {
             .get_mut(id)
             .ok_or_else(|| StreamError::UnknownSession(id.to_string()))?;
         session.last_touch = now;
-        if session.profiler.is_finalized() {
+        let State::Live(ingest) = &mut session.state else {
             return Err(StreamError::Finished(id.to_string()));
-        }
+        };
+        let Ingest {
+            decoder,
+            profiler,
+            bytes_in,
+        } = &mut **ingest;
         let incoming = body.len() as u64;
-        if session.bytes_in + incoming > self.config.session_bytes {
+        if *bytes_in + incoming > self.config.session_bytes {
             return Err(StreamError::ByteBudget {
-                used: session.bytes_in + incoming,
+                used: *bytes_in + incoming,
                 limit: self.config.session_bytes,
             });
         }
-        let accesses = session.decoder.feed(body)?;
-        session.bytes_in += incoming;
+        let accesses = decoder.feed(body)?;
+        *bytes_in += incoming;
         for a in &accesses {
-            session.profiler.push(*a);
+            profiler.push(*a);
         }
-        let blocks = session.profiler.distinct_blocks();
+        let blocks = profiler.distinct_blocks();
         if blocks > self.config.session_blocks {
             let limit = self.config.session_blocks;
             inner.sessions.remove(id);
@@ -249,9 +307,9 @@ impl SessionRegistry {
         }
         let doc = Json::obj([
             ("session", Json::str(id)),
-            ("accesses", Json::UInt(session.profiler.total_accesses())),
+            ("accesses", Json::UInt(profiler.total_accesses())),
             ("distinct_blocks", Json::UInt(blocks as u64)),
-            ("window", Json::UInt(session.profiler.window_len() as u64)),
+            ("window", Json::UInt(profiler.window_len() as u64)),
         ]);
         Ok(ChunkReceipt {
             body: doc.render() + "\n",
@@ -283,8 +341,10 @@ impl SessionRegistry {
 
     /// Finalizes the session — every still-pending access resolves to
     /// `next_use = ∞` — and renders the final curves. Idempotent; the
-    /// session stays queryable (curve/finish) until its TTL. Decoder
-    /// carry with a final unterminated line is flushed first.
+    /// session stays queryable (curve/finish) until its TTL, answering
+    /// from the curves computed here: the decoder and profiler are
+    /// dropped. Decoder carry with a final unterminated line is flushed
+    /// first.
     pub fn finish(
         &self,
         id: &str,
@@ -298,12 +358,13 @@ impl SessionRegistry {
             .get_mut(id)
             .ok_or_else(|| StreamError::UnknownSession(id.to_string()))?;
         session.last_touch = now;
-        if !session.profiler.is_finalized() {
-            let tail = session.decoder.finish()?;
+        if let State::Live(ingest) = &mut session.state {
+            let tail = ingest.decoder.finish()?;
             for a in &tail {
-                session.profiler.push(*a);
+                ingest.profiler.push(*a);
             }
-            session.profiler.finalize();
+            ingest.profiler.finalize();
+            session.state = State::Finished(Curves::of(&ingest.profiler, &session.grid));
         }
         render_curves(id, session, policy)
     }
@@ -351,43 +412,33 @@ fn sweep(inner: &mut Inner, now: Instant, ttl: Duration) {
 
 /// Renders the curve document(s) for one session.
 fn render_curves(id: &str, session: &Session, policy: Option<&str>) -> Result<String, StreamError> {
-    let profiler = &session.profiler;
-    let opt = profiler.snapshot_opt();
-    let total = profiler.total_accesses();
-    let curve_of = |misses_at: &dyn Fn(usize) -> u64| -> Vec<f64> {
-        session
-            .grid
-            .caps
-            .iter()
-            .map(|&c| miss_ratio(misses_at(c), total))
-            .collect()
+    let live;
+    let (curves, finished) = match &session.state {
+        State::Live(ingest) => {
+            live = Curves::of(&ingest.profiler, &session.grid);
+            (&live, false)
+        }
+        State::Finished(curves) => (curves, true),
     };
-    let opt_curve = curve_of(&|c| opt.misses_at(c));
-    let lru_curve = curve_of(&|c| profiler.lru().misses_at(c));
+    let curve_doc = |policy: &str, curve: &[f64]| {
+        misscurve_json(&session.label, policy, &session.grid.size_kb, curve).render() + "\n"
+    };
     match policy {
-        Some("opt") => Ok(
-            misscurve_json(&session.label, "opt", &session.grid.size_kb, &opt_curve).render()
-                + "\n",
-        ),
-        Some("lru") => Ok(
-            misscurve_json(&session.label, "lru", &session.grid.size_kb, &lru_curve).render()
-                + "\n",
-        ),
+        Some("opt") => Ok(curve_doc("opt", &curves.opt)),
+        Some("lru") => Ok(curve_doc("lru", &curves.lru)),
         Some(other) => Err(StreamError::BadRequest(format!(
             "unknown curve policy `{other}` (expected opt or lru)"
         ))),
         None => {
+            let ratios = |curve: &[f64]| Json::Arr(curve.iter().map(|&m| Json::Float(m)).collect());
             let doc = Json::obj([
                 ("session", Json::str(id)),
                 ("workload", Json::str(&session.label)),
-                ("finished", Json::Bool(profiler.is_finalized())),
-                ("accesses", Json::UInt(total)),
-                (
-                    "distinct_blocks",
-                    Json::UInt(profiler.distinct_blocks() as u64),
-                ),
-                ("window", Json::UInt(profiler.window_len() as u64)),
-                ("peak_window", Json::UInt(profiler.peak_window() as u64)),
+                ("finished", Json::Bool(finished)),
+                ("accesses", Json::UInt(curves.accesses)),
+                ("distinct_blocks", Json::UInt(curves.distinct_blocks)),
+                ("window", Json::UInt(curves.window)),
+                ("peak_window", Json::UInt(curves.peak_window)),
                 (
                     "size_kb",
                     Json::Arr(
@@ -399,14 +450,8 @@ fn render_curves(id: &str, session: &Session, policy: Option<&str>) -> Result<St
                             .collect(),
                     ),
                 ),
-                (
-                    "opt_miss_ratio",
-                    Json::Arr(opt_curve.into_iter().map(Json::Float).collect()),
-                ),
-                (
-                    "lru_miss_ratio",
-                    Json::Arr(lru_curve.into_iter().map(Json::Float).collect()),
-                ),
+                ("opt_miss_ratio", ratios(&curves.opt)),
+                ("lru_miss_ratio", ratios(&curves.lru)),
             ]);
             Ok(doc.render() + "\n")
         }
@@ -649,6 +694,43 @@ mod tests {
         let id = session_id(&reg.open("", now).unwrap());
         let err = reg.curve(&id, Some("fifo"), now).unwrap_err();
         assert_eq!(err.status(), 400);
+    }
+
+    /// A finished session answers from the numbers it kept: every later
+    /// finish and curve body repeats the first finish's bytes, which are
+    /// the bytes the profiler-backed renderer produced for this trace.
+    #[test]
+    fn finished_bodies_repeat_the_pinned_bytes() {
+        let reg = SessionRegistry::new(StreamConfig::default());
+        let now = t0();
+        let id = session_id(&reg.open("label=GTr&grid=1:4:1", now).unwrap());
+        let mut rng = tcor_common::Xoshiro256pp::seed_from_u64(19);
+        let trace: Vec<u64> = (0..400).map(|_| rng.random_range(0..48u64)).collect();
+        reg.chunk(&id, &encode_chunk(&reads(&trace)), now).unwrap();
+        let (opt, lru) = ("[0.685,0.52,0.3925,0.32]", "[0.9075,0.8,0.6775,0.59]");
+        let curve = |policy: &str, ratios: &str| {
+            format!(
+                "{{\"workload\":\"GTr\",\"policy\":\"{policy}\",\"size_kb\":[1,2,3,4],\
+                 \"miss_ratio\":{ratios}}}\n"
+            )
+        };
+        let combined = format!(
+            "{{\"session\":\"s00000000\",\"workload\":\"GTr\",\"finished\":true,\
+             \"accesses\":400,\"distinct_blocks\":48,\"window\":0,\"peak_window\":284,\
+             \"size_kb\":[1,2,3,4],\"opt_miss_ratio\":{opt},\"lru_miss_ratio\":{lru}}}\n"
+        );
+        let pinned = [
+            (None, combined),
+            (Some("opt"), curve("opt", opt)),
+            (Some("lru"), curve("lru", lru)),
+        ];
+        for (policy, want) in pinned.iter().cycle().take(9) {
+            assert_eq!(&reg.finish(&id, *policy, now).unwrap(), want, "{policy:?}");
+            assert_eq!(&reg.curve(&id, *policy, now).unwrap(), want, "{policy:?}");
+        }
+        let err = reg.chunk(&id, "R1\n", now).unwrap_err();
+        assert_eq!(err.status(), 409, "a chunk after finish conflicts");
+        assert_eq!(reg.curve(&id, None, now).unwrap(), pinned[0].1);
     }
 
     #[test]
