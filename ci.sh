@@ -225,13 +225,24 @@ stop_daemon() {
 echo "== serve smoke (daemon up, golden table over loopback, graceful exit)"
 # The serving daemon must come up on an ephemeral port, answer a golden
 # experiment over loopback byte-identically to results/golden/, and
-# drain to exit 0 on POST /admin/shutdown.
+# drain to exit 0 on POST /admin/shutdown. The POST spelling of the
+# same experiment parses to the same call, so it must be a memory-tier
+# hit on the GET's entry (X-Tcor-Cache: mem), not a second computation.
 SERVE_OUT=$CI_TMP/serve-fig10.csv
 start_daemon "serve daemon" --telemetry "$CI_TMP/serve-telemetry.jsonl"
 "$TCOR_SIM" serve-req "$ADDR" GET /health >/dev/null
 "$TCOR_SIM" serve-req "$ADDR" GET /v1/table/fig10 > "$SERVE_OUT"
 if ! cmp -s "$SERVE_OUT" results/golden/fig10.csv; then
   echo "ci: FAIL: served fig10 differs from results/golden/fig10.csv" >&2
+  exit 1
+fi
+if ! "$TCOR_SIM" serve-req "$ADDR" POST /v1/run experiment=fig10 --expect-cache mem \
+    > "$SERVE_OUT"; then
+  echo "ci: FAIL: POST /v1/run experiment=fig10 was not a memory hit on the GET's entry" >&2
+  exit 1
+fi
+if ! cmp -s "$SERVE_OUT" results/golden/fig10.csv; then
+  echo "ci: FAIL: POST /v1/run fig10 differs from results/golden/fig10.csv" >&2
   exit 1
 fi
 stop_daemon
@@ -296,12 +307,22 @@ echo "== restart-warm smoke (persistent cache survives a daemon restart)"
 # asserted by serve-req --expect-cache) byte-identically to both
 # generation 1's body and results/golden/ — a result computed before a
 # crash is never recomputed, and never silently different, after it.
+# The daemon is the cache's one writer, so generation 1's cold fig10 is
+# one disk put and no dedup touch.
 CACHE_DIR=$CI_TMP/pcache
 RESTART_OUT=$CI_TMP/restart-fig10.csv
 rm -rf "$CACHE_DIR"
 start_daemon "generation-1 daemon" --cache-dir "$CACHE_DIR" \
   --telemetry "$CI_TMP/serve-telemetry.jsonl"
 "$TCOR_SIM" serve-req "$ADDR" GET /v1/table/fig10 --expect-cache miss > "$SERVE_OUT"
+"$TCOR_SIM" serve-req "$ADDR" GET /metrics > "$CI_TMP/metrics.txt"
+for want in 'pcache/puts = 1' 'pcache/dedup_puts = 0'; do
+  if ! grep -qx "$want" "$CI_TMP/metrics.txt"; then
+    echo "ci: FAIL: generation 1's cold fig10 did not leave $want" >&2
+    grep '^pcache/.*puts' "$CI_TMP/metrics.txt" >&2 || true
+    exit 1
+  fi
+done
 stop_daemon
 start_daemon "restarted daemon" --cache-dir "$CACHE_DIR" \
   --telemetry "$CI_TMP/serve-telemetry.jsonl"
@@ -319,7 +340,7 @@ if ! cmp -s "$RESTART_OUT" "$SERVE_OUT"; then
 fi
 stop_daemon
 rm -rf "$CACHE_DIR"
-rm -f "$SERVE_OUT" "$RESTART_OUT"
+rm -f "$SERVE_OUT" "$RESTART_OUT" "$CI_TMP/metrics.txt"
 
 echo "== bench-load smoke (open-loop load: keep-alive tiers + graceful shedding)"
 # A reduced run of the open-loop concurrent load generator: warm

@@ -126,15 +126,6 @@ impl ShardedTrace {
     pub fn set_len(&self, set: usize) -> usize {
         self.starts[set + 1] - self.starts[set]
     }
-
-    /// Approximate resident bytes of the column arrays (for cache
-    /// budgeting).
-    pub fn resident_bytes(&self) -> usize {
-        self.addrs.len() * std::mem::size_of::<BlockAddr>()
-            + self.kinds.len() * std::mem::size_of::<AccessKind>()
-            + self.next_use.len() * std::mem::size_of::<u64>()
-            + self.starts.len() * std::mem::size_of::<usize>()
-    }
 }
 
 /// Replays the sets in `sets` through independent single-set caches of
@@ -504,15 +495,5 @@ mod tests {
         assert_eq!(cache.len(), SHARD_CACHE_SLOTS);
         let c = cache.get_or_build(&trace, None, 8, Indexing::Modulo);
         assert_eq!(c.num_sets(), 8, "evicted entry rebuilds correctly");
-    }
-
-    #[test]
-    fn resident_bytes_tracks_annotation() {
-        let trace: Vec<Access> = (0..100u64).map(|b| Access::read(BlockAddr(b))).collect();
-        let next = annotate_next_use(&trace);
-        let bare = ShardedTrace::build(&trace, None, 4, Indexing::Modulo);
-        let full = ShardedTrace::build(&trace, Some(&next), 4, Indexing::Modulo);
-        assert!(full.resident_bytes() > bare.resident_bytes());
-        assert!(!bare.is_empty());
     }
 }

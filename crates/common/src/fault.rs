@@ -251,11 +251,6 @@ pub fn disarm() {
     *global().lock().unwrap_or_else(PoisonError::into_inner) = None;
 }
 
-/// Whether the process-wide injector is armed.
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
 /// Asks the process-wide injector about `point`. Disarmed (the
 /// default), this is one relaxed atomic load and `None`.
 pub fn fire(point: &str) -> Option<u64> {
@@ -382,13 +377,11 @@ mod tests {
         // test in this process.
         assert_eq!(fire("test/global-point"), None, "disarmed is quiet");
         arm(FaultInjector::parse(5, "test/global-point=100#2").unwrap());
-        assert!(armed());
         assert_eq!(fire("test/global-point"), Some(0));
         assert_eq!(fire("test/global-point"), Some(0));
         assert_eq!(fire("test/global-point"), None, "limit reached");
         assert_eq!(snapshot(), vec![("test/global-point".to_string(), 2)]);
         disarm();
-        assert!(!armed());
         assert!(snapshot().is_empty());
         assert_eq!(fire("test/global-point"), None);
     }

@@ -139,13 +139,6 @@ impl TraversalOrder {
     pub fn iter(&self) -> impl Iterator<Item = TileId> + '_ {
         self.tiles.iter().copied()
     }
-
-    /// Given the set of tiles a primitive overlaps, returns them sorted by
-    /// traversal rank — the order in which the Tile Fetcher will touch the
-    /// primitive. This is the core of OPT-number computation.
-    pub fn sort_by_rank(&self, tiles: &mut [TileId]) {
-        tiles.sort_by_key(|t| self.rank_of(*t));
-    }
 }
 
 /// Interleaves the low 16 bits of `x` and `y` into a Morton code
@@ -281,17 +274,6 @@ mod tests {
             assert_eq!(o.rank_of(tile), TileRank(pos as u32));
             assert_eq!(o.tile_at(TileRank(pos as u32)), tile);
         }
-    }
-
-    #[test]
-    fn sort_by_rank_orders_future_uses() {
-        let g = TileGrid::new(128, 128, 32); // 4x4
-        let o = Traversal::ZOrder.order(&g);
-        let mut tiles = vec![g.tile_id(3, 3), g.tile_id(0, 0), g.tile_id(1, 1)];
-        o.sort_by_rank(&mut tiles);
-        assert_eq!(tiles[0], g.tile_id(0, 0));
-        assert_eq!(tiles[1], g.tile_id(1, 1));
-        assert_eq!(tiles[2], g.tile_id(3, 3));
     }
 
     #[test]

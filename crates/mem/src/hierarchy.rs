@@ -2,7 +2,7 @@
 //! watermark.
 
 use crate::dram::MainMemory;
-use crate::l2policy::{L2Policy, L2PolicyMode};
+use crate::l2policy::L2Policy;
 use crate::pbtag::PbTag;
 use crate::traffic::TrafficMatrix;
 use std::cell::Cell;
@@ -46,16 +46,12 @@ impl MemoryHierarchy {
     /// Creates the hierarchy from cache/memory parameters.
     pub fn new(l2_params: CacheParams, mem_params: MemoryParams, mode: L2Mode) -> Self {
         let watermark = Rc::new(Cell::new(0));
-        let policy_mode = match mode {
-            L2Mode::Baseline => L2PolicyMode::BaselineLru,
-            L2Mode::TcorEnhanced => L2PolicyMode::DeadLinePriority,
-        };
         MemoryHierarchy {
             mode,
             l2: Cache::new(
                 l2_params,
                 Indexing::Modulo,
-                L2Policy::new(policy_mode, watermark.clone()),
+                L2Policy::new(mode, watermark.clone()),
             ),
             mem: MainMemory::new(mem_params),
             watermark,

@@ -13,6 +13,7 @@
 //! equivalent is the Tile Fetcher's completion signal wire into the L2
 //! control logic.
 
+use crate::hierarchy::L2Mode;
 use crate::pbtag::PbTag;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -20,19 +21,12 @@ use tcor_cache::cache::Line;
 use tcor_cache::policy::ReplacementPolicy;
 use tcor_cache::AccessMeta;
 
-/// Replacement behaviour selector for [`L2Policy`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum L2PolicyMode {
-    /// Plain LRU (the baseline L2).
-    BaselineLru,
-    /// TCOR's dead-line-priority replacement.
-    DeadLinePriority,
-}
-
-/// The L2 replacement policy, parameterized by mode.
+/// The L2 replacement policy, parameterized by the hierarchy's mode:
+/// plain LRU for [`L2Mode::Baseline`], dead-line priority for
+/// [`L2Mode::TcorEnhanced`].
 #[derive(Clone, Debug)]
 pub struct L2Policy {
-    mode: L2PolicyMode,
+    mode: L2Mode,
     watermark: Rc<Cell<u64>>,
     clock: u64,
     last_touch: Vec<u64>,
@@ -42,7 +36,7 @@ pub struct L2Policy {
 impl L2Policy {
     /// Creates the policy; `watermark` is the shared completed-tiles
     /// counter (advanced by the hierarchy on Tile Fetcher signals).
-    pub fn new(mode: L2PolicyMode, watermark: Rc<Cell<u64>>) -> Self {
+    pub fn new(mode: L2Mode, watermark: Rc<Cell<u64>>) -> Self {
         L2Policy {
             mode,
             watermark,
@@ -50,11 +44,6 @@ impl L2Policy {
             last_touch: Vec::new(),
             ways: 0,
         }
-    }
-
-    /// The active mode.
-    pub fn mode(&self) -> L2PolicyMode {
-        self.mode
     }
 
     fn touch(&mut self, set: usize, way: usize) {
@@ -78,8 +67,8 @@ impl L2Policy {
 impl ReplacementPolicy for L2Policy {
     fn name(&self) -> &'static str {
         match self.mode {
-            L2PolicyMode::BaselineLru => "L2-LRU",
-            L2PolicyMode::DeadLinePriority => "L2-TCOR",
+            L2Mode::Baseline => "L2-LRU",
+            L2Mode::TcorEnhanced => "L2-TCOR",
         }
     }
 
@@ -107,10 +96,10 @@ impl ReplacementPolicy for L2Policy {
         // no panic path survives in victim selection.
         let base = set * self.ways;
         match self.mode {
-            L2PolicyMode::BaselineLru => (0..lines.len())
+            L2Mode::Baseline => (0..lines.len())
                 .min_by_key(|&w| self.last_touch[base + w])
                 .unwrap_or(0),
-            L2PolicyMode::DeadLinePriority => (0..lines.len())
+            L2Mode::TcorEnhanced => (0..lines.len())
                 .min_by_key(|&w| (self.class(&lines[w]), self.last_touch[base + w]))
                 .unwrap_or(0),
         }
@@ -128,7 +117,7 @@ mod tests {
         Cache::new(
             CacheParams::new(256, 64, 0, 12),
             Indexing::Modulo,
-            L2Policy::new(L2PolicyMode::DeadLinePriority, watermark),
+            L2Policy::new(L2Mode::TcorEnhanced, watermark),
         )
     }
 
@@ -275,7 +264,7 @@ mod tests {
         let mut l2 = Cache::new(
             CacheParams::new(256, 64, 0, 12),
             Indexing::Modulo,
-            L2Policy::new(L2PolicyMode::BaselineLru, wm),
+            L2Policy::new(L2Mode::Baseline, wm),
         );
         l2.access(BlockAddr(1), AccessKind::Read, meta(PbTag::NONE));
         l2.access(

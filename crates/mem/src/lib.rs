@@ -42,6 +42,6 @@ pub mod traffic;
 
 pub use dram::MainMemory;
 pub use hierarchy::{L2Mode, MemoryHierarchy};
-pub use l2policy::{L2Policy, L2PolicyMode};
+pub use l2policy::L2Policy;
 pub use pbtag::{PbKind, PbTag};
 pub use traffic::{RegionTraffic, TrafficMatrix};

@@ -195,12 +195,6 @@ impl AttributesLayout {
         self.attr_addr(p, k).block()
     }
 
-    /// The primitive's first-attribute address — used as its Primitive ID
-    /// in the baseline encoding.
-    pub fn first_attr_addr(&self, p: usize) -> Address {
-        self.attr_addr(p, 0)
-    }
-
     /// Which primitive an in-range PB-Attributes block belongs to.
     pub fn primitive_of_block(&self, block: BlockAddr) -> Option<usize> {
         let byte = block.base().0;
@@ -331,11 +325,5 @@ mod tests {
     #[should_panic(expected = "invalid attribute count")]
     fn zero_attr_count_panics() {
         AttributesLayout::new(&[0]);
-    }
-
-    #[test]
-    fn first_attr_addr_is_primitive_id_surrogate() {
-        let l = AttributesLayout::new(&[2, 2]);
-        assert_eq!(l.first_attr_addr(1), l.attr_addr(1, 0));
     }
 }

@@ -35,10 +35,9 @@ const MAX_CONTENT_TYPE: u32 = 4096;
 
 /// A cached result: a media type and the rendered bytes.
 ///
-/// The serve plane stores rendered response bodies (JSON/CSV text);
-/// the runner stores any artifact it can encode to bytes. The payload
-/// is deliberately `Vec<u8>`, not `String` — integrity is byte
-/// identity, not text identity.
+/// The serve plane stores rendered response bodies (JSON/CSV text).
+/// The payload is deliberately `Vec<u8>`, not `String` — integrity is
+/// byte identity, not text identity.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CachedBody {
     /// `Content-Type` of the payload ("application/json").

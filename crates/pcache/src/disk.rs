@@ -21,7 +21,7 @@
 //!   the directory are found without coordination.
 //!
 //! Sharing discipline is last-writer-wins with re-validation: two
-//! daemons (or a daemon and a CLI run) pointed at one `--cache-dir`
+//! daemons pointed at one `--cache-dir`
 //! may interleave freely. Atomic renames keep every object either
 //! whole-old or whole-new; whichever index lands last simply loses the
 //! other writer's recency hints, which the next reconcile/probe

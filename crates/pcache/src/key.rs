@@ -5,7 +5,7 @@ use tcor_common::fxhash64;
 /// The key a result is filed under.
 ///
 /// `identity` is the stable hash of the *canonical computation* — the
-/// serve plane uses `ApiCall::cache_key()`, the runner its job key.
+/// serve plane uses `ApiCall::cache_key()`.
 /// `version` is a hash of the producing code (crate version plus a
 /// bumpable schema tag), so entries written by one build are never
 /// served by a build whose results could differ: the on-disk entry

@@ -1,12 +1,10 @@
 //! `tcor-pcache`: a persistent, content-addressed result cache.
 //!
-//! The serve plane's LRU response cache and the runner's
-//! `ArtifactStore` are the same memoization idea — key a computed
-//! result by the stable hash of what produced it, reuse it on repeat —
-//! implemented twice, and both die with the process. This crate is the
-//! one implementation behind both, split into the session-vs-
-//! cross-session tiers of the tigervnc ContentCache/PersistentCache
-//! design:
+//! The serve plane's response cache keys a computed result by the
+//! stable hash of what produced it and reuses it on repeat; held in
+//! memory alone, it would die with the process. This crate is that
+//! cache, split into the session-vs-cross-session tiers of the tigervnc
+//! ContentCache/PersistentCache design:
 //!
 //! * [`MemTier`] — the in-process session tier: a fixed-capacity LRU
 //!   over shared [`CachedBody`]s. Hits cost a map lookup.
@@ -17,14 +15,14 @@
 //!   reconciled against a directory scan on open), and bounded by a
 //!   byte budget with LRU-by-last-use eviction. Corrupt, truncated or
 //!   version-mismatched entries are *evicted on load, never served*.
-//! * [`TieredCache`] — the composition both consumers use:
+//! * [`TieredCache`] — the composition the daemon serves from:
 //!   write-through on put, promote-on-hit from disk to memory, with
 //!   per-tier counters.
 //!
 //! Everything is keyed by a [`CacheKey`]: the `fxhash64` identity of
-//! the canonical computation (an `ApiCall` canonical string, a job
-//! key) plus a *version* hash of the producing code, so a rebuilt
-//! simulator never serves a previous build's bytes.
+//! the canonical computation (an `ApiCall` canonical string) plus a
+//! *version* hash of the producing code, so a rebuilt simulator never
+//! serves a previous build's bytes.
 //!
 //! Failure model: the cache is an accelerator, never an authority. A
 //! disk failure on `get` or `put` is counted ([`CacheStats::io_errors`])
@@ -155,9 +153,9 @@ impl CacheStats {
     }
 }
 
-/// The one memoization interface: get / put / stats. The serve plane's
-/// response cache and the runner's artifact persistence both program
-/// against this, so "cache a result" means the same thing everywhere.
+/// The one result-cache interface: get / put / stats. The serve plane
+/// programs against it, so a test or benchmark can hand the daemon any
+/// implementation.
 ///
 /// Implementations are internally synchronized (`&self` methods,
 /// callable from any worker), and infallible at the interface: storage

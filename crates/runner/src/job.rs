@@ -115,12 +115,6 @@ impl<'a, T> JobGraph<'a, T> {
         self.jobs.len()
     }
 
-    /// The labels of all jobs, indexed by [`JobId`] — snapshot them
-    /// before execution to attribute failures and skips afterwards.
-    pub fn labels(&self) -> Vec<String> {
-        self.jobs.iter().map(|j| j.label.clone()).collect()
-    }
-
     /// Whether the graph has no jobs.
     pub fn is_empty(&self) -> bool {
         self.jobs.is_empty()

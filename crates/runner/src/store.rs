@@ -1,15 +1,13 @@
-//! Content-addressed artifact memoization: in-memory always, persistent
-//! on request.
+//! Content-addressed in-memory artifact memoization.
 //!
-//! Artifacts (a calibrated scene, a binned frame, an annotated trace, a
-//! whole `SuiteRun`, a rendered serve response) are keyed by a stable
-//! `fxhash64` of the configuration that produces them. The first
-//! requester computes; any concurrent requester for the same key blocks
-//! until the winner publishes and shares the resulting `Arc` — each
-//! artifact is built exactly once per process regardless of schedule.
-//! Encodable artifacts can additionally ride a `tcor_pcache`
-//! [`ResultCache`] ([`ArtifactStore::get_or_try_compute_persisted`]),
-//! making them *once per cache directory* rather than once per process.
+//! Artifacts (a calibrated scene, a frame plan, a cell report, an
+//! annotated trace) are keyed by a stable `fxhash64` of the
+//! configuration that produces them. The first requester computes; any
+//! concurrent requester for the same key blocks until the winner
+//! publishes and shares the resulting `Arc` — each artifact is built
+//! exactly once per process regardless of schedule. Rendered serve
+//! responses are not artifacts: the daemon's result cache
+//! (`tcor_pcache`) is their one store, and it alone persists them.
 //!
 //! Failure model: a key that resolves to a value of a different type
 //! than requested is a key-collision bug at some call site; it is
@@ -30,7 +28,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use tcor_common::{TcorError, TcorResult};
-use tcor_pcache::{CacheKey, CachedBody, ResultCache};
 
 type Erased = Arc<dyn Any + Send + Sync>;
 
@@ -188,66 +185,6 @@ impl ArtifactStore {
                 resume_unwind(panic)
             }
         }
-    }
-
-    /// [`get_or_try_compute`](Self::get_or_try_compute) with a
-    /// persistent tier behind it: the leader consults `cache` (keyed
-    /// by `key` + `version`) before computing, and publishes what it
-    /// computed back through the cache, so an artifact survives the
-    /// process that built it. `encode`/`decode` bridge the artifact to
-    /// its cacheable byte form; a `decode` that returns `None`
-    /// (undecodable or schema-drifted bytes) falls through to a fresh
-    /// computation, which then overwrites the entry.
-    ///
-    /// In-process semantics are unchanged — one computation per key,
-    /// concurrent requesters share the leader's `Arc` — and the cache
-    /// is only ever consulted *inside* the leader's critical section,
-    /// so a cache hit is published to followers exactly like a
-    /// computed value.
-    ///
-    /// The in-process slot is keyed by a *salted* derivative of `key`
-    /// (the persistent [`CacheKey`] keeps the raw identity, so other
-    /// cache consumers still share entries). The salt matters: `f` may
-    /// itself memoize intermediate artifacts in this same store, and a
-    /// caller's `key` can legitimately equal one of those inner keys —
-    /// the serve plane's canonical `cell/GTr/base64` identity hashes to
-    /// the very key the orchestrator files that cell's report under.
-    /// Without the salt the leader would re-enter its own in-flight
-    /// slot and deadlock (and the two values would collide as type
-    /// confusion even if it didn't).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `f`'s error verbatim; returns a corruption error on
-    /// key type confusion. Cache I/O failures are absorbed by the
-    /// cache itself (counted in its stats) and degrade to computing.
-    pub fn get_or_try_compute_persisted<A, F, E, D>(
-        &self,
-        key: u64,
-        cache: &dyn ResultCache,
-        version: u64,
-        encode: E,
-        decode: D,
-        f: F,
-    ) -> TcorResult<Arc<A>>
-    where
-        A: Send + Sync + 'static,
-        F: FnOnce() -> TcorResult<A>,
-        E: FnOnce(&A) -> CachedBody,
-        D: FnOnce(&CachedBody) -> Option<A>,
-    {
-        let slot_key = tcor_common::fxhash64(format!("pcache-slot/{key:016x}").as_bytes());
-        self.get_or_try_compute(slot_key, || {
-            let ck = CacheKey::new(key, version);
-            if let Some((body, _tier)) = cache.get(&ck) {
-                if let Some(artifact) = decode(&body) {
-                    return Ok(artifact);
-                }
-            }
-            let artifact = f()?;
-            cache.put(&ck, &Arc::new(encode(&artifact)));
-            Ok(artifact)
-        })
     }
 
     /// Returns the artifact under `key` if (and only if) it has been
@@ -440,101 +377,6 @@ mod tests {
         });
         assert_eq!(calls.load(Ordering::SeqCst), 2, "fail once, retry once");
         assert_eq!(*store.get::<u64>(11).unwrap().expect("retried"), 5);
-    }
-
-    #[allow(clippy::ptr_arg)] // must match FnOnce(&String) at the call sites
-    fn encode(s: &String) -> CachedBody {
-        CachedBody::text("text/plain; charset=utf-8", s.as_str())
-    }
-
-    fn decode(c: &CachedBody) -> Option<String> {
-        String::from_utf8(c.bytes.clone()).ok()
-    }
-
-    /// The persistence contract: a second store (a "restarted
-    /// process") over the same cache decodes instead of recomputing; a
-    /// bumped version recomputes instead of trusting stale bytes.
-    #[test]
-    fn persisted_artifacts_survive_into_a_fresh_store() {
-        use tcor_pcache::TieredCache;
-        let dir = std::env::temp_dir().join(format!("tcor-store-persist-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = TieredCache::open(4, Some((dir.clone(), 1 << 20))).unwrap();
-        let calls = AtomicUsize::new(0);
-        let compute = || {
-            calls.fetch_add(1, Ordering::SeqCst);
-            Ok("artifact-v1".to_string())
-        };
-        let a: Arc<String> = ArtifactStore::new()
-            .get_or_try_compute_persisted(21, &cache, 7, encode, decode, compute)
-            .unwrap();
-        assert_eq!(*a, "artifact-v1");
-        // "Restart": fresh store, same cache — decoded, not recomputed.
-        let b: Arc<String> = ArtifactStore::new()
-            .get_or_try_compute_persisted(21, &cache, 7, encode, decode, compute)
-            .unwrap();
-        assert_eq!(*b, "artifact-v1");
-        assert_eq!(calls.load(Ordering::SeqCst), 1, "served from the cache");
-        // A new code version must not trust the persisted bytes.
-        let c: Arc<String> = ArtifactStore::new()
-            .get_or_try_compute_persisted(21, &cache, 8, encode, decode, || {
-                calls.fetch_add(1, Ordering::SeqCst);
-                Ok("artifact-v2".to_string())
-            })
-            .unwrap();
-        assert_eq!(*c, "artifact-v2");
-        assert_eq!(calls.load(Ordering::SeqCst), 2, "version bump recomputes");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The serve plane's shape: the persisted wrapper's `key` equals a
-    /// key the computation itself memoizes under (the canonical
-    /// `cell/...` identity doubles as the orchestrator's cell key).
-    /// The salted slot must keep the inner call on its own slot —
-    /// unsalted, this deadlocks a single thread forever.
-    #[test]
-    fn persisted_compute_may_reuse_its_own_key_internally() {
-        use tcor_pcache::TieredCache;
-        let cache = TieredCache::memory_only(4);
-        let store = ArtifactStore::new();
-        let v: Arc<String> = store
-            .get_or_try_compute_persisted(55, &cache, 7, encode, decode, || {
-                let inner = store.get_or_compute(55, || "inner artifact".to_string())?;
-                Ok(format!("wrapped {inner}"))
-            })
-            .unwrap();
-        assert_eq!(*v, "wrapped inner artifact");
-        // Both values exist under their own slots, no type confusion.
-        let inner = store.get::<String>(55).unwrap().expect("inner slot");
-        assert_eq!(*inner, "inner artifact");
-        let (body, _) = cache
-            .get(&tcor_pcache::CacheKey::new(55, 7))
-            .expect("persisted under the raw identity");
-        assert_eq!(body.bytes, b"wrapped inner artifact");
-    }
-
-    /// An undecodable cache entry falls through to computation and is
-    /// overwritten, not served.
-    #[test]
-    fn undecodable_cache_entry_recomputes() {
-        use tcor_pcache::TieredCache;
-        let cache = TieredCache::memory_only(4);
-        let key = tcor_pcache::CacheKey::new(33, 7);
-        cache.put(&key, &Arc::new(CachedBody::text("text/plain", "\u{fffd}")));
-        let v: Arc<String> = ArtifactStore::new()
-            .get_or_try_compute_persisted(
-                33,
-                &cache,
-                7,
-                encode,
-                |_c: &CachedBody| None, // decoder rejects the bytes
-                || Ok("recomputed".to_string()),
-            )
-            .unwrap();
-        assert_eq!(*v, "recomputed");
-        // The overwrite published the good bytes.
-        let (body, _) = cache.get(&key).expect("refilled");
-        assert_eq!(body.bytes, b"recomputed");
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! The router maps a parsed request onto either a control route
 //! (health, metrics, shutdown) answered inline, or an [`ApiCall`] — a
 //! *canonicalized* description of simulator work. Canonicalization is
-//! what makes coalescing and caching sound: two requests that mean the
-//! same computation (`POST /v1/run` with reordered parameters, or the
-//! equivalent `GET /v1/cell/...`) reduce to one canonical string, and
-//! its `fxhash64` is the shared cache/singleflight key — the same
-//! content-addressing discipline `tcor-runner` uses for artifacts.
+//! what makes coalescing and caching sound: a `POST /v1/run` body
+//! parses to the very call its GET spelling names (`workload=GTr&
+//! config=base64`, in any order, is `GET /v1/cell/GTr/base64`), so two
+//! requests that mean the same computation reduce to one canonical
+//! string, and its `fxhash64` is the shared cache/singleflight key —
+//! the same content-addressing discipline `tcor-runner` uses for
+//! artifacts.
 
 use crate::http::{Request, Response, MAX_BODY, STREAM_MAX_BODY};
 use tcor_common::fxhash64;
@@ -93,11 +95,6 @@ pub enum ApiCall {
         /// Experiment id.
         experiment: String,
     },
-    /// Ad-hoc run described by sorted `key=value` parameters.
-    Run {
-        /// Parameters, sorted by key (canonical form).
-        params: Vec<(String, String)>,
-    },
 }
 
 impl ApiCall {
@@ -107,10 +104,6 @@ impl ApiCall {
             ApiCall::Cell { workload, config } => format!("cell/{workload}/{config}"),
             ApiCall::MissCurve { workload, policy } => format!("misscurve/{workload}/{policy}"),
             ApiCall::Table { experiment } => format!("table/{experiment}"),
-            ApiCall::Run { params } => {
-                let kv: Vec<String> = params.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                format!("run?{}", kv.join("&"))
-            }
         }
     }
 
@@ -126,36 +119,55 @@ impl ApiCall {
             ApiCall::Cell { .. } => "/v1/cell",
             ApiCall::MissCurve { .. } => "/v1/misscurve",
             ApiCall::Table { .. } => "/v1/table",
-            ApiCall::Run { .. } => "/v1/run",
         }
     }
 }
 
-fn parse_params(body: &str) -> Result<Vec<(String, String)>, Response> {
-    let mut params = Vec::new();
-    for pair in body.split(['&', '\n']) {
-        let pair = pair.trim();
+/// The keys a `POST /v1/run` body may carry, in [`run_call`]'s slot
+/// order.
+const RUN_KEYS: [&str; 4] = ["experiment", "workload", "config", "policy"];
+
+/// Parses a `POST /v1/run` body into the call its GET spelling names:
+/// `experiment=ID` is `/v1/table/ID`, `workload=A&config=C` is
+/// `/v1/cell/A/C` and `workload=A&policy=P` is `/v1/misscurve/A/P`.
+/// Pairs split on `&` or a newline and may come in any order. A
+/// malformed pair, a value holding `/` (no GET path segment can), an
+/// unknown or repeated key, or any other combination is a 400; unknown
+/// names are left to the backend, which answers 404 as it does for the
+/// GET spelling.
+fn run_call(body: &str) -> Result<ApiCall, Response> {
+    let bad = |why: String| Err(Response::text(400, why + "\n"));
+    let mut slots: [Option<String>; 4] = Default::default();
+    for pair in body.split(['&', '\n']).map(str::trim) {
         if pair.is_empty() {
             continue;
         }
-        let Some((k, v)) = pair.split_once('=') else {
-            return Err(Response::text(
-                400,
-                format!("bad parameter `{pair}`: expected key=value\n"),
+        let Some((key, value)) = pair.split_once('=') else {
+            return bad(format!("bad parameter `{pair}`: expected key=value"));
+        };
+        let (key, value) = (key.trim(), value.trim());
+        if value.contains('/') {
+            return bad(format!("bad parameter `{pair}`: a name holds no `/`"));
+        }
+        let Some(slot) = RUN_KEYS.iter().position(|&k| k == key) else {
+            return bad(format!(
+                "unknown run parameter `{key}` (expected {})",
+                RUN_KEYS.join(", ")
             ));
         };
-        params.push((k.trim().to_string(), v.trim().to_string()));
+        if slots[slot].replace(value.to_string()).is_some() {
+            return bad(format!("repeated run parameter `{key}`"));
+        }
     }
-    if params.is_empty() {
-        return Err(Response::text(
-            400,
-            "empty run request: POST key=value pairs (`experiment=fig10` or \
-             `workload=GTr&config=base64`)\n",
-        ));
+    match slots {
+        [Some(experiment), None, None, None] => Ok(ApiCall::Table { experiment }),
+        [None, Some(workload), Some(config), None] => Ok(ApiCall::Cell { workload, config }),
+        [None, Some(workload), None, Some(policy)] => Ok(ApiCall::MissCurve { workload, policy }),
+        _ => bad(
+            "a run needs `experiment=ID`, `workload=A&config=C` or `workload=A&policy=P`"
+                .to_string(),
+        ),
     }
-    params.sort();
-    params.dedup();
-    Ok(params)
 }
 
 /// Parses an optional `policy=...` query (the only query any route
@@ -213,9 +225,7 @@ pub fn route(req: &Request) -> Result<Route, Response> {
         ["v1", "table", experiment] if get => Ok(Route::Api(ApiCall::Table {
             experiment: (*experiment).to_string(),
         })),
-        ["v1", "run"] if post => Ok(Route::Api(ApiCall::Run {
-            params: parse_params(&req.body)?,
-        })),
+        ["v1", "run"] if post => Ok(Route::Api(run_call(&req.body)?)),
         ["v1", "stream"] if post => Ok(Route::Stream(StreamOp::Open {
             params: req.body.clone(),
         })),
@@ -310,16 +320,45 @@ mod tests {
         assert_eq!(route(&req("GET", "/v1/run", "")).unwrap_err().status, 405);
     }
 
+    /// Every run-body shape routes to the call of its GET spelling, in
+    /// each parameter order and with either separator, so both
+    /// spellings share one cache key and one flight.
     #[test]
-    fn run_params_canonicalize_order() {
-        let a = route(&req("POST", "/v1/run", "workload=GTr&config=base64")).unwrap();
-        let b = route(&req("POST", "/v1/run", "config=base64\nworkload=GTr")).unwrap();
-        assert_eq!(a, b);
-        let (Route::Api(a), Route::Api(b)) = (a, b) else {
-            panic!("api routes")
+    fn run_bodies_route_to_their_get_calls() {
+        let cases: [(&str, [&str; 2]); 3] = [
+            ("/v1/cell/GTr/base64", ["workload=GTr", "config=base64"]),
+            ("/v1/misscurve/SoD/lru", ["workload=SoD", "policy=lru"]),
+            ("/v1/table/fig10", ["experiment=fig10", ""]),
+        ];
+        for (path, [a, b]) in cases {
+            let want = route(&req("GET", path, "")).unwrap();
+            for body in [
+                format!("{a}&{b}"),
+                format!("{b}&{a}"),
+                format!("{a}\n{b}"),
+                format!("{b}\n{a}\n"),
+            ] {
+                assert_eq!(
+                    route(&req("POST", "/v1/run", &body)),
+                    Ok(want.clone()),
+                    "{body:?}"
+                );
+            }
+        }
+        let Ok(Route::Api(call)) =
+            route(&req("POST", "/v1/run", " config = base64 & workload=GTr"))
+        else {
+            panic!("api route")
         };
-        assert_eq!(a.cache_key(), b.cache_key());
-        assert_eq!(a.canonical(), "run?config=base64&workload=GTr");
+        assert_eq!(call.canonical(), "cell/GTr/base64");
+        assert_eq!(call.endpoint(), "/v1/cell");
+        // Unknown names are the backend's to refuse (404), as for GET.
+        assert_eq!(
+            route(&req("POST", "/v1/run", "experiment=fig99")),
+            Ok(Route::Api(ApiCall::Table {
+                experiment: "fig99".into()
+            }))
+        );
     }
 
     #[test]
@@ -412,12 +451,19 @@ mod tests {
 
     #[test]
     fn malformed_run_body_is_400() {
-        assert_eq!(route(&req("POST", "/v1/run", "")).unwrap_err().status, 400);
-        assert_eq!(
-            route(&req("POST", "/v1/run", "nonsense"))
-                .unwrap_err()
-                .status,
-            400
-        );
+        for body in [
+            "",
+            "nonsense",
+            "workload=GTr",
+            "frobnicate=1",
+            "experiment=fig10&workload=GTr",
+            "workload=GTr&config=base64&policy=lru",
+            "experiment=fig10&experiment=fig10",
+            "workload=GTr&config=base64&workload=SoD",
+            "workload=GTr/base64&config=x",
+        ] {
+            let err = route(&req("POST", "/v1/run", body)).unwrap_err();
+            assert_eq!(err.status, 400, "{body:?}");
+        }
     }
 }

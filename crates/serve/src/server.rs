@@ -53,15 +53,6 @@ impl ApiBody {
     pub fn to_cached(&self) -> CachedBody {
         CachedBody::text(self.content_type.clone(), self.body.clone())
     }
-
-    /// Restores a body from its cached form. Total: cached bodies were
-    /// written from strings, and integrity-validated on load.
-    pub fn from_cached(body: &CachedBody) -> Self {
-        ApiBody {
-            content_type: body.content_type.clone(),
-            body: String::from_utf8_lossy(&body.bytes).into_owned(),
-        }
-    }
 }
 
 /// The simulator behind the daemon. Implementations must be callable
@@ -360,10 +351,11 @@ pub fn start(
     start_with_cache(config, backend, telemetry, cache)
 }
 
-/// [`start`] with a caller-supplied result cache — the path that lets
-/// the daemon and its backend share one cache (`tcor-sim serve` hands
-/// the same tiers to `SimBackend` so rendered results persist whether
-/// they were requested over HTTP or computed inside the simulator).
+/// [`start`] with a caller-supplied result cache, so the caller keeps a
+/// handle on the one store of the daemon's rendered bodies (to probe or
+/// pre-fill it from outside the request plane). On the request path the
+/// daemon is its only writer: the worker that computes a body puts it
+/// once.
 ///
 /// Before accepting traffic, runs the cache's warm-start pass against
 /// the backend's version: persisted entries are re-validated (stale or

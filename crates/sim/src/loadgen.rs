@@ -31,6 +31,7 @@ use std::process::ExitCode;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 use tcor_common::{fxhash64, Xoshiro256pp};
+use tcor_obs::RequestSpan;
 use tcor_serve::{ApiCall, Backend, HttpClient, LatencyHistogram, ServeConfig};
 
 /// One concurrency tier of the latency phase.
@@ -252,7 +253,7 @@ fn run_tier(
 }
 
 /// A counter out of a `/metrics` body (0 when absent).
-pub(crate) fn counter(metrics: &str, path: &str) -> u64 {
+pub fn counter(metrics: &str, path: &str) -> u64 {
     metrics
         .lines()
         .find_map(|l| l.strip_prefix(&format!("{path} = ")))
@@ -260,17 +261,21 @@ pub(crate) fn counter(metrics: &str, path: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Drains an in-process daemon over HTTP and joins it; any failure is
-/// a bench failure (the "clean drain" criterion).
-fn drain(server: tcor_serve::ServerHandle, addr: &str, what: &str) -> Result<(), String> {
+/// Drains an in-process daemon over HTTP and joins it, returning its
+/// request timeline; any failure is a bench failure (the "clean drain"
+/// criterion).
+pub fn drain(
+    server: tcor_serve::ServerHandle,
+    addr: &str,
+    what: &str,
+) -> Result<Vec<RequestSpan>, String> {
     let mut client = HttpClient::new(addr, Duration::from_secs(10));
     match client.request("POST", "/admin/shutdown", None) {
         Ok(r) if r.status == 200 => {}
         Ok(r) => return Err(format!("{what}: shutdown -> {}", r.status)),
         Err(e) => return Err(format!("{what}: shutdown: {e}")),
     }
-    server.wait();
-    Ok(())
+    Ok(server.wait())
 }
 
 /// The overload burst: `conns` clients release together against a

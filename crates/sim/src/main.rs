@@ -107,9 +107,7 @@ fn usage() {
         "       tcor-sim bench-stream [FILE] [--smoke] [--seed S]  streaming ingest + live \
          snapshot timings -> FILE"
     );
-    eprintln!(
-        "       tcor-sim cell <alias> <config> [--cache-dir DIR]  print one cell report as JSON"
-    );
+    eprintln!("       tcor-sim cell <alias> <config>   print one cell report as JSON");
     eprintln!("       tcor-sim curve <alias> <policy>  print one serving miss curve as JSON");
     eprintln!(
         "       tcor-sim serve-req <addr> <method> <path> [body] [--expect-cache TIER] \
@@ -586,35 +584,15 @@ fn serve_cmd(args: &[String]) -> ExitCode {
         }
     }
     let (workers, depth, deadline) = (cfg.workers, cfg.queue_depth, cfg.deadline);
-    // One tiered cache shared by the daemon's response path and the
-    // backend's artifact persistence: results land on disk whichever
-    // plane computed them, and a restart serves them back warm.
-    let disk = cfg.cache_dir.clone().map(|dir| (dir, cfg.cache_disk_bytes));
-    let persistent = disk.is_some();
-    let cache: Arc<dyn tcor_pcache::ResultCache> =
-        match tcor_pcache::TieredCache::open(cfg.cache_cap, disk) {
-            Ok(c) => Arc::new(c.with_breaker_config(tcor_pcache::BreakerConfig {
-                threshold: cfg.breaker_threshold,
-                cooldown: cfg.breaker_cooldown,
-            })),
-            Err(e) => {
-                eprintln!("{e}");
-                return exit_for(&e);
-            }
-        };
-    let backend = Arc::new(if persistent {
-        tcor_sim::SimBackend::with_cache(Arc::clone(&cache))
-    } else {
-        tcor_sim::SimBackend::new()
-    });
-    let server =
-        match tcor_serve::start_with_cache(cfg, backend, Some(Arc::clone(&telemetry)), cache) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{e}");
-                return exit_for(&e);
-            }
-        };
+    let persistent = cfg.cache_dir.is_some();
+    let backend = Arc::new(tcor_sim::SimBackend::new());
+    let server = match tcor_serve::start(cfg, backend, Some(Arc::clone(&telemetry))) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("{e}");
+            return exit_for(&e);
+        }
+    };
     let addr = server.addr().to_string();
     // The bound address, machine-readable: stdout for humans and
     // scripts, `--port-file` for supervisors that started us with
@@ -653,55 +631,15 @@ fn serve_cmd(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `tcor-sim cell <alias> <config> [--cache-dir DIR [--cache-disk-bytes N]]`:
-/// print one cell report as JSON — the same encoder the daemon uses,
-/// so serve-vs-CLI byte parity is a `cmp`, not a claim. With
-/// `--cache-dir` the result is persisted through (and served from) the
-/// same disk tier the daemon uses: a CLI run warms the daemon and vice
-/// versa.
-fn cell_cmd(workload: &str, config: &str, rest: &[String]) -> ExitCode {
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut cache_disk_bytes: u64 = 256 << 20;
-    let mut i = 0;
-    while i < rest.len() {
-        let flag = rest[i].as_str();
-        let Some(value) = rest.get(i + 1) else {
-            eprintln!("{flag} needs a value");
-            usage();
-            return ExitCode::from(2);
-        };
-        match flag {
-            "--cache-dir" => cache_dir = Some(PathBuf::from(value)),
-            "--cache-disk-bytes" => match value.parse::<u64>() {
-                Ok(n) if n >= 1 => cache_disk_bytes = n,
-                _ => {
-                    eprintln!("--cache-disk-bytes needs a positive byte count, got `{value}`");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unknown cell flag `{other}`");
-                usage();
-                return ExitCode::from(2);
-            }
-        }
-        i += 2;
-    }
-    let backend = match cache_dir {
-        None => tcor_sim::SimBackend::new(),
-        Some(dir) => match tcor_pcache::TieredCache::open(256, Some((dir, cache_disk_bytes))) {
-            Ok(cache) => tcor_sim::SimBackend::with_cache(std::sync::Arc::new(cache)),
-            Err(e) => {
-                eprintln!("{e}");
-                return exit_for(&e);
-            }
-        },
-    };
+/// `tcor-sim cell <alias> <config>`: print one cell report as JSON —
+/// the same encoder the daemon uses, so serve-vs-CLI byte parity is a
+/// `cmp`, not a claim.
+fn cell_cmd(workload: &str, config: &str) -> ExitCode {
     let call = tcor_serve::ApiCall::Cell {
         workload: workload.to_string(),
         config: config.to_string(),
     };
-    print_call(&backend, &call)
+    print_call(&tcor_sim::SimBackend::new(), &call)
 }
 
 /// `tcor-sim curve <alias> <policy>`: print the `/v1/misscurve/<alias>/<policy>`
@@ -827,6 +765,7 @@ fn bench_serve(path: &str) -> ExitCode {
     use std::sync::Arc;
     use std::time::Instant;
     use tcor_serve::LatencyHistogram;
+    use tcor_sim::loadgen::{counter, drain};
 
     let cache_dir = std::env::temp_dir().join(format!("tcor-bench-serve-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
@@ -936,30 +875,18 @@ fn bench_serve(path: &str) -> ExitCode {
     }
 
     let metrics = server.metrics_text();
-    let counter = |p: &str| -> u64 {
-        metrics
-            .lines()
-            .find_map(|l| l.strip_prefix(&format!("{p} = ")))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
+    let (warm_hits, cold_computes, coalesced) = (
+        counter(&metrics, "serve/cache_warm_hits"),
+        counter(&metrics, "serve/cold_computes"),
+        counter(&metrics, "serve/request_coalesced"),
+    );
+    let spans = match drain(server, &addr, "daemon") {
+        Ok(spans) => spans,
+        Err(e) => {
+            eprintln!("bench-serve: FATAL: {e}");
+            return ExitCode::FAILURE;
+        }
     };
-    let (warm_hits, cold_computes) = (
-        counter("serve/cache_warm_hits"),
-        counter("serve/cold_computes"),
-    );
-    let coalesced = counter("serve/request_coalesced");
-    let bye = tcor_serve::http_request(
-        &addr,
-        "POST",
-        "/admin/shutdown",
-        None,
-        Duration::from_secs(10),
-    );
-    if !matches!(&bye, Ok(r) if r.status == 200) {
-        eprintln!("bench-serve: FATAL: shutdown request failed");
-        return ExitCode::FAILURE;
-    }
-    let spans = server.wait();
 
     // Restart phase: a fresh daemon (fresh backend, empty memory tier)
     // over the same cache directory. The first request per target must
@@ -999,35 +926,21 @@ fn bench_serve(path: &str) -> ExitCode {
         }
     }
     let metrics2 = server2.metrics_text();
-    let counter2 = |p: &str| -> u64 {
-        metrics2
-            .lines()
-            .find_map(|l| l.strip_prefix(&format!("{p} = ")))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    };
-    let disk_hits = counter2("serve/cache_disk_hits");
+    let disk_hits = counter(&metrics2, "serve/cache_disk_hits");
     // The degradation ledger: on a healthy offline run every one of
     // these is expected to stay 0 / closed, and recording them makes a
     // regression (silent disk errors, a stuck-open breaker) visible as
     // a BENCH_serve.json diff.
-    let pcache_io_errors = counter("pcache/io_errors") + counter2("pcache/io_errors");
-    let evicted_corrupt = counter("pcache/evicted_corrupt") + counter2("pcache/evicted_corrupt");
-    let evicted_version = counter("pcache/evicted_version") + counter2("pcache/evicted_version");
-    let breaker_opens = counter("pcache/breaker_opens") + counter2("pcache/breaker_opens");
-    let degraded = counter("serve/degraded") + counter2("serve/degraded");
-    let bye2 = tcor_serve::http_request(
-        &addr2,
-        "POST",
-        "/admin/shutdown",
-        None,
-        Duration::from_secs(10),
-    );
-    if !matches!(&bye2, Ok(r) if r.status == 200) {
-        eprintln!("bench-serve: FATAL: restart shutdown request failed");
+    let both = |p: &str| counter(&metrics, p) + counter(&metrics2, p);
+    let pcache_io_errors = both("pcache/io_errors");
+    let evicted_corrupt = both("pcache/evicted_corrupt");
+    let evicted_version = both("pcache/evicted_version");
+    let breaker_opens = both("pcache/breaker_opens");
+    let degraded = both("serve/degraded");
+    if let Err(e) = drain(server2, &addr2, "restarted daemon") {
+        eprintln!("bench-serve: FATAL: {e}");
         return ExitCode::FAILURE;
     }
-    server2.wait();
     let _ = std::fs::remove_dir_all(&cache_dir);
 
     let ms = |h: &LatencyHistogram, q: f64| h.quantile_us(q) as f64 / 1e3;
@@ -1148,8 +1061,8 @@ fn main() -> ExitCode {
         return tcor_sim::chaos::chaos_cmd(&args[1..]);
     }
     if args.first().map(String::as_str) == Some("cell") {
-        return match (args.get(1), args.get(2)) {
-            (Some(alias), Some(cfg)) => cell_cmd(alias, cfg, &args[3..]),
+        return match (args.get(1), args.get(2), args.get(3)) {
+            (Some(alias), Some(cfg), None) => cell_cmd(alias, cfg),
             _ => {
                 usage();
                 ExitCode::from(2)

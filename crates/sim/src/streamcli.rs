@@ -19,6 +19,7 @@
 //!   `BENCH_stream.json`. The finished curve is asserted byte-identical
 //!   to an offline [`OptStackProfiler`] run of the same trace.
 
+use crate::loadgen::drain;
 use crate::misscurves::workload_trace;
 use crate::SimBackend;
 use std::io::{Read, Write};
@@ -405,12 +406,7 @@ fn bench(opts: &BenchOpts) -> Result<(), String> {
         return Err("finished curve differs from the offline profiler bytes".to_string());
     }
 
-    match client.request("POST", "/admin/shutdown", None) {
-        Ok(r) if r.status == 200 => {}
-        Ok(r) => return Err(format!("shutdown -> {}", r.status)),
-        Err(e) => return Err(format!("shutdown: {e}")),
-    }
-    server.wait();
+    drain(server, &addr, "daemon")?;
 
     let mb = bytes as f64 / (1024.0 * 1024.0);
     let doc = Json::obj([

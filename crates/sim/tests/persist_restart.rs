@@ -116,53 +116,3 @@ fn restarted_daemon_serves_golden_bytes_from_disk() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-/// The `tcor-sim serve --cache-dir` wiring: the daemon and its
-/// `SimBackend` share one `TieredCache`, so the backend persists
-/// rendered bodies through the same store the response cache serves
-/// from. This is the regression shape for a real deadlock: the call's
-/// canonical identity (`cell/GTr/base64`) hashes to the same key the
-/// orchestrator memoizes that cell's report under, so the persisted
-/// wrapper must not re-enter its own artifact-store slot.
-#[test]
-fn daemon_and_backend_share_one_cache_without_deadlock() {
-    let dir = std::env::temp_dir().join(format!("tcor-sim-shared-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let open = || {
-        let cfg = config(&dir);
-        let cache: Arc<dyn tcor_pcache::ResultCache> = Arc::new(
-            tcor_pcache::TieredCache::open(
-                cfg.cache_cap,
-                Some((dir.clone(), cfg.cache_disk_bytes)),
-            )
-            .unwrap(),
-        );
-        let backend = Arc::new(SimBackend::with_cache(Arc::clone(&cache)));
-        (cfg, backend, cache)
-    };
-
-    let (cfg, backend, cache) = open();
-    let server = tcor_serve::start_with_cache(cfg, backend, None, cache).unwrap();
-    let addr = server.addr().to_string();
-    let cold = get(&addr, "/v1/cell/GTr/base64");
-    assert_eq!(cold.status, 200);
-    assert_eq!(cold.header("x-tcor-cache"), Some("miss"));
-    // The double put (backend persists, then the response cache does)
-    // must land as one object plus one dedup touch, not two writes.
-    let metrics = get(&addr, "/metrics").body;
-    assert!(metrics.contains("pcache/puts = 1"), "{metrics}");
-    assert!(metrics.contains("pcache/dedup_puts = 1"), "{metrics}");
-    shutdown(&addr);
-    server.wait();
-
-    let (cfg, backend, cache) = open();
-    let server = tcor_serve::start_with_cache(cfg, backend, None, cache).unwrap();
-    let addr = server.addr().to_string();
-    let warm = get(&addr, "/v1/cell/GTr/base64");
-    assert_eq!(warm.header("x-tcor-cache"), Some("disk"));
-    assert_eq!(warm.body, cold.body, "shared-cache restart == cold");
-    shutdown(&addr);
-    server.wait();
-
-    let _ = std::fs::remove_dir_all(&dir);
-}

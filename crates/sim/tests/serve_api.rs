@@ -1,8 +1,9 @@
 //! The serving API over the real simulator backend: one loopback
 //! daemon, driven end to end — liveness, typed validation failures,
-//! CLI-parity bytes for tables and cells, `POST /v1/run` dispatch, and
-//! graceful shutdown. One test function so the calibrated GTr scene is
-//! built once and shared by every request.
+//! CLI-parity bytes for tables and cells, `POST /v1/run` sharing its
+//! GET spelling's cache entry, and graceful shutdown. One test function
+//! so the calibrated GTr scene is built once and shared by every
+//! request.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -90,7 +91,8 @@ fn serve_api_end_to_end_over_the_real_simulator() {
     assert_eq!(warm.header("x-tcor-cache"), Some("mem"));
     assert_eq!(warm.body, cell.body, "warm == cold, byte for byte");
 
-    // `POST /v1/run` is the same computation under another spelling.
+    // `POST /v1/run` parses to the same call, so it shares the GET's
+    // cache entry: a memory hit, not a second computation.
     let run = http_request(
         &addr,
         "POST",
@@ -100,6 +102,7 @@ fn serve_api_end_to_end_over_the_real_simulator() {
     )
     .unwrap();
     assert_eq!(run.status, 200);
+    assert_eq!(run.header("x-tcor-cache"), Some("mem"));
     assert_eq!(run.body, cell.body, "run spelling == cell spelling");
 
     // A single-workload miss curve answers without building the other
