@@ -12,11 +12,16 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # Every temporary of the run lives in one fresh directory, so two runs
-# never collide. The EXIT trap removes it, whichever stage fails, and
-# kills a daemon that a failed check left running (start_daemon below).
+# never collide. The EXIT trap removes it, whichever stage fails, kills
+# a daemon that a failed check left running (start_daemon below) and
+# puts back tcorbench/Cargo.lock if the benchmark check left it
+# rewritten (BENCH_LOCK below).
 CI_TMP=$(mktemp -d -t tcor-ci.XXXXXX)
 SERVE_PID=
-trap 'if [ -n "$SERVE_PID" ]; then kill "$SERVE_PID" 2>/dev/null || true; fi; rm -rf "$CI_TMP"' EXIT
+BENCH_LOCK=
+trap 'if [ -n "$SERVE_PID" ]; then kill "$SERVE_PID" 2>/dev/null || true; fi
+if [ -n "$BENCH_LOCK" ]; then cp "$BENCH_LOCK" tcorbench/Cargo.lock; fi
+rm -rf "$CI_TMP"' EXIT
 
 echo "== cargo fmt --check"
 cargo fmt --all --check
@@ -29,6 +34,18 @@ cargo build --workspace --release
 
 echo "== cargo test"
 cargo test --workspace -q
+
+echo "== benchmark check (tcorbench builds against the workspace crates)"
+# tcorbench/ is a workspace of its own that calls the crates' pub items
+# through path dependencies, so a change to one of them must fail here
+# rather than in a benchmark run. Cargo rewrites tcorbench/Cargo.lock on
+# a fresh resolve, and the benchmark's files stay as committed: the lock
+# is copied first and restored byte for byte, here or by the EXIT trap.
+BENCH_LOCK=$CI_TMP/tcorbench-Cargo.lock
+cp tcorbench/Cargo.lock "$BENCH_LOCK"
+CARGO_TARGET_DIR=.bench_build cargo check --offline -q --manifest-path tcorbench/Cargo.toml
+cp "$BENCH_LOCK" tcorbench/Cargo.lock
+BENCH_LOCK=
 
 echo "== golden check (headline)"
 cargo run --release -q -p tcor-sim -- headline --check --telemetry "$CI_TMP/telemetry.jsonl" >/dev/null

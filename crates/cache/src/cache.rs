@@ -1,41 +1,9 @@
 //! The set-associative cache engine.
 
-use crate::index::Indexing;
+use crate::index::{Indexing, SetIndex};
 use crate::meta::{AccessKind, AccessMeta, AccessOutcome};
 use crate::policy::ReplacementPolicy;
 use tcor_common::{AccessStats, BlockAddr, CacheParams, FxBuildHasher, FxHashMap};
-
-/// One cache line's state, visible to replacement policies during victim
-/// selection.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Line {
-    valid: bool,
-    dirty: bool,
-    tag: u64,
-    meta: AccessMeta,
-}
-
-impl Line {
-    /// Whether the line holds data.
-    pub fn valid(&self) -> bool {
-        self.valid
-    }
-
-    /// Whether the line has been written since fill.
-    pub fn dirty(&self) -> bool {
-        self.dirty
-    }
-
-    /// The block address stored in the line (meaningful when valid).
-    pub fn addr(&self) -> BlockAddr {
-        BlockAddr(self.tag)
-    }
-
-    /// The metadata stored with the line (future-use priority, user word).
-    pub fn meta(&self) -> &AccessMeta {
-        &self.meta
-    }
-}
 
 /// A line displaced from the cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,26 +17,82 @@ pub struct Evicted {
     pub meta: AccessMeta,
 }
 
+/// One bit per line: each set's ways in `words` whole `u64`s, way `w`
+/// at bit `w % 64` of word `w / 64`. Bits past the last way stay 0.
+#[derive(Clone, Debug)]
+struct WayBits {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl WayBits {
+    fn new(num_sets: usize, ways: usize) -> Self {
+        let words = ways.div_ceil(64);
+        WayBits {
+            words,
+            bits: vec![0; num_sets * words],
+        }
+    }
+
+    #[inline(always)]
+    fn word(&self, set: usize, way: usize) -> usize {
+        set * self.words + way / 64
+    }
+
+    #[inline(always)]
+    fn get(&self, set: usize, way: usize) -> bool {
+        self.bits[self.word(set, way)] >> (way % 64) & 1 != 0
+    }
+
+    #[inline(always)]
+    fn put(&mut self, set: usize, way: usize, on: bool) {
+        let (word, bit) = (self.word(set, way), 1 << (way % 64));
+        if on {
+            self.bits[word] |= bit;
+        } else {
+            self.bits[word] &= !bit;
+        }
+    }
+
+    /// The words of `set`.
+    #[inline(always)]
+    fn of(&self, set: usize) -> &[u64] {
+        &self.bits[set * self.words..(set + 1) * self.words]
+    }
+}
+
 /// A write-back, write-allocate, set-associative cache driven by a
 /// [`ReplacementPolicy`].
 ///
 /// The engine models state transitions and statistics only — it carries no
-/// payload bytes. Fully-associative geometry is a single set
-/// (`CacheParams::ways == 0`) of hundreds of ways, so it also keeps an
-/// exact tag → way index: a lookup is one hash probe instead of a scan
-/// of the set, and a full set needs no scan for a free way. A
-/// set-associative cache keeps no index and scans its few ways.
+/// payload bytes. Its state is a structure of arrays, each in set order:
+/// every set's tags are contiguous, its valid and dirty bits are bit
+/// masks beside them, and the [`AccessMeta`]s sit in a parallel array
+/// that every access writes (a hit merges into it, a miss fills it)
+/// and only evictions and victim choice read.
+/// There is no sentinel tag: a tag counts only under its valid bit, so
+/// every `u64` block address is an ordinary address. The set index is
+/// precomputed once ([`SetIndex`]).
+///
+/// Fully-associative geometry is a single set (`CacheParams::ways == 0`)
+/// of hundreds of ways, so it also keeps an exact tag → way index: a
+/// lookup is one hash probe instead of a scan of the set, and a full set
+/// needs no scan for a free way. A set-associative cache keeps no index
+/// and scans its few ways.
 #[derive(Clone, Debug)]
 pub struct Cache<P> {
     params: CacheParams,
-    indexing: Indexing,
-    num_sets: usize,
+    index: SetIndex,
     ways: usize,
-    lines: Vec<Line>,
+    /// Every line's block address, meaningful under its valid bit.
+    tags: Vec<u64>,
+    metas: Vec<AccessMeta>,
+    valid: WayBits,
+    dirty: WayBits,
     /// The way of every valid line, by tag (fully associative only).
     /// A tag has at most one valid line, so a lookup returns the way a
     /// scan would.
-    tags: Option<FxHashMap<u64, u32>>,
+    ways_by_tag: Option<FxHashMap<u64, u32>>,
     policy: P,
     stats: AccessStats,
 }
@@ -77,16 +101,19 @@ impl<P: ReplacementPolicy> Cache<P> {
     /// Creates an empty cache with the given geometry, index function and
     /// replacement policy.
     pub fn new(params: CacheParams, indexing: Indexing, mut policy: P) -> Self {
-        let num_sets = params.num_sets() as usize;
+        let index = SetIndex::new(indexing, params.num_sets());
+        let num_sets = index.num_sets();
         let ways = params.effective_ways() as usize;
         policy.attach(num_sets, ways);
         Cache {
             params,
-            indexing,
-            num_sets,
+            index,
             ways,
-            lines: vec![Line::default(); num_sets * ways],
-            tags: params
+            tags: vec![0; num_sets * ways],
+            metas: vec![AccessMeta::default(); num_sets * ways],
+            valid: WayBits::new(num_sets, ways),
+            dirty: WayBits::new(num_sets, ways),
+            ways_by_tag: params
                 .is_fully_associative()
                 .then(|| FxHashMap::with_capacity_and_hasher(ways, FxBuildHasher)),
             policy,
@@ -101,7 +128,7 @@ impl<P: ReplacementPolicy> Cache<P> {
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        self.num_sets
+        self.index.num_sets()
     }
 
     /// Ways per set.
@@ -124,37 +151,109 @@ impl<P: ReplacementPolicy> Cache<P> {
         &self.policy
     }
 
-    fn set_of(&self, addr: BlockAddr) -> usize {
-        self.indexing.set_of(addr.0, self.num_sets as u64) as usize
-    }
-
-    fn set_range(&self, set: usize) -> std::ops::Range<usize> {
-        set * self.ways..(set + 1) * self.ways
-    }
-
     /// The way of `set` holding `addr`: from the tag index when there is
-    /// one, else by a scan. `INDEXED = false` compiles the index check
-    /// out, for `access`'s set-associative instance.
+    /// one, else by a scan of the set's tags. `INDEXED = false` compiles
+    /// the index check out, for `access`'s set-associative instance.
     #[inline(always)]
     fn find<const INDEXED: bool>(&self, set: usize, addr: BlockAddr) -> Option<usize> {
-        if let (true, Some(tags)) = (INDEXED, &self.tags) {
-            return tags.get(&addr.0).map(|&way| way as usize);
+        if let (true, Some(ways_by_tag)) = (INDEXED, &self.ways_by_tag) {
+            return ways_by_tag.get(&addr.0).map(|&way| way as usize);
         }
-        self.lines[self.set_range(set)]
-            .iter()
-            .position(|l| l.valid && l.tag == addr.0)
+        let tags = &self.tags[set * self.ways..(set + 1) * self.ways];
+        let valid = self.valid.of(set);
+        tags.iter()
+            .enumerate()
+            .find(|&(way, &tag)| tag == addr.0 && valid[way / 64] >> (way % 64) & 1 != 0)
+            .map(|(way, _)| way)
     }
 
-    /// The first invalid way of `set`. An indexed cache that holds
-    /// `ways` lines is full without a scan.
+    /// The first invalid way of `set`: the lowest clear valid bit. An
+    /// indexed cache that holds `ways` lines is full without a look.
     #[inline(always)]
     fn free_way<const INDEXED: bool>(&self, set: usize) -> Option<usize> {
-        if INDEXED && self.tags.as_ref().is_some_and(|t| t.len() == self.ways) {
+        if INDEXED
+            && self
+                .ways_by_tag
+                .as_ref()
+                .is_some_and(|t| t.len() == self.ways)
+        {
             return None;
         }
-        self.lines[self.set_range(set)]
+        let (i, word) = self
+            .valid
+            .of(set)
             .iter()
-            .position(|l| !l.valid)
+            .enumerate()
+            .find(|(_, word)| **word != u64::MAX)?;
+        let way = i * 64 + word.trailing_ones() as usize;
+        (way < self.ways).then_some(way)
+    }
+
+    /// The line at `(set, way)` as it leaves the cache, counting a dirty
+    /// one as a write-back. The caller clears or refills the line.
+    #[inline(always)]
+    fn take(&mut self, set: usize, way: usize) -> Evicted {
+        let idx = set * self.ways + way;
+        let dirty = self.dirty.get(set, way);
+        if dirty {
+            self.stats.writebacks += 1;
+        }
+        Evicted {
+            addr: BlockAddr(self.tags[idx]),
+            dirty,
+            meta: self.metas[idx],
+        }
+    }
+
+    /// Makes `(set, way)` hold `addr`. A valid line there is simply
+    /// overwritten: the caller has taken it or drops it.
+    #[inline(always)]
+    fn fill<const INDEXED: bool>(
+        &mut self,
+        set: usize,
+        way: usize,
+        addr: BlockAddr,
+        dirty: bool,
+        meta: AccessMeta,
+    ) {
+        let idx = set * self.ways + way;
+        if let (true, Some(ways_by_tag)) = (INDEXED, &mut self.ways_by_tag) {
+            if self.valid.get(set, way) {
+                ways_by_tag.remove(&self.tags[idx]);
+            }
+            ways_by_tag.insert(addr.0, way as u32);
+        }
+        self.tags[idx] = addr.0;
+        self.metas[idx] = meta;
+        self.valid.put(set, way, true);
+        self.dirty.put(set, way, dirty);
+        self.policy.on_fill(set, way, &meta);
+    }
+
+    /// The way a miss in `set` fills, and whether a line lives there:
+    /// the first free way, else the policy's victim among the set's
+    /// lines.
+    #[inline(always)]
+    fn fill_way<const INDEXED: bool>(&mut self, set: usize) -> (usize, bool) {
+        match self.free_way::<INDEXED>(set) {
+            Some(invalid) => (invalid, false),
+            None => {
+                let metas = &self.metas[set * self.ways..(set + 1) * self.ways];
+                let way = self.policy.victim(set, metas);
+                debug_assert!(way < self.ways, "policy returned way out of range");
+                (way, true)
+            }
+        }
+    }
+
+    /// Merges `meta` into the resident line at `(set, way)` and tells
+    /// the policy of the hit.
+    #[inline(always)]
+    fn merge(&mut self, set: usize, way: usize, meta: AccessMeta) {
+        let stored = &mut self.metas[set * self.ways + way];
+        stored.merge(meta);
+        let merged = *stored;
+        self.policy.on_hit(set, way, &merged);
     }
 
     /// Performs one access. On a miss in a full set, the policy selects a
@@ -166,7 +265,7 @@ impl<P: ReplacementPolicy> Cache<P> {
         // a set-associative cache's access get exactly the scanning code:
         // an index check inside every lookup and fill made a tight 4-way
         // access loop about 10% slower.
-        if self.tags.is_some() {
+        if self.ways_by_tag.is_some() {
             return self.access_indexed(addr, kind, meta);
         }
         self.access_in::<false>(addr, kind, meta)
@@ -193,17 +292,16 @@ impl<P: ReplacementPolicy> Cache<P> {
         // classification below: the audit layer cross-checks
         // probes == hits + misses.
         self.stats.probes += 1;
-        let set = self.set_of(addr);
+        let set = self.index.set_of(addr.0);
         if let Some(way) = self.find::<INDEXED>(set, addr) {
             match kind {
                 AccessKind::Read => self.stats.record_read(true),
-                AccessKind::Write => self.stats.record_write(true),
+                AccessKind::Write => {
+                    self.stats.record_write(true);
+                    self.dirty.put(set, way, true);
+                }
             }
-            let line = &mut self.lines[set * self.ways + way];
-            line.dirty |= kind.is_write();
-            line.meta.merge(meta);
-            let merged = line.meta;
-            self.policy.on_hit(set, way, &merged);
+            self.merge(set, way, meta);
             return AccessOutcome::hit();
         }
 
@@ -211,46 +309,9 @@ impl<P: ReplacementPolicy> Cache<P> {
             AccessKind::Read => self.stats.record_read(false),
             AccessKind::Write => self.stats.record_write(false),
         }
-
-        let way = match self.free_way::<INDEXED>(set) {
-            Some(invalid) => invalid,
-            None => {
-                let range = self.set_range(set);
-                let way = self.policy.victim(set, &self.lines[range]);
-                debug_assert!(way < self.ways, "policy returned way out of range");
-                way
-            }
-        };
-
-        let idx = set * self.ways + way;
-        let evicted = if self.lines[idx].valid {
-            let old = self.lines[idx];
-            if old.dirty {
-                self.stats.writebacks += 1;
-            }
-            Some(Evicted {
-                addr: BlockAddr(old.tag),
-                dirty: old.dirty,
-                meta: old.meta,
-            })
-        } else {
-            None
-        };
-
-        if let (true, Some(tags)) = (INDEXED, &mut self.tags) {
-            if let Some(old) = &evicted {
-                tags.remove(&old.addr.0);
-            }
-            tags.insert(addr.0, way as u32);
-        }
-        self.lines[idx] = Line {
-            valid: true,
-            dirty: kind.is_write(),
-            tag: addr.0,
-            meta,
-        };
-        self.policy.on_fill(set, way, &meta);
-
+        let (way, full) = self.fill_way::<INDEXED>(set);
+        let evicted = full.then(|| self.take(set, way));
+        self.fill::<INDEXED>(set, way, addr, kind.is_write(), meta);
         AccessOutcome {
             hit: false,
             evicted,
@@ -262,110 +323,83 @@ impl<P: ReplacementPolicy> Cache<P> {
     /// frame's Parameter Buffer). A full set silently drops the policy's
     /// victim; a resident line just has its metadata merged in.
     pub fn fill_clean(&mut self, addr: BlockAddr, meta: AccessMeta) {
-        let set = self.set_of(addr);
+        let set = self.index.set_of(addr.0);
         if let Some(way) = self.find::<true>(set, addr) {
-            let line = &mut self.lines[set * self.ways + way];
-            line.meta.merge(meta);
-            let merged = line.meta;
-            self.policy.on_hit(set, way, &merged);
-            return;
+            return self.merge(set, way, meta);
         }
-        let way = match self.free_way::<true>(set) {
-            Some(invalid) => invalid,
-            None => {
-                let range = self.set_range(set);
-                self.policy.victim(set, &self.lines[range])
-            }
-        };
-        let idx = set * self.ways + way;
-        if let Some(tags) = &mut self.tags {
-            if self.lines[idx].valid {
-                tags.remove(&self.lines[idx].tag);
-            }
-            tags.insert(addr.0, way as u32);
-        }
-        self.lines[idx] = Line {
-            valid: true,
-            dirty: false,
-            tag: addr.0,
-            meta,
-        };
-        self.policy.on_fill(set, way, &meta);
+        let (way, _) = self.fill_way::<true>(set);
+        self.fill::<true>(set, way, addr, false, meta);
     }
 
     /// Whether `addr` is currently cached (no state change).
     pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.find::<true>(self.set_of(addr), addr).is_some()
+        self.find::<true>(self.index.set_of(addr.0), addr).is_some()
     }
 
     /// Reads a resident line's stored metadata (no state change).
     pub fn peek_meta(&self, addr: BlockAddr) -> Option<AccessMeta> {
-        let set = self.set_of(addr);
+        let set = self.index.set_of(addr.0);
         self.find::<true>(set, addr)
-            .map(|way| self.lines[set * self.ways + way].meta)
+            .map(|way| self.metas[set * self.ways + way])
     }
 
     /// Updates a resident line's metadata in place. Returns `false` when
     /// the block is not resident.
     pub fn update_meta(&mut self, addr: BlockAddr, f: impl FnOnce(&mut AccessMeta)) -> bool {
-        let set = self.set_of(addr);
+        let set = self.index.set_of(addr.0);
         if let Some(way) = self.find::<true>(set, addr) {
-            f(&mut self.lines[set * self.ways + way].meta);
+            f(&mut self.metas[set * self.ways + way]);
             true
         } else {
             false
         }
     }
 
+    /// Clears the valid and dirty bits of `(set, way)`.
+    fn clear(&mut self, set: usize, way: usize) {
+        self.valid.put(set, way, false);
+        self.dirty.put(set, way, false);
+        self.policy.on_invalidate(set, way);
+    }
+
     /// Removes `addr` from the cache, returning its state if present.
     pub fn invalidate(&mut self, addr: BlockAddr) -> Option<Evicted> {
-        let set = self.set_of(addr);
+        let set = self.index.set_of(addr.0);
         let way = self.find::<true>(set, addr)?;
-        let idx = set * self.ways + way;
-        let old = self.lines[idx];
-        self.lines[idx] = Line::default();
-        if let Some(tags) = &mut self.tags {
-            tags.remove(&addr.0);
+        let old = self.take(set, way);
+        if let Some(ways_by_tag) = &mut self.ways_by_tag {
+            ways_by_tag.remove(&addr.0);
         }
-        self.policy.on_invalidate(set, way);
-        if old.dirty {
-            self.stats.writebacks += 1;
-        }
-        Some(Evicted {
-            addr: BlockAddr(old.tag),
-            dirty: old.dirty,
-            meta: old.meta,
-        })
+        self.clear(set, way);
+        Some(old)
     }
 
     /// Drains every valid line (end-of-frame flush), returning them in
-    /// arbitrary order. Statistics count the dirty ones as write-backs.
+    /// set then way order. Statistics count the dirty ones as
+    /// write-backs.
     pub fn drain(&mut self) -> Vec<Evicted> {
         let mut out = Vec::new();
-        for idx in 0..self.lines.len() {
-            if self.lines[idx].valid {
-                let old = self.lines[idx];
-                if old.dirty {
-                    self.stats.writebacks += 1;
+        for set in 0..self.num_sets() {
+            for way in 0..self.ways {
+                if self.valid.get(set, way) {
+                    out.push(self.take(set, way));
+                    self.clear(set, way);
                 }
-                out.push(Evicted {
-                    addr: BlockAddr(old.tag),
-                    dirty: old.dirty,
-                    meta: old.meta,
-                });
-                self.lines[idx] = Line::default();
-                self.policy.on_invalidate(idx / self.ways, idx % self.ways);
             }
         }
-        if let Some(tags) = &mut self.tags {
-            tags.clear();
+        if let Some(ways_by_tag) = &mut self.ways_by_tag {
+            ways_by_tag.clear();
         }
         out
     }
 
     /// Number of valid lines.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.valid
+            .bits
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 }
 
@@ -490,8 +524,10 @@ mod tests {
         c.access(BlockAddr(0), AccessKind::Write, AccessMeta::NONE);
         let ev = c.invalidate(BlockAddr(0)).unwrap();
         assert!(ev.dirty);
+        assert_eq!(c.stats().writebacks, 1, "a dirty line leaves written back");
         assert!(!c.contains(BlockAddr(0)));
         assert!(c.invalidate(BlockAddr(0)).is_none());
+        assert_eq!(c.stats().writebacks, 1);
     }
 
     #[test]
@@ -572,9 +608,9 @@ mod tests {
             self.stamps[set * self.ways + way] = 0;
         }
 
-        fn victim(&mut self, set: usize, lines: &[Line]) -> usize {
+        fn victim(&mut self, set: usize, metas: &[AccessMeta]) -> usize {
             let stamps = &self.stamps[set * self.ways..];
-            let ways = 0..lines.len();
+            let ways = 0..metas.len();
             if self.mru {
                 ways.max_by_key(|&w| stamps[w])
             } else {
@@ -705,7 +741,7 @@ mod tests {
                     reference(name),
                 );
                 assert_eq!(one.num_sets() as u64, sets);
-                assert!(one.tags.is_some() == (sets == 1) && two.tags.is_none());
+                assert!(one.ways_by_tag.is_some() == (sets == 1) && two.ways_by_tag.is_none());
                 let mut rng = SmallRng::seed_from_u64(seed as u64 ^ n << 8);
                 let (mut evictions, mut drains) = (0, 0);
                 for i in 0..1000 + 16 * n {

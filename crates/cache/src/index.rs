@@ -5,6 +5,11 @@
 //! load-balance sets: primitive identifiers arriving in bursts with
 //! power-of-two strides would otherwise pile onto a few sets
 //! (the pathology §III.B describes for the baseline PB-Lists layout).
+//!
+//! [`Indexing::set_of`] is the definition. A structure that maps many
+//! addresses into one set count holds a [`SetIndex`], which checks the
+//! count once: a power-of-two Modulo cache then masks instead of
+//! dividing.
 
 /// How a block address maps to a set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -26,6 +31,14 @@ impl Indexing {
     /// Panics if `num_sets == 0`.
     pub fn set_of(self, addr: u64, num_sets: u64) -> u64 {
         assert!(num_sets > 0, "cache must have at least one set");
+        self.reduce(addr, num_sets)
+    }
+
+    /// [`Indexing::set_of`] for a `num_sets` known to be non-zero.
+    #[inline]
+    fn reduce(self, addr: u64, num_sets: u64) -> u64 {
+        // One set never enters the fold, whose shift by 0 would never
+        // empty the address.
         if num_sets == 1 {
             return 0;
         }
@@ -50,6 +63,50 @@ impl Indexing {
                 }
             }
         }
+    }
+}
+
+/// [`Indexing::set_of`] for one fixed set count, checked once at
+/// construction. Power-of-two Modulo (one set included) is a mask;
+/// every other count calls the definition, whose `%` or XOR fold a
+/// precomputed constant would not remove.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SetIndex {
+    indexing: Indexing,
+    num_sets: u64,
+    /// `num_sets - 1` when the set is `addr & mask`.
+    mask: Option<u64>,
+}
+
+impl SetIndex {
+    /// The index of `indexing` over `num_sets` sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_sets == 0`.
+    pub fn new(indexing: Indexing, num_sets: u64) -> Self {
+        assert!(num_sets > 0, "cache must have at least one set");
+        let mask =
+            (indexing == Indexing::Modulo && num_sets.is_power_of_two()).then(|| num_sets - 1);
+        SetIndex {
+            indexing,
+            num_sets,
+            mask,
+        }
+    }
+
+    /// The number of sets.
+    pub fn num_sets(&self) -> usize {
+        self.num_sets as usize
+    }
+
+    /// The set of `addr`: `Indexing::set_of(addr, num_sets)`.
+    #[inline]
+    pub fn set_of(&self, addr: u64) -> usize {
+        (match self.mask {
+            Some(mask) => addr & mask,
+            None => self.indexing.reduce(addr, self.num_sets),
+        }) as usize
     }
 }
 
@@ -106,6 +163,34 @@ mod tests {
             .collect();
         assert_eq!(modulo_sets.len(), 1);
         assert!(xor_sets.len() > 16, "xor spread only {}", xor_sets.len());
+    }
+
+    /// Every set count in 1..=4096, under both functions, over a seeded
+    /// sample with both ends of the address range: the precomputed
+    /// index is the definition. One set comes first, as a one-set Xor
+    /// index that entered the fold would never return.
+    #[test]
+    fn precomputed_index_is_the_definition() {
+        for indexing in [Indexing::Modulo, Indexing::Xor] {
+            assert_eq!(SetIndex::new(indexing, 1).set_of(u64::MAX), 0);
+        }
+        let mut rng = tcor_common::SmallRng::seed_from_u64(0x1D3);
+        let mut addrs = vec![0, 1, u64::MAX, u64::MAX - 1, 1 << 63];
+        addrs.extend((0..24).map(|_| rng.next_u64()));
+        addrs.extend((0..8).map(|_| rng.random_range(0..1 << 16)));
+        for num_sets in 1..=4096u64 {
+            for indexing in [Indexing::Modulo, Indexing::Xor] {
+                let index = SetIndex::new(indexing, num_sets);
+                assert_eq!(index.num_sets() as u64, num_sets);
+                for &addr in &addrs {
+                    assert_eq!(
+                        index.set_of(addr) as u64,
+                        indexing.set_of(addr, num_sets),
+                        "{indexing:?}, {num_sets} sets, addr {addr:#x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

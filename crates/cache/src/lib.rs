@@ -9,12 +9,17 @@
 //! ## Engine
 //!
 //! [`Cache`] is a set-associative (or fully-associative) write-back,
-//! write-allocate cache over 64-byte [`tcor_common::BlockAddr`]s. Victim
-//! selection is delegated to a [`ReplacementPolicy`]; the engine carries a
-//! small [`AccessMeta`] per line (a future-use priority and a free-form
-//! user word) that policies may consult — this is how both exact
-//! Belady-OPT (future timestamps) and TCOR's hardware OPT (12-bit OPT
-//! Numbers) run on the same machinery.
+//! write-allocate cache over 64-byte [`tcor_common::BlockAddr`]s, kept
+//! as a structure of arrays: each set's tags are contiguous, its valid
+//! and dirty bits are bit masks beside them, and a parallel array holds
+//! one small [`AccessMeta`] per line (a future-use priority and a
+//! free-form user word), which every access writes. The set count is
+//! checked once per cache ([`SetIndex`]): a power-of-two Modulo cache
+//! masks, every other cache calls [`Indexing::set_of`]'s function.
+//! Victim selection is delegated to a
+//! [`ReplacementPolicy`], which sees the full set's stored metadata —
+//! this is how both exact Belady-OPT (future timestamps) and TCOR's
+//! hardware OPT (12-bit OPT Numbers) run on the same machinery.
 //!
 //! ## Policies
 //!
@@ -61,7 +66,7 @@ pub mod shard;
 pub mod trace;
 
 pub use cache::{Cache, Evicted};
-pub use index::Indexing;
+pub use index::{Indexing, SetIndex};
 pub use meta::{AccessKind, AccessMeta, AccessOutcome};
 pub use policy::ReplacementPolicy;
 pub use shard::{simulate_policy_shard_range, simulate_policy_sharded, ShardCache, ShardedTrace};

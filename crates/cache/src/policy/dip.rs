@@ -6,7 +6,6 @@
 
 use super::order::WayOrder;
 use super::ReplacementPolicy;
-use crate::cache::Line;
 use crate::meta::AccessMeta;
 
 /// BIP promotes an insertion to MRU once every `BIP_EPSILON` fills.
@@ -168,8 +167,8 @@ impl ReplacementPolicy for Lip {
         self.lru.touch_lru(set, way);
     }
 
-    fn victim(&mut self, set: usize, lines: &[Line]) -> usize {
-        self.lru.victim(set, lines.len())
+    fn victim(&mut self, set: usize, metas: &[AccessMeta]) -> usize {
+        self.lru.victim(set, metas.len())
     }
 
     fn set_local(&self) -> bool {
@@ -221,8 +220,8 @@ impl ReplacementPolicy for Bip {
         }
     }
 
-    fn victim(&mut self, set: usize, lines: &[Line]) -> usize {
-        self.lru.victim(set, lines.len())
+    fn victim(&mut self, set: usize, metas: &[AccessMeta]) -> usize {
+        self.lru.victim(set, metas.len())
     }
 
     fn set_local(&self) -> bool {
@@ -310,8 +309,8 @@ impl ReplacementPolicy for Dip {
         }
     }
 
-    fn victim(&mut self, set: usize, lines: &[Line]) -> usize {
-        self.lru.victim(set, lines.len())
+    fn victim(&mut self, set: usize, metas: &[AccessMeta]) -> usize {
+        self.lru.victim(set, metas.len())
     }
 
     fn set_local(&self) -> bool {
@@ -356,11 +355,11 @@ mod tests {
     fn lip_insertion_is_immediately_evictable() {
         let mut p = Lip::new();
         p.attach(1, 2);
-        let lines = vec![Line::default(); 2];
+        let metas = [AccessMeta::NONE; 2];
         p.on_fill(0, 0, &AccessMeta::NONE);
         p.on_hit(0, 0, &AccessMeta::NONE); // promote way 0
         p.on_fill(0, 1, &AccessMeta::NONE); // way 1 inserted at LRU
-        assert_eq!(p.victim(0, &lines), 1);
+        assert_eq!(p.victim(0, &metas), 1);
     }
 
     /// LRU insertions clamp at stamp 0 and tie, and the scan evicts the
@@ -384,8 +383,8 @@ mod tests {
         for _ in 0..BIP_EPSILON {
             p.on_fill(0, 0, &AccessMeta::NONE);
         }
-        let lines = vec![Line::default(); 4];
-        assert_ne!(p.victim(0, &lines), 0);
+        let metas = [AccessMeta::NONE; 4];
+        assert_ne!(p.victim(0, &metas), 0);
     }
 
     #[test]

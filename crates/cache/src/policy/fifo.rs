@@ -2,7 +2,6 @@
 
 use super::order::WayOrder;
 use super::ReplacementPolicy;
-use crate::cache::Line;
 use crate::meta::AccessMeta;
 
 /// FIFO: evicts the way *filled* longest ago, ignoring hits.
@@ -40,7 +39,7 @@ impl ReplacementPolicy for Fifo {
         self.order.push_back(set, way);
     }
 
-    fn victim(&mut self, set: usize, _lines: &[Line]) -> usize {
+    fn victim(&mut self, set: usize, _metas: &[AccessMeta]) -> usize {
         self.order.head(set)
     }
 

@@ -15,7 +15,6 @@
 //! TCOR's *exact* future knowledge on the Parameter Buffer stream.
 
 use super::ReplacementPolicy;
-use crate::cache::Line;
 use crate::meta::AccessMeta;
 use tcor_common::{BlockAddr, FxHashMap};
 
@@ -158,16 +157,16 @@ impl ReplacementPolicy for Hawkeye {
         self.age[idx] = if self.friendly(addr) { 0 } else { MAX_AGE };
     }
 
-    fn victim(&mut self, set: usize, lines: &[Line]) -> usize {
+    fn victim(&mut self, set: usize, metas: &[AccessMeta]) -> usize {
         let base = set * self.ways;
         // Prefer cache-averse (age == MAX) lines; otherwise oldest.
-        if let Some(w) = (0..lines.len()).find(|&w| self.age[base + w] >= MAX_AGE) {
+        if let Some(w) = (0..metas.len()).find(|&w| self.age[base + w] >= MAX_AGE) {
             return w;
         }
-        let w = (0..lines.len())
+        let w = (0..metas.len())
             .max_by_key(|&w| self.age[base + w])
             .expect("nonempty set");
-        for i in 0..lines.len() {
+        for i in 0..metas.len() {
             self.age[base + i] = self.age[base + i].saturating_add(1).min(MAX_AGE - 1);
         }
         w

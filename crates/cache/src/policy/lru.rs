@@ -1,7 +1,6 @@
 //! Recency-based policies: LRU (the paper's baseline) and MRU.
 
 use super::ReplacementPolicy;
-use crate::cache::Line;
 use crate::meta::AccessMeta;
 
 /// Least-Recently-Used: evicts the way touched longest ago.
@@ -50,10 +49,11 @@ impl ReplacementPolicy for Lru {
         self.last_touch[set * self.ways + way] = 0;
     }
 
-    fn victim(&mut self, set: usize, lines: &[Line]) -> usize {
+    fn victim(&mut self, set: usize, metas: &[AccessMeta]) -> usize {
         let base = set * self.ways;
-        (0..lines.len())
-            .min_by_key(|&w| self.last_touch[base + w])
+        let stamps = &self.last_touch[base..base + metas.len()];
+        (0..stamps.len())
+            .min_by_key(|&w| stamps[w])
             .expect("victim called on empty set")
     }
 
@@ -101,7 +101,7 @@ impl ReplacementPolicy for Mru {
         self.last[set] = way as u32;
     }
 
-    fn victim(&mut self, set: usize, _lines: &[Line]) -> usize {
+    fn victim(&mut self, set: usize, _metas: &[AccessMeta]) -> usize {
         self.last[set] as usize
     }
 

@@ -2,8 +2,8 @@
 //!
 //! Each policy owns its own recency/prediction state, keyed by
 //! `(set, way)`. The engine calls [`ReplacementPolicy::victim`] only on a
-//! **full** set, passing the set's lines; the policy returns the way to
-//! displace.
+//! **full** set, passing the stored [`AccessMeta`] of the set's ways; the
+//! policy returns the way to displace.
 //!
 //! The menagerie matches the paper's evaluation: LRU (baseline), MRU and
 //! DRRIP (Fig. 13 comparison points), and OPT — the policy TCOR implements
@@ -33,7 +33,6 @@ pub use plru::TreePlru;
 pub use random::RandomEvict;
 pub use rrip::{Brrip, Drrip, Srrip};
 
-use crate::cache::Line;
 use crate::meta::AccessMeta;
 
 /// Victim-selection and bookkeeping interface for cache replacement.
@@ -57,9 +56,12 @@ pub trait ReplacementPolicy {
     /// The line at `(set, way)` was invalidated or drained.
     fn on_invalidate(&mut self, _set: usize, _way: usize) {}
 
-    /// Chooses the way to evict from a **full** set. `lines` holds exactly
-    /// the set's ways, all valid.
-    fn victim(&mut self, set: usize, lines: &[Line]) -> usize;
+    /// Chooses the way to evict from a **full** set. `metas` holds the
+    /// stored metadata of exactly the set's ways, all valid, in way
+    /// order: its length is the associativity. Most policies read only
+    /// that length; one that ranks lines by their metadata (the TCOR L2's
+    /// dead-line classes) reads the slice.
+    fn victim(&mut self, set: usize, metas: &[AccessMeta]) -> usize;
 
     /// Whether every victim decision depends only on the *relative*
     /// history of the victim's own set.
@@ -102,8 +104,8 @@ impl ReplacementPolicy for BoxedPolicy {
         self.as_mut().on_invalidate(set, way)
     }
 
-    fn victim(&mut self, set: usize, lines: &[Line]) -> usize {
-        self.as_mut().victim(set, lines)
+    fn victim(&mut self, set: usize, metas: &[AccessMeta]) -> usize {
+        self.as_mut().victim(set, metas)
     }
 
     fn set_local(&self) -> bool {

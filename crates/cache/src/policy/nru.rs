@@ -1,7 +1,6 @@
 //! Not-Recently-Used replacement.
 
 use super::ReplacementPolicy;
-use crate::cache::Line;
 use crate::meta::AccessMeta;
 
 /// NRU: one reference bit per line, set on touch. Victims are chosen among
@@ -43,13 +42,13 @@ impl ReplacementPolicy for Nru {
         self.referenced[set * self.ways + way] = false;
     }
 
-    fn victim(&mut self, set: usize, lines: &[Line]) -> usize {
+    fn victim(&mut self, set: usize, metas: &[AccessMeta]) -> usize {
         let base = set * self.ways;
-        if let Some(w) = (0..lines.len()).find(|&w| !self.referenced[base + w]) {
+        if let Some(w) = (0..metas.len()).find(|&w| !self.referenced[base + w]) {
             return w;
         }
         // All referenced: clear the whole set and take way 0.
-        for w in 0..lines.len() {
+        for w in 0..metas.len() {
             self.referenced[base + w] = false;
         }
         0
@@ -70,23 +69,23 @@ mod tests {
     fn prefers_unreferenced_way() {
         let mut p = Nru::new();
         p.attach(1, 4);
-        let lines = vec![Line::default(); 4];
+        let metas = [AccessMeta::NONE; 4];
         for w in [0usize, 1, 3] {
             p.on_hit(0, w, &AccessMeta::NONE);
         }
-        assert_eq!(p.victim(0, &lines), 2);
+        assert_eq!(p.victim(0, &metas), 2);
     }
 
     #[test]
     fn clears_bits_when_all_referenced() {
         let mut p = Nru::new();
         p.attach(1, 2);
-        let lines = vec![Line::default(); 2];
+        let metas = [AccessMeta::NONE; 2];
         p.on_hit(0, 0, &AccessMeta::NONE);
         p.on_hit(0, 1, &AccessMeta::NONE);
-        assert_eq!(p.victim(0, &lines), 0);
+        assert_eq!(p.victim(0, &metas), 0);
         // After the sweep, way 1 is now unreferenced.
         p.on_fill(0, 0, &AccessMeta::NONE);
-        assert_eq!(p.victim(0, &lines), 1);
+        assert_eq!(p.victim(0, &metas), 1);
     }
 }

@@ -18,7 +18,6 @@
 //!   rank carried by the request, exactly as the Primitive Buffer does.
 
 use super::ReplacementPolicy;
-use crate::cache::Line;
 use crate::meta::AccessMeta;
 
 /// Greatest-next-use replacement. Stores each line's `next_use` priority
@@ -60,11 +59,11 @@ impl ReplacementPolicy for Opt {
         self.next_use[set * self.ways + way] = u64::MAX;
     }
 
-    fn victim(&mut self, set: usize, lines: &[Line]) -> usize {
+    fn victim(&mut self, set: usize, metas: &[AccessMeta]) -> usize {
         let base = set * self.ways;
         let mut best = 0usize;
         let mut best_nu = 0u64;
-        for w in 0..lines.len() {
+        for w in 0..metas.len() {
             let nu = self.next_use[base + w];
             if w == 0 || nu > best_nu {
                 best = w;

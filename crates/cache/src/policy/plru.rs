@@ -1,7 +1,6 @@
 //! Tree pseudo-LRU replacement.
 
 use super::ReplacementPolicy;
-use crate::cache::Line;
 use crate::meta::AccessMeta;
 
 /// Binary-tree PLRU: each set keeps `ways - 1` direction bits arranged as a
@@ -62,7 +61,7 @@ impl ReplacementPolicy for TreePlru {
         self.touch(set, way);
     }
 
-    fn victim(&mut self, set: usize, _lines: &[Line]) -> usize {
+    fn victim(&mut self, set: usize, _metas: &[AccessMeta]) -> usize {
         let base = set * (self.tree_ways - 1);
         let mut node = 0usize;
         let mut lo = 0usize;
@@ -98,12 +97,12 @@ mod tests {
     fn plru_victim_avoids_recent_touches() {
         let mut p = TreePlru::new();
         p.attach(1, 4);
-        let lines = vec![Line::default(); 4];
+        let metas = [AccessMeta::NONE; 4];
         // Touch ways 0..3 in order; PLRU then points at way 0's half.
         for w in 0..4 {
             p.on_fill(0, w, &AccessMeta::NONE);
         }
-        let v = p.victim(0, &lines);
+        let v = p.victim(0, &metas);
         assert_ne!(v, 3, "must not evict the most recently touched way");
     }
 
@@ -111,12 +110,12 @@ mod tests {
     fn plru_tracks_lru_on_sequential_fill() {
         let mut p = TreePlru::new();
         p.attach(1, 4);
-        let lines = vec![Line::default(); 4];
+        let metas = [AccessMeta::NONE; 4];
         for w in [0usize, 1, 2, 3, 0, 1] {
             p.on_hit(0, w, &AccessMeta::NONE);
         }
         // True LRU would evict 2; PLRU agrees on this simple pattern.
-        assert_eq!(p.victim(0, &lines), 2);
+        assert_eq!(p.victim(0, &metas), 2);
     }
 
     #[test]

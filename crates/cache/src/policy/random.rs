@@ -1,7 +1,6 @@
 //! Seeded pseudo-random replacement.
 
 use super::ReplacementPolicy;
-use crate::cache::Line;
 use crate::meta::AccessMeta;
 
 /// Random replacement with a deterministic xorshift64* stream, so
@@ -47,8 +46,8 @@ impl ReplacementPolicy for RandomEvict {
 
     fn on_fill(&mut self, _set: usize, _way: usize, _meta: &AccessMeta) {}
 
-    fn victim(&mut self, _set: usize, lines: &[Line]) -> usize {
-        (self.next() % lines.len() as u64) as usize
+    fn victim(&mut self, _set: usize, metas: &[AccessMeta]) -> usize {
+        (self.next() % metas.len() as u64) as usize
     }
 
     fn set_local(&self) -> bool {
@@ -66,19 +65,19 @@ mod tests {
     fn deterministic_given_seed() {
         let mut a = RandomEvict::with_seed(42);
         let mut b = RandomEvict::with_seed(42);
-        let lines = vec![Line::default(); 8];
+        let metas = [AccessMeta::NONE; 8];
         for _ in 0..100 {
-            assert_eq!(a.victim(0, &lines), b.victim(0, &lines));
+            assert_eq!(a.victim(0, &metas), b.victim(0, &metas));
         }
     }
 
     #[test]
     fn victims_cover_all_ways() {
         let mut p = RandomEvict::with_seed(7);
-        let lines = vec![Line::default(); 4];
+        let metas = [AccessMeta::NONE; 4];
         let mut seen = [false; 4];
         for _ in 0..200 {
-            seen[p.victim(0, &lines)] = true;
+            seen[p.victim(0, &metas)] = true;
         }
         assert!(seen.iter().all(|&s| s));
     }
@@ -86,9 +85,9 @@ mod tests {
     #[test]
     fn zero_seed_is_replaced() {
         let mut p = RandomEvict::with_seed(0);
-        let lines = vec![Line::default(); 4];
+        let metas = [AccessMeta::NONE; 4];
         // Must not get stuck returning a constant because state == 0.
-        let v: Vec<usize> = (0..16).map(|_| p.victim(0, &lines)).collect();
+        let v: Vec<usize> = (0..16).map(|_| p.victim(0, &metas)).collect();
         assert!(v.iter().any(|&x| x != v[0]));
     }
 }

@@ -5,7 +5,6 @@
 //! set-dueling DRRIP.
 
 use super::ReplacementPolicy;
-use crate::cache::Line;
 use crate::meta::AccessMeta;
 
 /// Width of the RRPV counters; the paper's comparison uses M = 2.
@@ -81,8 +80,8 @@ impl ReplacementPolicy for Srrip {
         self.state.fill(set, way, MAX_RRPV - 1);
     }
 
-    fn victim(&mut self, set: usize, lines: &[Line]) -> usize {
-        self.state.victim(set, lines.len())
+    fn victim(&mut self, set: usize, metas: &[AccessMeta]) -> usize {
+        self.state.victim(set, metas.len())
     }
 
     fn set_local(&self) -> bool {
@@ -131,8 +130,8 @@ impl ReplacementPolicy for Brrip {
         self.state.fill(set, way, rrpv);
     }
 
-    fn victim(&mut self, set: usize, lines: &[Line]) -> usize {
-        self.state.victim(set, lines.len())
+    fn victim(&mut self, set: usize, metas: &[AccessMeta]) -> usize {
+        self.state.victim(set, metas.len())
     }
 
     fn set_local(&self) -> bool {
@@ -227,8 +226,8 @@ impl ReplacementPolicy for Drrip {
         self.state.fill(set, way, rrpv);
     }
 
-    fn victim(&mut self, set: usize, lines: &[Line]) -> usize {
-        self.state.victim(set, lines.len())
+    fn victim(&mut self, set: usize, metas: &[AccessMeta]) -> usize {
+        self.state.victim(set, metas.len())
     }
 
     fn set_local(&self) -> bool {
@@ -250,12 +249,12 @@ mod tests {
     fn srrip_promotes_on_hit() {
         let mut p = Srrip::new();
         p.attach(1, 2);
-        let lines = vec![Line::default(); 2];
+        let metas = [AccessMeta::NONE; 2];
         p.on_fill(0, 0, &AccessMeta::NONE); // rrpv 2
         p.on_fill(0, 1, &AccessMeta::NONE); // rrpv 2
         p.on_hit(0, 0, &AccessMeta::NONE); // rrpv 0
                                            // Aging: both < 3, so the loop ages until way 1 reaches 3 first.
-        assert_eq!(p.victim(0, &lines), 1);
+        assert_eq!(p.victim(0, &metas), 1);
     }
 
     #[test]

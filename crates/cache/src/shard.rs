@@ -22,7 +22,7 @@
 //! once.
 
 use crate::cache::Cache;
-use crate::index::Indexing;
+use crate::index::{Indexing, SetIndex};
 use crate::meta::{AccessKind, AccessMeta};
 use crate::policy::ReplacementPolicy;
 use crate::trace::Access;
@@ -62,15 +62,15 @@ impl ShardedTrace {
         num_sets: u64,
         indexing: Indexing,
     ) -> Self {
-        assert!(num_sets > 0, "cache must have at least one set");
         if let Some(next) = next {
             debug_assert_eq!(trace.len(), next.len(), "annotation must match trace");
         }
-        let sets = num_sets as usize;
+        let index = SetIndex::new(indexing, num_sets);
+        let sets = index.num_sets();
         let n = trace.len();
         let mut counts = vec![0usize; sets];
         for a in trace {
-            counts[indexing.set_of(a.addr.0, num_sets) as usize] += 1;
+            counts[index.set_of(a.addr.0)] += 1;
         }
         let mut starts = Vec::with_capacity(sets + 1);
         let mut acc = 0usize;
@@ -84,7 +84,7 @@ impl ShardedTrace {
         let mut kinds = vec![AccessKind::Read; n];
         let mut next_use = vec![0u64; if next.is_some() { n } else { 0 }];
         for (i, a) in trace.iter().enumerate() {
-            let s = indexing.set_of(a.addr.0, num_sets) as usize;
+            let s = index.set_of(a.addr.0);
             let at = cursor[s];
             cursor[s] = at + 1;
             addrs[at] = a.addr;

@@ -1,14 +1,21 @@
 //! Differential testing: the set-associative engine against a naive,
 //! obviously-correct reference model (a vector of (addr, dirty, ts)
-//! tuples per set) under LRU, across random traces and geometries.
+//! tuples per set) under LRU, across random traces and geometries:
+//! power-of-two and other set counts, Modulo and Xor indexing, and
+//! addresses at both ends of the `u64` range. Every access's hit,
+//! evicted address and dirty bit must agree, and so must each case's
+//! hit, miss and write-back totals and the lines a final drain returns.
 
 use tcor_cache::policy::Lru;
 use tcor_cache::{AccessKind, AccessMeta, Cache, Indexing};
 use tcor_common::{BlockAddr, CacheParams, SmallRng};
 
-/// The reference: per-set Vec of (tag, dirty, last_touch).
+/// The reference: per-set Vec of (tag, dirty, last_touch), the set
+/// picked by the definition, [`Indexing::set_of`]. A dirty line that
+/// leaves by eviction or invalidation counts as a write-back.
 struct RefCache {
     sets: Vec<Vec<(u64, bool, u64)>>,
+    indexing: Indexing,
     ways: usize,
     clock: u64,
     hits: u64,
@@ -17,9 +24,10 @@ struct RefCache {
 }
 
 impl RefCache {
-    fn new(num_sets: usize, ways: usize) -> Self {
+    fn new(num_sets: usize, ways: usize, indexing: Indexing) -> Self {
         RefCache {
             sets: vec![Vec::new(); num_sets],
+            indexing,
             ways,
             clock: 0,
             hits: 0,
@@ -28,68 +36,146 @@ impl RefCache {
         }
     }
 
-    fn access(&mut self, addr: u64, write: bool) {
+    fn set(&mut self, addr: u64) -> &mut Vec<(u64, bool, u64)> {
+        let set = self.indexing.set_of(addr, self.sets.len() as u64);
+        &mut self.sets[set as usize]
+    }
+
+    /// Whether the access hit, and the (block, dirty) pair it evicted.
+    fn access(&mut self, addr: u64, write: bool) -> (bool, Option<(u64, bool)>) {
         self.clock += 1;
-        let set = (addr % self.sets.len() as u64) as usize;
-        let lines = &mut self.sets[set];
+        let (clock, ways) = (self.clock, self.ways);
+        let lines = self.set(addr);
         if let Some(entry) = lines.iter_mut().find(|e| e.0 == addr) {
             entry.1 |= write;
-            entry.2 = self.clock;
+            entry.2 = clock;
             self.hits += 1;
-            return;
+            return (true, None);
         }
-        self.misses += 1;
-        if lines.len() == self.ways {
+        let mut evicted = None;
+        if lines.len() == ways {
             let (idx, _) = lines
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.2)
                 .expect("full set");
-            if lines[idx].1 {
-                self.writebacks += 1;
-            }
-            lines.remove(idx);
+            let (tag, dirty, _) = lines.remove(idx);
+            evicted = Some((tag, dirty));
         }
-        lines.push((addr, write, self.clock));
+        lines.push((addr, write, clock));
+        self.misses += 1;
+        self.writebacks += u64::from(evicted.is_some_and(|(_, dirty)| dirty));
+        (false, evicted)
     }
+
+    /// Removes `addr`, returning its dirty bit if it was resident.
+    fn invalidate(&mut self, addr: u64) -> Option<bool> {
+        let lines = self.set(addr);
+        let idx = lines.iter().position(|e| e.0 == addr)?;
+        let dirty = lines.remove(idx).1;
+        self.writebacks += u64::from(dirty);
+        Some(dirty)
+    }
+}
+
+/// The set counts the differential test covers, each under both index
+/// functions: powers of two (a mask, or the XOR fold) and other counts
+/// (the `%` and SplitMix64 paths), up to the Attribute Cache's 192.
+const GEOMETRIES: [u64; 12] = [1, 2, 4, 8, 16, 64, 3, 5, 6, 12, 48, 192];
+
+/// `n` distinct addresses: both ends of the `u64` range, small block
+/// numbers, and seeded 64-bit ones, which fill the high chunks an Xor
+/// fold reads.
+fn address_pool(rng: &mut SmallRng, n: usize) -> Vec<u64> {
+    let mut pool = vec![0, 1, u64::MAX, u64::MAX - 1, 1 << 63];
+    while pool.len() < n {
+        let addr = if rng.random_bool(0.5) {
+            rng.random_range(0..4 * n as u64)
+        } else {
+            rng.next_u64()
+        };
+        if !pool.contains(&addr) {
+            pool.push(addr);
+        }
+    }
+    pool
 }
 
 #[test]
 fn engine_matches_reference_lru() {
     let mut rng = SmallRng::seed_from_u64(0x5EED_0001);
-    for _case in 0..64 {
-        let ways = rng.random_range(1..6u32);
-        let num_sets = 1usize << rng.random_range(0..4u32);
-        let ops: Vec<(u64, bool)> = (0..rng.random_range(1..400usize))
-            .map(|_| (rng.random_range(0..96u64), rng.random_bool(0.5)))
-            .collect();
-        let lines = num_sets as u64 * ways as u64;
-        let params = CacheParams::new(lines * 64, 64, ways, 1);
-        let mut engine = Cache::new(params, Indexing::Modulo, Lru::new());
-        let mut reference = RefCache::new(num_sets, ways as usize);
-        for &(addr, write) in &ops {
-            let kind = if write {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            engine.access(BlockAddr(addr), kind, AccessMeta::NONE);
-            reference.access(addr, write);
-        }
-        assert_eq!(engine.stats().hits(), reference.hits);
-        assert_eq!(engine.stats().misses(), reference.misses);
-        assert_eq!(engine.stats().writebacks, reference.writebacks);
-        // Final contents agree.
-        for set in 0..num_sets {
-            for &(tag, _, _) in &reference.sets[set] {
-                assert!(engine.contains(BlockAddr(tag)), "missing {tag}");
+    let mut evictions = 0u64;
+    for num_sets in GEOMETRIES {
+        for indexing in [Indexing::Modulo, Indexing::Xor] {
+            for _case in 0..6 {
+                let ways = rng.random_range(1..6u32);
+                let lines = num_sets * ways as u64;
+                // Twice the lines in distinct blocks, so full sets evict.
+                let pool = address_pool(&mut rng, (2 * lines as usize).max(8));
+                let params = CacheParams::new(lines * 64, 64, ways, 1);
+                let mut engine = Cache::new(params, indexing, Lru::new());
+                let mut reference = RefCache::new(num_sets as usize, ways as usize, indexing);
+                for step in 0..rng.random_range(100..20 * lines as usize + 400) {
+                    let addr = pool[rng.random_range(0..pool.len())];
+                    let what =
+                        || format!("{indexing:?}, {num_sets} x {ways}, step {step}, {addr:#x}");
+                    if rng.random_range(0..16u32) == 0 {
+                        // An invalidated line leaves its tag behind; it
+                        // must never hit again.
+                        let got = engine.invalidate(BlockAddr(addr)).map(|e| e.dirty);
+                        assert_eq!(got, reference.invalidate(addr), "invalidate: {}", what());
+                        continue;
+                    }
+                    let write = rng.random_bool(0.5);
+                    let kind = if write {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    let out = engine.access(BlockAddr(addr), kind, AccessMeta::NONE);
+                    let got = (out.hit, out.evicted.map(|e| (e.addr.0, e.dirty)));
+                    assert_eq!(got, reference.access(addr, write), "access: {}", what());
+                    evictions += u64::from(got.1.is_some());
+                }
+                let what = format!("{indexing:?}, {num_sets} x {ways}");
+                let stats = engine.stats();
+                assert_eq!(stats.hits(), reference.hits, "hits: {what}");
+                assert_eq!(stats.misses(), reference.misses, "misses: {what}");
+                assert_eq!(stats.writebacks, reference.writebacks, "writebacks: {what}");
+                // Final contents agree.
+                for set in &reference.sets {
+                    for &(tag, _, _) in set {
+                        assert!(engine.contains(BlockAddr(tag)), "missing {tag:#x}");
+                    }
+                }
+                assert_eq!(
+                    engine.occupancy(),
+                    reference.sets.iter().map(Vec::len).sum::<usize>()
+                );
+                // A drain returns every line once with its dirty bit and
+                // counts the dirty ones as write-backs.
+                let mut drained: Vec<(u64, bool)> =
+                    engine.drain().iter().map(|e| (e.addr.0, e.dirty)).collect();
+                let mut resident: Vec<(u64, bool)> = reference
+                    .sets
+                    .iter()
+                    .flatten()
+                    .map(|&(tag, dirty, _)| (tag, dirty))
+                    .collect();
+                drained.sort_unstable();
+                resident.sort_unstable();
+                assert_eq!(drained, resident, "drain: {what}");
+                let dirty = resident.iter().filter(|&&(_, dirty)| dirty).count() as u64;
+                assert_eq!(
+                    engine.stats().writebacks,
+                    reference.writebacks + dirty,
+                    "drain writebacks: {what}"
+                );
+                assert_eq!(engine.occupancy(), 0);
             }
         }
-        assert_eq!(
-            engine.occupancy(),
-            reference.sets.iter().map(Vec::len).sum::<usize>()
-        );
     }
+    assert!(evictions > 10_000, "only {evictions} evictions");
 }
 
 /// `fill_clean` (warm start) must leave statistics untouched and make

@@ -95,16 +95,21 @@ pub trait UniformRange: Sized {
 }
 
 /// Unbiased integer sampling in `[0, span)` by Lemire's widening
-/// multiply with rejection.
+/// multiply with rejection, nearly divisionless (Lemire 2019): a draw
+/// whose low word is at least `span` is accepted at once, because the
+/// rejection threshold `2^64 mod span` is below `span`. Only a low word
+/// under `span` pays the division for the threshold. The accepted draws,
+/// and so the generator's state, are those of the plain rejection loop.
 fn uniform_u64(rng: &mut Xoshiro256pp, span: u64) -> u64 {
     debug_assert!(span > 0);
-    let threshold = span.wrapping_neg() % span;
-    loop {
-        let wide = (rng.next_u64() as u128) * (span as u128);
-        if (wide as u64) >= threshold {
-            return (wide >> 64) as u64;
+    let mut wide = (rng.next_u64() as u128) * (span as u128);
+    if (wide as u64) < span {
+        let threshold = span.wrapping_neg() % span;
+        while (wide as u64) < threshold {
+            wide = (rng.next_u64() as u128) * (span as u128);
         }
     }
+    (wide >> 64) as u64
 }
 
 impl UniformRange for u64 {
@@ -199,6 +204,52 @@ mod tests {
         }
         for &c in &counts {
             assert!((9000..11000).contains(&c), "bucket count {c}");
+        }
+    }
+
+    /// The rejection loop `uniform_u64` replaced: every draw computes
+    /// the threshold.
+    fn uniform_u64_by_rejection(rng: &mut Xoshiro256pp, span: u64) -> u64 {
+        let threshold = span.wrapping_neg() % span;
+        loop {
+            let wide = (rng.next_u64() as u128) * (span as u128);
+            if (wide as u64) >= threshold {
+                return (wide >> 64) as u64;
+            }
+        }
+    }
+
+    /// The early accept changes no draw: over spans at both ends and
+    /// around powers of two, where the threshold is largest (`2^63 + 1`
+    /// rejects almost half the draws), both samplers give the same values
+    /// and leave the generator in the same state.
+    #[test]
+    fn nearly_divisionless_sampling_matches_rejection() {
+        let spans = [
+            1,
+            2,
+            3,
+            64,
+            6400,
+            (1 << 32) - 1,
+            (1 << 32) + 1,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX,
+        ];
+        for seed in [0, 1, 7, 0xC0FFEE, 2201] {
+            for span in spans {
+                let mut fast = Xoshiro256pp::seed_from_u64(seed ^ span);
+                let mut reference = fast.clone();
+                for i in 0..2000 {
+                    assert_eq!(
+                        uniform_u64(&mut fast, span),
+                        uniform_u64_by_rejection(&mut reference, span),
+                        "seed {seed}, span {span}, draw {i}"
+                    );
+                    assert_eq!(fast, reference, "seed {seed}, span {span}, draw {i}");
+                }
+            }
         }
     }
 

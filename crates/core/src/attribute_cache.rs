@@ -25,7 +25,7 @@
 //! are answered from an exact index of the eligible lines kept in step
 //! with every line state change, not by scanning the Primitive Buffer.
 
-use tcor_cache::Indexing;
+use tcor_cache::{Indexing, SetIndex};
 use tcor_common::{AccessStats, PrimitiveId, TileRank};
 
 /// Geometry and policy knobs of the Attribute Cache.
@@ -273,6 +273,8 @@ impl EligibleIndex {
 #[derive(Clone, Debug)]
 pub struct AttributeCache {
     cfg: AttributeCacheConfig,
+    /// `cfg.indexing` over `cfg.num_sets()`, precomputed.
+    index: SetIndex,
     lines: Vec<PbLine>,
     /// Attribute Buffer: next-entry links (the attribute payloads carry no
     /// information the simulator needs).
@@ -302,6 +304,7 @@ impl AttributeCache {
         assert!(cfg.ways > 0 && cfg.pb_lines.is_multiple_of(cfg.ways));
         AttributeCache {
             cfg,
+            index: SetIndex::new(cfg.indexing, cfg.num_sets() as u64),
             lines: vec![PbLine::default(); cfg.pb_lines],
             ab_next: vec![None; cfg.ab_entries],
             free: (0..cfg.ab_entries as u32).rev().collect(),
@@ -388,9 +391,7 @@ impl AttributeCache {
     }
 
     fn set_of(&self, prim: PrimitiveId) -> usize {
-        self.cfg
-            .indexing
-            .set_of(prim.0 as u64, self.cfg.num_sets() as u64) as usize
+        self.index.set_of(prim.0 as u64)
     }
 
     fn set_range(&self, set: usize) -> std::ops::Range<usize> {

@@ -330,8 +330,14 @@ impl FramePlan {
         tile_offsets.push(0);
         for tile in order.iter() {
             for b in raster.texture_blocks(frame.fragments_per_tile[tile.index()]) {
+                // Round robin without a division: each fetch waits on
+                // the previous one's choice of cache.
                 let i = l1s.tex_rr;
-                l1s.tex_rr = (i + 1) % l1s.textures.len();
+                l1s.tex_rr = if i + 1 == l1s.textures.len() {
+                    0
+                } else {
+                    i + 1
+                };
                 filter(&mut l1s.textures[i], b, &mut tile_misses);
             }
             for b in raster.instruction_blocks() {

@@ -96,8 +96,15 @@ impl RasterTraffic {
             // little L2-level reuse once the L1s have filtered it.
             let local: bool = self.rng.random_bool(0.85);
             let block = if local {
-                // Window of 64 blocks (4 KiB) around the current base.
-                (self.window_block + self.rng.random_range(0..64)) % footprint_blocks
+                // Window of 64 blocks (4 KiB) around the current base,
+                // which is already below the footprint: only a window
+                // that runs past its end wraps.
+                let block = self.window_block + self.rng.random_range(0..64);
+                if block >= footprint_blocks {
+                    block % footprint_blocks
+                } else {
+                    block
+                }
             } else {
                 self.rng.random_range(0..footprint_blocks)
             };

@@ -17,7 +17,6 @@ use crate::hierarchy::L2Mode;
 use crate::pbtag::PbTag;
 use std::cell::Cell;
 use std::rc::Rc;
-use tcor_cache::cache::Line;
 use tcor_cache::policy::ReplacementPolicy;
 use tcor_cache::AccessMeta;
 
@@ -51,10 +50,11 @@ impl L2Policy {
         self.last_touch[set * self.ways + way] = self.clock;
     }
 
-    /// Eviction class of a line: lower is evicted first.
-    fn class(&self, line: &Line) -> u8 {
-        let tag = PbTag::decode(line.meta().user);
-        if tag.is_dead(self.watermark.get()) {
+    /// Eviction class of a line once `completed` tiles have finished:
+    /// lower is evicted first.
+    fn class(meta: &AccessMeta, completed: u64) -> u8 {
+        let tag = PbTag::decode(meta.user);
+        if tag.is_dead(completed) {
             0
         } else if tag.kind == crate::pbtag::PbKind::None {
             1
@@ -90,18 +90,22 @@ impl ReplacementPolicy for L2Policy {
         self.last_touch[set * self.ways + way] = 0;
     }
 
-    fn victim(&mut self, set: usize, lines: &[Line]) -> usize {
+    fn victim(&mut self, set: usize, metas: &[AccessMeta]) -> usize {
         // An empty candidate slice cannot happen (the engine only asks for
         // a victim in a full set), but way 0 is a safe infallible answer —
         // no panic path survives in victim selection.
         let base = set * self.ways;
+        let stamps = &self.last_touch[base..base + metas.len()];
         match self.mode {
-            L2Mode::Baseline => (0..lines.len())
-                .min_by_key(|&w| self.last_touch[base + w])
-                .unwrap_or(0),
-            L2Mode::TcorEnhanced => (0..lines.len())
-                .min_by_key(|&w| (self.class(&lines[w]), self.last_touch[base + w]))
-                .unwrap_or(0),
+            L2Mode::Baseline => (0..stamps.len()).min_by_key(|&w| stamps[w]).unwrap_or(0),
+            L2Mode::TcorEnhanced => {
+                // One word per way orders as (class, stamp) does: a stamp
+                // counts touches, so it stays below 2^62.
+                let completed = self.watermark.get();
+                (0..stamps.len())
+                    .min_by_key(|&w| u64::from(Self::class(&metas[w], completed)) << 62 | stamps[w])
+                    .unwrap_or(0)
+            }
         }
     }
 }

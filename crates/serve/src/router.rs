@@ -171,7 +171,8 @@ fn run_call(body: &str) -> Result<ApiCall, Response> {
 }
 
 /// Parses an optional `policy=...` query (the only query any route
-/// accepts; anything else fails loudly instead of being ignored).
+/// accepts, and only the stream curve and finish routes accept it;
+/// anything else fails loudly instead of being ignored).
 fn policy_param(query: Option<&str>) -> Result<Option<String>, Response> {
     let Some(query) = query.filter(|q| !q.is_empty()) else {
         return Ok(None);
@@ -200,7 +201,8 @@ pub fn body_limit(method: &str, path: &str) -> usize {
 }
 
 /// Routes a request, or produces the error response (404 unknown path,
-/// 405 wrong method, 400 malformed run body) to send instead.
+/// 405 wrong method, 400 malformed run body or a query the route does
+/// not read) to send instead.
 #[allow(clippy::result_large_err)]
 pub fn route(req: &Request) -> Result<Route, Response> {
     let (path, query) = match req.path.split_once('?') {
@@ -210,7 +212,7 @@ pub fn route(req: &Request) -> Result<Route, Response> {
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     let get = req.method == "GET";
     let post = req.method == "POST";
-    match segments.as_slice() {
+    let route = match segments.as_slice() {
         ["health"] if get => Ok(Route::Health),
         ["metrics"] if get => Ok(Route::Metrics),
         ["admin", "shutdown"] if post => Ok(Route::Shutdown),
@@ -256,6 +258,15 @@ pub fn route(req: &Request) -> Result<Route, Response> {
             format!("method {} not allowed on {}\n", req.method, req.path),
         )),
         _ => Err(Response::text(404, format!("no route for {}\n", req.path))),
+    }?;
+    match (&route, query) {
+        (Route::Stream(StreamOp::Curve { .. } | StreamOp::Finish { .. }), _)
+        | (_, None | Some("")) => Ok(route),
+        // Two spellings of one call must not share its identity unseen.
+        (_, Some(query)) => Err(Response::text(
+            400,
+            format!("bad query `{query}`: {path} takes no query\n"),
+        )),
     }
 }
 
@@ -438,6 +449,42 @@ mod tests {
                 .unwrap_err()
                 .status,
             400
+        );
+    }
+
+    /// Only the stream curve and finish routes read a query. Any other
+    /// route refuses a non-empty one with 400 instead of answering the
+    /// query-less call, while an empty query and unknown paths or wrong
+    /// methods keep their answers.
+    #[test]
+    fn a_query_on_a_route_that_reads_none_is_400() {
+        for (method, path) in [
+            ("GET", "/v1/table/fig10?policy=nonsense"),
+            ("GET", "/v1/table/fig10?policy=nonsense&x=1"),
+            ("GET", "/v1/cell/GTr/base64?x=1"),
+            ("GET", "/v1/misscurve/GTr/lru?policy=opt"),
+            ("POST", "/v1/run?experiment=fig10"),
+            ("POST", "/v1/stream?label=GTr"),
+            ("POST", "/v1/stream/s0/chunk?policy=opt"),
+            ("GET", "/health?verbose"),
+            ("GET", "/metrics?="),
+            ("POST", "/admin/shutdown?now=1"),
+        ] {
+            let err = route(&req(method, path, "experiment=fig10")).unwrap_err();
+            assert_eq!(err.status, 400, "{method} {path}");
+        }
+        assert_eq!(
+            route(&req("GET", "/v1/table/fig10?", "")),
+            Ok(Route::Api(ApiCall::Table {
+                experiment: "fig10".into()
+            }))
+        );
+        assert_eq!(route(&req("GET", "/nope?x=1", "")).unwrap_err().status, 404);
+        assert_eq!(
+            route(&req("DELETE", "/v1/table/fig10?x=1", ""))
+                .unwrap_err()
+                .status,
+            405
         );
     }
 

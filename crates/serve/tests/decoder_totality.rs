@@ -8,10 +8,12 @@
 //! The fuzz here is seeded (Xoshiro, fixed seed) so a failure
 //! reproduces exactly; the corpus is structured mutations of valid
 //! requests (which land near the parser's edge cases) plus fully random
-//! buffers (which land far from them).
+//! buffers (which land far from them). Every request that parses is
+//! routed too: the router answers a route or a typed 4xx, never a panic
+//! or a 5xx.
 
 use tcor_common::{ErrorKind, TcorResult, Xoshiro256pp};
-use tcor_serve::{body_limit, parse_request_limited, ParseOutcome, MAX_BODY};
+use tcor_serve::{body_limit, parse_request_limited, route, ParseOutcome, Request, MAX_BODY};
 
 /// One parse of the front of `buf`, as the daemon's event loop does it.
 fn parse(buf: &[u8]) -> TcorResult<ParseOutcome> {
@@ -19,13 +21,31 @@ fn parse(buf: &[u8]) -> TcorResult<ParseOutcome> {
 }
 
 /// Valid requests covering every shape the daemon routes: header-only
-/// GETs, a body-carrying POST, and an empty-body POST.
+/// GETs, a body-carrying POST, an empty-body POST, and queries on routes
+/// that read one and on routes that read none.
 const VALID: &[&str] = &[
     "GET /health HTTP/1.1\r\nHost: localhost\r\n\r\n",
     "GET /v1/cell/GTr/base64 HTTP/1.1\r\nX-Probe: 1\r\nAccept: */*\r\n\r\n",
     "POST /v1/run HTTP/1.1\r\nContent-Length: 16\r\n\r\nexperiment=fig10",
     "POST /admin/shutdown HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+    "POST /v1/stream/s0/finish?policy=opt HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+    "GET /v1/table/fig10?policy=nonsense HTTP/1.1\r\n\r\n",
+    "GET /v1/misscurve/GTr/lru?policy=opt&x=1 HTTP/1.1\r\n\r\n",
+    "POST /v1/run?workload=GTr HTTP/1.1\r\nContent-Length: 16\r\n\r\nexperiment=fig10",
 ];
+
+/// Routes a parsed request: a route, or a typed 4xx (a panic fails the
+/// test). Returns the error status, if any.
+fn route_status(req: &Request) -> Option<u16> {
+    let status = route(req).err()?.status;
+    assert!(
+        (400..500).contains(&status),
+        "{} {} answered {status}",
+        req.method,
+        req.path
+    );
+    Some(status)
+}
 
 /// One seeded mutation pass: 1–4 edits, each a truncation, bit flip,
 /// byte insertion, or byte removal at a random offset.
@@ -65,6 +85,10 @@ fn the_valid_corpus_parses_clean() {
         assert_eq!(consumed, raw.len());
         assert!(!req.method.is_empty());
         assert!(req.path.starts_with('/'));
+        // Only the stream curve and finish routes read a query: a query
+        // anywhere else is refused, never silently dropped.
+        let refused = req.path.contains('?') && !req.path.contains("/finish?");
+        assert_eq!(route_status(&req), refused.then_some(400), "{raw:?}");
         // A truncated buffer is "keep reading", never an error.
         for cut in 0..raw.len() {
             let outcome = parse(&raw.as_bytes()[..cut]);
@@ -84,7 +108,12 @@ fn mutated_requests_never_panic_and_fail_typed() {
         let base = VALID[round % VALID.len()].as_bytes();
         let fuzzed = mutate(&mut rng, base);
         match parse(&fuzzed) {
-            Ok(_) => ok += 1,
+            Ok(outcome) => {
+                if let ParseOutcome::Complete(req, _) = outcome {
+                    route_status(&req);
+                }
+                ok += 1;
+            }
             Err(e) => {
                 assert_eq!(
                     e.kind(),
@@ -109,8 +138,12 @@ fn random_buffers_never_panic() {
         let buf: Vec<u8> = (0..len)
             .map(|_| rng.random_range(0..256u64) as u8)
             .collect();
-        if let Err(e) = parse(&buf) {
-            assert_eq!(e.kind(), ErrorKind::Serve);
+        match parse(&buf) {
+            Ok(ParseOutcome::Complete(req, _)) => {
+                route_status(&req);
+            }
+            Ok(_) => {}
+            Err(e) => assert_eq!(e.kind(), ErrorKind::Serve),
         }
     }
 }
