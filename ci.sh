@@ -146,11 +146,19 @@ cargo run --release -q -p tcor-sim -- bench-misscurves \
 
 echo "== metric-conservation audit (clean, then injected counter fault)"
 # The audit re-derives every headline counter from two independent
-# counting sites over all 60 suite cells (see crates/obs). A clean tree
-# must balance exactly; a deliberately tampered counter copy must be
-# caught and mapped to the corruption exit code (5).
+# counting sites over all 144 frames `all` replays: the suite cells and
+# the ablation, sweep, scaling and traversal frames (see crates/obs).
+# Each report's OPT self-check count is among them. A clean tree must
+# balance exactly; a deliberately tampered counter copy must be caught
+# and mapped to the corruption exit code (5).
 cargo run --release -q -p tcor-sim -- headline --audit \
-  --telemetry "$CI_TMP/telemetry.jsonl" >/dev/null
+  --telemetry "$CI_TMP/telemetry.jsonl" >/dev/null 2>"$CI_TMP/audit.err"
+if ! grep -qx 'audit: 144 frames checked, 0 violation(s)' "$CI_TMP/audit.err"; then
+  echo "ci: FAIL: the audit did not check 144 frames clean" >&2
+  grep 'audit' "$CI_TMP/audit.err" >&2 || true
+  exit 1
+fi
+rm -f "$CI_TMP/audit.err"
 set +e
 cargo run --release -q -p tcor-sim -- --audit --inject-audit-fault \
   >/dev/null 2>&1

@@ -374,15 +374,14 @@ impl<P: ReplacementPolicy> Cache<P> {
         Some(old)
     }
 
-    /// Drains every valid line (end-of-frame flush), returning them in
-    /// set then way order. Statistics count the dirty ones as
+    /// Drains every valid line (end-of-frame flush), handing each to
+    /// `visit` in set then way order. Statistics count the dirty ones as
     /// write-backs.
-    pub fn drain(&mut self) -> Vec<Evicted> {
-        let mut out = Vec::new();
+    pub fn drain(&mut self, mut visit: impl FnMut(Evicted)) {
         for set in 0..self.num_sets() {
             for way in 0..self.ways {
                 if self.valid.get(set, way) {
-                    out.push(self.take(set, way));
+                    visit(self.take(set, way));
                     self.clear(set, way);
                 }
             }
@@ -390,7 +389,6 @@ impl<P: ReplacementPolicy> Cache<P> {
         if let Some(ways_by_tag) = &mut self.ways_by_tag {
             ways_by_tag.clear();
         }
-        out
     }
 
     /// Number of valid lines.
@@ -536,7 +534,8 @@ mod tests {
         c.access(BlockAddr(0), AccessKind::Write, AccessMeta::NONE);
         c.access(BlockAddr(1), AccessKind::Read, AccessMeta::NONE);
         c.access(BlockAddr(2), AccessKind::Read, AccessMeta::NONE);
-        let drained = c.drain();
+        let mut drained = Vec::new();
+        c.drain(|e| drained.push(e));
         assert_eq!(drained.len(), 3);
         assert_eq!(c.occupancy(), 0);
         assert_eq!(drained.iter().filter(|e| e.dirty).count(), 1);
@@ -686,8 +685,10 @@ mod tests {
                 assert_eq!(one.peek_meta(a), two.peek_meta(o), "peek: {}", what());
             }
             Step::Drain => {
-                let o: Vec<Evicted> = two.drain().into_iter().map(back).collect();
-                assert_eq!(one.drain(), o, "drain: {}", what());
+                let (mut o, mut want) = (Vec::new(), Vec::new());
+                two.drain(|e| o.push(back(e)));
+                one.drain(|e| want.push(e));
+                assert_eq!(want, o, "drain: {}", what());
             }
         }
         assert_eq!(one.stats(), two.stats(), "stats: {}", what());

@@ -154,8 +154,8 @@ fn engine_matches_reference_lru() {
                 );
                 // A drain returns every line once with its dirty bit and
                 // counts the dirty ones as write-backs.
-                let mut drained: Vec<(u64, bool)> =
-                    engine.drain().iter().map(|e| (e.addr.0, e.dirty)).collect();
+                let mut drained: Vec<(u64, bool)> = Vec::new();
+                engine.drain(|e| drained.push((e.addr.0, e.dirty)));
                 let mut resident: Vec<(u64, bool)> = reference
                     .sets
                     .iter()
@@ -197,6 +197,6 @@ fn fill_clean_is_invisible_to_stats() {
         // The most recently warmed block is always resident.
         assert!(cache.contains(BlockAddr(*warm.last().unwrap())));
         // Warm lines are clean: draining produces no dirty blocks.
-        assert!(cache.drain().iter().all(|e| !e.dirty));
+        cache.drain(|e| assert!(!e.dirty));
     }
 }

@@ -2,9 +2,10 @@
 //! Buffer, with OPT replacement and write bypass.
 //!
 //! * The **Primitive Buffer** is set-associative over primitive IDs
-//!   (XOR-based set index \[12\]). Each line: valid / lock / dirty bits,
-//!   tag, the OPT Number, and the Attribute Buffer Pointer (ABP) to the
-//!   first attribute.
+//!   (XOR-based set index \[12\]). Each line is a 16-bit state word
+//!   (valid, lock and dirty bits and the 12-bit OPT Number) in one array,
+//!   and its tag (the primitive), the Attribute Buffer Pointer (ABP) to
+//!   its first attribute and its attribute count in a second.
 //! * The **Attribute Buffer** stores one 48-byte attribute per entry;
 //!   a primitive's attributes form a linked list, and free entries form a
 //!   free list. A primitive fits only if enough free entries exist.
@@ -24,6 +25,7 @@
 //! many Attribute Buffer entries eligible lines hold (above a floor) —
 //! are answered from an exact index of the eligible lines kept in step
 //! with every line state change, not by scanning the Primitive Buffer.
+//! Only the OPT self-check scans it: one max over the state words.
 
 use tcor_cache::{Indexing, SetIndex};
 use tcor_common::{AccessStats, PrimitiveId, TileRank};
@@ -138,22 +140,79 @@ pub enum WriteResult {
     Bypassed,
 }
 
+/// One Primitive Buffer line's state word: bit 15 valid, bit 14 lock,
+/// bit 13 dirty and bits 0–11 the saturated OPT Number. An invalid line
+/// reads 0. The words sit in an array of their own, so the OPT self-check
+/// scans 2 bytes a line ([`farther_eligible`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct LineState(u16);
+
+impl LineState {
+    const INVALID: LineState = LineState(0);
+    const VALID: u16 = 1 << 15;
+    const LOCK: u16 = 1 << 14;
+    const DIRTY: u16 = 1 << 13;
+    const OPT: u16 = TileRank::OPT_MAX as u16;
+
+    /// A valid line's word. `opt` must be saturated (§III.C).
+    fn resident(lock: bool, dirty: bool, opt: TileRank) -> Self {
+        debug_assert!(
+            opt.0 <= TileRank::OPT_MAX,
+            "stored OPT Numbers are saturated"
+        );
+        let bit = |on: bool, b: u16| if on { b } else { 0 };
+        LineState(Self::VALID | bit(lock, Self::LOCK) | bit(dirty, Self::DIRTY) | opt.0 as u16)
+    }
+
+    fn is_valid(self) -> bool {
+        self.0 & Self::VALID != 0
+    }
+
+    fn is_locked(self) -> bool {
+        self.0 & Self::LOCK != 0
+    }
+
+    fn is_dirty(self) -> bool {
+        self.0 & Self::DIRTY != 0
+    }
+
+    /// Whether OPT eviction may pick this line: valid and unlocked.
+    fn is_eligible(self) -> bool {
+        self.0 & (Self::VALID | Self::LOCK) == Self::VALID
+    }
+
+    fn opt(self) -> TileRank {
+        TileRank(u32::from(self.0 & Self::OPT))
+    }
+
+    fn unlocked(self) -> Self {
+        LineState(self.0 & !Self::LOCK)
+    }
+}
+
+/// What a valid line holds besides its state: its tag (the primitive),
+/// its ABP and its attribute count.
 #[derive(Clone, Copy, Debug, Default)]
-struct PbLine {
-    valid: bool,
-    lock: bool,
-    dirty: bool,
+struct LineTag {
     prim: PrimitiveId,
-    opt: TileRank,
     abp: u32,
     attr_count: u8,
 }
 
-impl PbLine {
-    /// Whether OPT eviction may pick this line: valid and unlocked.
-    fn eligible(&self) -> bool {
-        self.valid && !self.lock
-    }
+/// The cache-wide OPT self-check's predicate: whether an eligible line
+/// has an OPT Number greater than both `chosen`'s and `floor`. One
+/// branch-free max over the words with the lock bit flipped and the dirty
+/// bit masked: an eligible line then reads `0xC000 | opt`, a locked one
+/// `0x8000 | opt` and an invalid one `0x4000`. So the max is an eligible
+/// line exactly when one exists, and then it carries the greatest
+/// eligible OPT Number. The chosen line cannot exceed its own OPT Number,
+/// so it needs no exclusion.
+fn farther_eligible(states: &[LineState], chosen: usize, floor: Option<TileRank>) -> bool {
+    let max = states
+        .iter()
+        .fold(0, |m, s| m.max((s.0 ^ LineState::LOCK) & !LineState::DIRTY));
+    let bound = floor.map_or(0, |f| f.0).max(states[chosen].opt().0);
+    max >= LineState::VALID | LineState::LOCK && u32::from(max & LineState::OPT) > bound
 }
 
 /// Exact index of the *eligible* Primitive Buffer lines (valid and
@@ -198,14 +257,10 @@ impl EligibleIndex {
         }
     }
 
-    /// Re-indexes line `idx` from its current state.
-    fn update(&mut self, idx: usize, line: &PbLine) {
-        let key = if line.eligible() {
-            debug_assert!(
-                line.opt.0 <= TileRank::OPT_MAX,
-                "stored OPT Numbers are saturated"
-            );
-            ((u64::from(line.opt.0) + 1) << 40) | ((idx as u64) << 8) | u64::from(line.attr_count)
+    /// Re-indexes line `idx` from its state word and attribute count.
+    fn update(&mut self, idx: usize, state: LineState, attr_count: u8) {
+        let key = if state.is_eligible() {
+            ((u64::from(state.opt().0) + 1) << 40) | ((idx as u64) << 8) | u64::from(attr_count)
         } else {
             0
         };
@@ -218,7 +273,7 @@ impl EligibleIndex {
             self.tally((old >> 40) as u32 - 1, (old & 0xff) as usize, false);
         }
         if key != 0 {
-            self.tally(line.opt.0, line.attr_count as usize, true);
+            self.tally(state.opt().0, attr_count as usize, true);
         }
         self.tree[node] = key;
         while node > 1 {
@@ -275,7 +330,10 @@ pub struct AttributeCache {
     cfg: AttributeCacheConfig,
     /// `cfg.indexing` over `cfg.num_sets()`, precomputed.
     index: SetIndex,
-    lines: Vec<PbLine>,
+    /// Primitive Buffer line state words.
+    states: Vec<LineState>,
+    /// Primitive Buffer tags, ABPs and attribute counts, by line.
+    tags: Vec<LineTag>,
     /// Attribute Buffer: next-entry links (the attribute payloads carry no
     /// information the simulator needs).
     ab_next: Vec<Option<u32>>,
@@ -305,7 +363,8 @@ impl AttributeCache {
         AttributeCache {
             cfg,
             index: SetIndex::new(cfg.indexing, cfg.num_sets() as u64),
-            lines: vec![PbLine::default(); cfg.pb_lines],
+            states: vec![LineState::INVALID; cfg.pb_lines],
+            tags: vec![LineTag::default(); cfg.pb_lines],
             ab_next: vec![None; cfg.ab_entries],
             free: (0..cfg.ab_entries as u32).rev().collect(),
             stats: AccessStats::new(),
@@ -401,7 +460,13 @@ impl AttributeCache {
     fn find(&self, prim: PrimitiveId) -> Option<usize> {
         let set = self.set_of(prim);
         self.set_range(set)
-            .find(|&i| self.lines[i].valid && self.lines[i].prim == prim)
+            .find(|&i| self.states[i].is_valid() && self.tags[i].prim == prim)
+    }
+
+    /// Writes line `idx`'s state word and re-indexes the line.
+    fn set_state(&mut self, idx: usize, state: LineState) {
+        self.states[idx] = state;
+        self.eligible.update(idx, state, self.tags[idx].attr_count);
     }
 
     fn alloc_chain(&mut self, count: u8) -> u32 {
@@ -426,29 +491,28 @@ impl AttributeCache {
     }
 
     fn evict_line(&mut self, idx: usize) -> EvictedPrim {
-        let line = self.lines[idx];
-        debug_assert!(line.eligible());
-        if line.dirty {
-            self.wb_blocks += line.attr_count as u64;
+        let (state, tag) = (self.states[idx], self.tags[idx]);
+        debug_assert!(state.is_eligible());
+        if state.is_dirty() {
+            self.wb_blocks += tag.attr_count as u64;
         }
-        self.free_chain(line.abp);
-        self.lines[idx] = PbLine::default();
-        self.eligible.update(idx, &self.lines[idx]);
+        self.free_chain(tag.abp);
+        self.set_state(idx, LineState::INVALID);
         self.resident -= 1;
         EvictedPrim {
-            prim: line.prim,
-            dirty: line.dirty,
-            attr_count: line.attr_count,
+            prim: tag.prim,
+            dirty: state.is_dirty(),
+            attr_count: tag.attr_count,
         }
     }
 
-    /// Makes `line` (its attribute chain already allocated) resident at
+    /// Makes a line (its attribute chain already allocated) resident at
     /// the reserved slot `idx`.
-    fn install(&mut self, idx: usize, line: PbLine) {
-        self.lines[idx] = line;
-        self.eligible.update(idx, &line);
+    fn install(&mut self, idx: usize, tag: LineTag, state: LineState) {
+        self.tags[idx] = tag;
+        self.set_state(idx, state);
         self.resident += 1;
-        if line.lock {
+        if state.is_locked() {
             self.locked_prims += 1;
         }
     }
@@ -456,8 +520,8 @@ impl AttributeCache {
     /// The unlocked line in `set` with the greatest OPT Number, if any.
     fn best_victim(&self, set: usize) -> Option<usize> {
         self.set_range(set)
-            .filter(|&i| self.lines[i].eligible())
-            .max_by_key(|&i| self.lines[i].opt)
+            .filter(|&i| self.states[i].is_eligible())
+            .max_by_key(|&i| self.states[i].opt())
     }
 
     /// OPT self-check over the set-scoped eviction: counts a violation if
@@ -465,12 +529,9 @@ impl AttributeCache {
     /// than the chosen victim. Re-derived with an independent scan, not
     /// the selection code — call *before* `evict_line`.
     fn audit_set_victim(&mut self, set: usize, chosen: usize) {
-        let chosen_opt = self.lines[chosen].opt;
+        let chosen_opt = self.states[chosen].opt();
         let violated = self.set_range(set).any(|i| {
-            i != chosen
-                && self.lines[i].valid
-                && !self.lines[i].lock
-                && self.lines[i].opt > chosen_opt
+            i != chosen && self.states[i].is_eligible() && self.states[i].opt() > chosen_opt
         });
         if violated {
             self.opt_violations += 1;
@@ -480,18 +541,10 @@ impl AttributeCache {
     /// OPT self-check over a cache-wide eviction. `floor` restricts the
     /// eligible candidates (the write path may only evict lines strictly
     /// farther-future than the written primitive). A full scan of the
-    /// Primitive Buffer, independent of the eligible-line index that
-    /// chose the victim, on every cache-wide eviction.
+    /// Primitive Buffer's state words, independent of the eligible-line
+    /// index that chose the victim, on every cache-wide eviction.
     fn audit_global_victim(&mut self, chosen: usize, floor: Option<TileRank>) {
-        let chosen_opt = self.lines[chosen].opt;
-        let violated = (0..self.lines.len()).any(|i| {
-            i != chosen
-                && self.lines[i].valid
-                && !self.lines[i].lock
-                && floor.is_none_or(|f| self.lines[i].opt > f)
-                && self.lines[i].opt > chosen_opt
-        });
-        if violated {
+        if farther_eligible(&self.states, chosen, floor) {
             self.opt_violations += 1;
         }
     }
@@ -511,7 +564,7 @@ impl AttributeCache {
             let victim = self
                 .eligible
                 .victim()
-                .filter(|&i| floor.is_none_or(|f| self.lines[i].opt > f))
+                .filter(|&i| floor.is_none_or(|f| self.states[i].opt() > f))
                 .expect("feasibility checked");
             self.audit_global_victim(victim, floor);
             evicted.push(self.evict_line(victim));
@@ -526,7 +579,7 @@ impl AttributeCache {
     /// mutating, so `None` (locks make it impossible) changes nothing.
     fn reserve(&mut self, prim: PrimitiveId, attr_count: u8) -> Option<(usize, Vec<EvictedPrim>)> {
         let set = self.set_of(prim);
-        let empty = self.set_range(set).find(|&i| !self.lines[i].valid);
+        let empty = self.set_range(set).find(|&i| !self.states[i].is_valid());
         let victim = self.best_victim(set);
         if empty.is_none() && victim.is_none() {
             return None; // every line in the set is locked
@@ -566,12 +619,12 @@ impl AttributeCache {
         }
         let set = self.set_of(prim);
         let mut evicted = Vec::new();
-        let idx = match self.set_range(set).find(|&i| !self.lines[i].valid) {
+        let idx = match self.set_range(set).find(|&i| !self.states[i].is_valid()) {
             Some(i) => i,
             None => {
                 let v = self
                     .best_victim(set)
-                    .filter(|&v| self.lines[v].opt > first_use)?;
+                    .filter(|&v| self.states[v].opt() > first_use)?;
                 self.audit_set_victim(set, v);
                 evicted.push(self.evict_line(v));
                 v
@@ -596,13 +649,11 @@ impl AttributeCache {
         self.sample_occupancy();
         if let Some(idx) = self.find(prim) {
             self.stats.record_read(true);
-            let line = &mut self.lines[idx];
-            if !line.lock {
-                line.lock = true;
+            let state = self.states[idx];
+            if !state.is_locked() {
                 self.locked_prims += 1;
             }
-            line.opt = opt_number;
-            self.eligible.update(idx, &self.lines[idx]);
+            self.set_state(idx, LineState::resident(true, state.is_dirty(), opt_number));
             self.stats.probes += 1;
             return ReadResult::Hit;
         }
@@ -615,15 +666,12 @@ impl AttributeCache {
         let abp = self.alloc_chain(attr_count);
         self.install(
             idx,
-            PbLine {
-                valid: true,
-                lock: true,
-                dirty: false,
+            LineTag {
                 prim,
-                opt: opt_number,
                 abp,
                 attr_count,
             },
+            LineState::resident(true, false, opt_number),
         );
         self.stats.probes += 1;
         ReadResult::Miss { evicted }
@@ -655,15 +703,12 @@ impl AttributeCache {
         let abp = self.alloc_chain(attr_count);
         self.install(
             idx,
-            PbLine {
-                valid: true,
-                lock: false,
-                dirty: true,
+            LineTag {
                 prim,
-                opt: first_use,
                 abp,
                 attr_count,
             },
+            LineState::resident(false, true, first_use),
         );
         self.stats.probes += 1;
         WriteResult::Allocated { evicted }
@@ -674,10 +719,10 @@ impl AttributeCache {
     /// primitive already evicted (only possible when unlocked) is a no-op.
     pub fn unlock(&mut self, prim: PrimitiveId) {
         if let Some(idx) = self.find(prim) {
-            if self.lines[idx].lock {
-                self.lines[idx].lock = false;
+            let state = self.states[idx];
+            if state.is_locked() {
                 self.locked_prims -= 1;
-                self.eligible.update(idx, &self.lines[idx]);
+                self.set_state(idx, state.unlocked());
             }
         }
     }
@@ -689,17 +734,20 @@ impl AttributeCache {
 
     /// The stored OPT Number of a resident primitive.
     pub fn peek_opt(&self, prim: PrimitiveId) -> Option<TileRank> {
-        self.find(prim).map(|i| self.lines[i].opt)
+        self.find(prim).map(|i| self.states[i].opt())
     }
 
     /// End of frame: evicts every resident primitive (unlocking first),
     /// returning them for dirty write-back accounting.
     pub fn drain(&mut self) -> Vec<EvictedPrim> {
         let mut out = Vec::new();
-        for i in 0..self.lines.len() {
-            if self.lines[i].valid {
-                if self.lines[i].lock {
-                    self.lines[i].lock = false;
+        for i in 0..self.states.len() {
+            let state = self.states[i];
+            if state.is_valid() {
+                if state.is_locked() {
+                    // The index holds no key for a locked line, and the
+                    // eviction below leaves none: no re-index between.
+                    self.states[i] = state.unlocked();
                     self.locked_prims -= 1;
                 }
                 out.push(self.evict_line(i));
@@ -884,9 +932,9 @@ mod tests {
             }
         }
         // Every entry is either free or owned by exactly one resident.
-        let owned: usize = (0..c.lines.len())
-            .filter(|&i| c.lines[i].valid)
-            .map(|i| c.lines[i].attr_count as usize)
+        let owned: usize = (0..c.states.len())
+            .filter(|&i| c.states[i].is_valid())
+            .map(|i| c.tags[i].attr_count as usize)
             .sum();
         assert_eq!(owned + c.free_entries(), c.config().ab_entries);
         let drained = c.drain();
@@ -1012,24 +1060,24 @@ mod tests {
     fn assert_index_matches_scan(c: &AttributeCache, floor: TileRank) -> usize {
         let (mut victim, mut entries, mut above) = (None::<usize>, 0, 0);
         let (mut owned, mut resident, mut locked, mut saturated) = (0, 0, 0, 0);
-        for (i, line) in c.lines.iter().enumerate() {
-            if !line.valid {
+        for (i, (state, tag)) in c.states.iter().zip(&c.tags).enumerate() {
+            if !state.is_valid() {
                 continue;
             }
-            owned += line.attr_count as usize;
+            owned += tag.attr_count as usize;
             resident += 1;
-            if line.lock {
+            if state.is_locked() {
                 locked += 1;
                 continue;
             }
-            entries += line.attr_count as usize;
-            if line.opt > floor {
-                above += line.attr_count as usize;
+            entries += tag.attr_count as usize;
+            if state.opt() > floor {
+                above += tag.attr_count as usize;
             }
-            if line.opt.0 == TileRank::OPT_MAX {
+            if state.opt().0 == TileRank::OPT_MAX {
                 saturated += 1;
             }
-            if victim.is_none_or(|v| line.opt >= c.lines[v].opt) {
+            if victim.is_none_or(|v| state.opt() >= c.states[v].opt()) {
                 victim = Some(i);
             }
         }
@@ -1166,5 +1214,193 @@ mod tests {
             }
             assert_churn_covered(&seen);
         }
+    }
+
+    /// The cache-wide self-check's predicate as the four-clause scan it
+    /// replaced: some other line is valid, unlocked, above `floor` and
+    /// farther-future than `chosen`.
+    fn farther_eligible_reference(
+        states: &[LineState],
+        chosen: usize,
+        floor: Option<TileRank>,
+    ) -> bool {
+        let chosen_opt = states[chosen].opt();
+        (0..states.len()).any(|i| {
+            i != chosen
+                && states[i].is_valid()
+                && !states[i].is_locked()
+                && floor.is_none_or(|f| states[i].opt() > f)
+                && states[i].opt() > chosen_opt
+        })
+    }
+
+    const EDGE_OPTS: [u32; 5] = [0, 1, 2, TileRank::OPT_MAX - 1, TileRank::OPT_MAX];
+    const EDGE_FLOORS: [Option<TileRank>; 5] = [
+        None,
+        Some(TileRank(0)),
+        Some(TileRank(1)),
+        Some(TileRank(TileRank::OPT_MAX - 1)),
+        Some(TileRank(TileRank::OPT_MAX)),
+    ];
+
+    /// A line word: `kind` 0 invalid (stale OPT bits kept, which the
+    /// cache never leaves but the scan must ignore), 1 locked, 2
+    /// eligible.
+    fn word(kind: usize, dirty: bool, opt: u32) -> LineState {
+        match kind {
+            0 => LineState(opt as u16 | if dirty { LineState::DIRTY } else { 0 }),
+            k => LineState::resident(k == 1, dirty, TileRank(opt)),
+        }
+    }
+
+    #[test]
+    fn word_accessors_round_trip() {
+        for (lock, dirty, opt) in [
+            (false, false, 0),
+            (true, true, TileRank::OPT_MAX),
+            (false, true, 7),
+        ] {
+            let w = LineState::resident(lock, dirty, TileRank(opt));
+            assert!(w.is_valid());
+            assert_eq!(
+                (w.is_locked(), w.is_dirty(), w.opt()),
+                (lock, dirty, TileRank(opt))
+            );
+            assert_eq!(w.is_eligible(), !lock);
+            assert_eq!(
+                w.unlocked(),
+                LineState::resident(false, dirty, TileRank(opt))
+            );
+        }
+        assert!(!LineState::INVALID.is_valid() && !LineState::INVALID.is_eligible());
+    }
+
+    #[test]
+    fn self_check_scan_matches_the_reference_on_every_tiny_state() {
+        let mut words = Vec::new();
+        for kind in 0..3 {
+            for dirty in [false, true] {
+                for opt in EDGE_OPTS {
+                    words.push(word(kind, dirty, opt));
+                }
+            }
+        }
+        let mut verdicts = [0u32; 2];
+        for lines in 1..=3u32 {
+            for code in 0..words.len().pow(lines) {
+                let states: Vec<LineState> = (0..lines)
+                    .scan(code, |rest, _| {
+                        let w = words[*rest % words.len()];
+                        *rest /= words.len();
+                        Some(w)
+                    })
+                    .collect();
+                for chosen in 0..states.len() {
+                    for floor in EDGE_FLOORS {
+                        let want = farther_eligible_reference(&states, chosen, floor);
+                        assert_eq!(
+                            farther_eligible(&states, chosen, floor),
+                            want,
+                            "{states:?}, chosen {chosen}, floor {floor:?}"
+                        );
+                        verdicts[usize::from(want)] += 1;
+                    }
+                }
+            }
+        }
+        assert!(verdicts.iter().all(|&n| n > 0), "both verdicts reached");
+    }
+
+    #[test]
+    fn self_check_scan_matches_the_reference_at_sweep_sizes() {
+        use tcor_common::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(23);
+        let mut verdicts = [0u32; 2];
+        for lines in [768usize, 1_792, 3_840] {
+            for trial in 0..60 {
+                let opt = |rng: &mut SmallRng| match rng.random_range(0..4u32) {
+                    0 => TileRank::OPT_MAX,
+                    1 => rng.random_range(0..TileRank::OPT_MAX + 1),
+                    _ => rng.random_range(0..64u32),
+                };
+                let states: Vec<LineState> = (0..lines)
+                    .map(|_| {
+                        let kind = rng.random_range(0..3usize);
+                        let dirty = rng.random_range(0..2u32) == 1;
+                        let o = opt(&mut rng);
+                        if kind == 0 {
+                            LineState::INVALID
+                        } else {
+                            word(kind, dirty, o)
+                        }
+                    })
+                    .collect();
+                // Half the trials choose the farthest eligible line (the
+                // index's victim), half any line.
+                let chosen = if trial % 2 == 0 {
+                    (0..lines)
+                        .filter(|&i| states[i].is_eligible())
+                        .max_by_key(|&i| states[i].opt())
+                        .unwrap_or(0)
+                } else {
+                    rng.random_range(0..lines)
+                };
+                let floor = match trial % 3 {
+                    0 => None,
+                    _ => Some(TileRank(opt(&mut rng))),
+                };
+                let want = farther_eligible_reference(&states, chosen, floor);
+                assert_eq!(
+                    farther_eligible(&states, chosen, floor),
+                    want,
+                    "{lines} lines, trial {trial}"
+                );
+                verdicts[usize::from(want)] += 1;
+            }
+        }
+        assert!(verdicts.iter().all(|&n| n > 0), "both verdicts reached");
+    }
+
+    /// The self-check fires on a non-maximal eligible victim, and on
+    /// nothing else: not on locked lines with greater OPT Numbers, not on
+    /// ties, and not on lines at or below a write's floor.
+    #[test]
+    fn self_check_counts_exactly_the_non_maximal_victims() {
+        let mut c = cache(4, 4, 16);
+        for (p, opt) in [(0, 2), (1, 6), (2, 9)] {
+            assert!(matches!(
+                c.write(PrimitiveId(p), 1, TileRank(opt)),
+                WriteResult::Allocated { .. }
+            ));
+        }
+        let line = |c: &AttributeCache, p: u32| c.find(PrimitiveId(p)).expect("resident");
+        let audit = |c: &mut AttributeCache, p: u32, floor: Option<u32>| {
+            let before = c.opt_violations();
+            c.audit_global_victim(line(c, p), floor.map(TileRank));
+            c.opt_violations() - before
+        };
+        // Prims 1 (6) and 2 (9) are farther-future than prim 0 (2).
+        assert_eq!(audit(&mut c, 0, None), 1);
+        assert_eq!(audit(&mut c, 1, None), 1);
+        assert_eq!(audit(&mut c, 2, None), 0, "the farthest line");
+        // A write's floor: only lines strictly above it count.
+        assert_eq!(audit(&mut c, 0, Some(9)), 0, "6 and 9 are at or below 9");
+        assert_eq!(audit(&mut c, 0, Some(6)), 1, "9 is above 6");
+        assert_eq!(audit(&mut c, 0, Some(TileRank::OPT_MAX)), 0);
+        // A tie with the victim is not farther.
+        assert!(matches!(
+            c.write(PrimitiveId(3), 1, TileRank(9)),
+            WriteResult::Allocated { .. }
+        ));
+        assert_eq!(audit(&mut c, 2, None), 0, "9 ties 9");
+        assert_eq!(audit(&mut c, 3, None), 0, "9 ties 9");
+        // Locked lines with greater OPT Numbers are not candidates.
+        for p in [1, 2, 3] {
+            assert_eq!(c.read(PrimitiveId(p), 1, TileRank(9)), ReadResult::Hit);
+        }
+        assert_eq!(audit(&mut c, 0, None), 0, "the others are locked");
+        c.unlock(PrimitiveId(2));
+        assert_eq!(audit(&mut c, 0, None), 1, "prim 2 is eligible again");
+        assert_eq!(c.opt_violations(), 4);
     }
 }

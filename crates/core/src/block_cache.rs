@@ -51,13 +51,13 @@ impl BlockCache {
         }
     }
 
-    /// End of frame: flush, returning dirty blocks for write-back.
-    pub fn drain_dirty(&mut self) -> Vec<BlockAddr> {
-        self.cache
-            .drain()
-            .into_iter()
-            .filter_map(|e| e.dirty.then_some(e.addr))
-            .collect()
+    /// End of frame: flush, handing each dirty block to `write_back`.
+    pub fn drain_dirty(&mut self, mut write_back: impl FnMut(BlockAddr)) {
+        self.cache.drain(|e| {
+            if e.dirty {
+                write_back(e.addr);
+            }
+        });
     }
 
     /// Capacity in bytes.
@@ -186,7 +186,8 @@ mod tests {
         c.access(attrs.attr_block(0, 1), WRITE);
         c.access(lists.pmd_block(TileId(1), 0), READ); // clean fill
         c.access(attrs.attr_block(2, 0), READ); // clean fill
-        let mut dirty = c.drain_dirty();
+        let mut dirty = Vec::new();
+        c.drain_dirty(|b| dirty.push(b));
         dirty.sort();
         let mut want = [
             lists.pmd_block(TileId(0), 0),

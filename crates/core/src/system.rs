@@ -29,8 +29,8 @@ use tcor_common::{
     TileGrid, TileRank, Traversal, TraversalOrder, LINE_SIZE,
 };
 use tcor_gpu::{
-    bin_scene_with, fetch_ops, plb_ops, FetchOp, Frame, GeometryPipeline, MshrTiming, OverlapTest,
-    PlbOp, RasterParams, RasterTraffic, Scene,
+    bin_scene_with, FetchOp, FetchOps, Frame, GeometryPipeline, MshrTiming, OverlapTest, PlbOp,
+    PlbOps, RasterParams, RasterTraffic, Scene,
 };
 use tcor_mem::{L2Mode, MemoryHierarchy, PbTag};
 use tcor_pbuf::{AttributesLayout, BinnedFrame, ListsLayout, ListsScheme};
@@ -821,7 +821,7 @@ fn replay_frame(
 
     // --- Polygon List Builder phase.
     let mut plb_cycles = 0u64;
-    for op in plb_ops(&frame.binned, order) {
+    for op in PlbOps::new(&frame.binned, order) {
         plb_cycles += 1;
         match op {
             PlbOp::PmdWrite { tile, n, .. } => {
@@ -868,7 +868,7 @@ fn replay_frame(
     let mut prims_fetched = 0u64;
     let mut coupled_cycles = 0.0f64;
     let mut tile_mark = 0u64;
-    for op in fetch_ops(&frame.binned, order) {
+    for op in FetchOps::new(&frame.binned, order) {
         match op {
             FetchOp::ListRead { tile, first_n } => {
                 let block = tagger.lists.pmd_block(tile, first_n);
@@ -976,9 +976,9 @@ fn replay_frame(
     if let TileCache::Split { attrs, .. } = &mut tc {
         write_back_prims(&attrs.drain(), hierarchy, &tagger);
     }
-    for wb in tc.blocks().drain_dirty() {
+    tc.blocks().drain_dirty(|wb| {
         hierarchy.access(wb, AccessKind::Write, tagger.tag_of(wb));
-    }
+    });
     let pb_footprint = tagger
         .lists
         .footprint_bytes(frame.binned.max_list_len() as u32)

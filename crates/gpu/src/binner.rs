@@ -4,14 +4,14 @@
 //! overlap test per primitive, Antochi-style \[2\]) and estimates the
 //! fragment load each tile will put on the Raster Pipeline.
 //!
-//! The two functions [`plb_ops`] and [`fetch_ops`] materialize the exact
-//! logical access streams of the two Tiling Engine stages; the baseline
-//! and TCOR cache organizations in `tcor` replay the *same* streams, so
-//! measured differences come only from the memory hierarchy — the paper's
-//! experimental setup.
+//! The iterators [`PlbOps`] and [`FetchOps`] generate the exact logical
+//! access streams of the two Tiling Engine stages ([`plb_ops`] and
+//! [`fetch_ops`] collect them); the baseline and TCOR cache organizations
+//! in `tcor` replay the *same* streams, so measured differences come only
+//! from the memory hierarchy — the paper's experimental setup.
 
 use crate::scene::Scene;
-use tcor_common::{PrimitiveId, TileGrid, TileId, TraversalOrder};
+use tcor_common::{PrimitiveId, TileGrid, TileId, TileRank, TraversalOrder};
 use tcor_pbuf::{BinnedFrame, PMDS_PER_BLOCK};
 
 /// The tile-overlap test the Polygon List Builder uses.
@@ -124,25 +124,73 @@ pub enum PlbOp {
 /// The Polygon List Builder write stream in program order: for each
 /// primitive, its PMD appends (tiles in id order — the row-major order the
 /// bounding-box walk discovers them) followed by its attribute writes.
-pub fn plb_ops(frame: &BinnedFrame, order: &TraversalOrder) -> Vec<PlbOp> {
-    let mut ops = Vec::with_capacity(frame.total_pmds() + frame.total_attrs());
-    let mut list_len = vec![0u32; frame.num_tiles()];
-    for p in frame.primitives() {
-        let mut tiles: Vec<TileId> = p.tile_ranks.iter().map(|&r| order.tile_at(r)).collect();
-        tiles.sort_unstable(); // discovery (row-major) order
-        for t in tiles {
-            let n = list_len[t.index()];
-            list_len[t.index()] += 1;
-            ops.push(PlbOp::PmdWrite {
-                tile: t,
-                n,
-                prim: p.id,
-            });
-        }
-        for k in 0..p.attr_count {
-            ops.push(PlbOp::AttrWrite { prim: p.id, k });
+/// Generated one primitive at a time into a reused buffer.
+#[derive(Clone, Debug)]
+pub struct PlbOps<'a> {
+    frame: &'a BinnedFrame,
+    order: &'a TraversalOrder,
+    /// Entries appended so far to each tile's list.
+    list_len: Vec<u32>,
+    /// The next primitive to generate.
+    next_prim: usize,
+    /// The current primitive's tiles, sorted into discovery order.
+    tiles: Vec<TileId>,
+    /// The current primitive's ops, and the next one to yield.
+    ops: Vec<PlbOp>,
+    next_op: usize,
+}
+
+impl<'a> PlbOps<'a> {
+    /// The stream of `frame` binned under `order`.
+    pub fn new(frame: &'a BinnedFrame, order: &'a TraversalOrder) -> Self {
+        PlbOps {
+            frame,
+            order,
+            list_len: vec![0; frame.num_tiles()],
+            next_prim: 0,
+            tiles: Vec::new(),
+            ops: Vec::new(),
+            next_op: 0,
         }
     }
+}
+
+impl Iterator for PlbOps<'_> {
+    type Item = PlbOp;
+
+    fn next(&mut self) -> Option<PlbOp> {
+        while self.next_op == self.ops.len() {
+            let p = self.frame.primitives().get(self.next_prim)?;
+            self.next_prim += 1;
+            let order = self.order;
+            self.tiles.clear();
+            self.tiles
+                .extend(p.tile_ranks.iter().map(|&r| order.tile_at(r)));
+            self.tiles.sort_unstable(); // discovery (row-major) order
+            self.ops.clear();
+            self.next_op = 0;
+            for &tile in &self.tiles {
+                let n = self.list_len[tile.index()];
+                self.list_len[tile.index()] += 1;
+                self.ops.push(PlbOp::PmdWrite {
+                    tile,
+                    n,
+                    prim: p.id,
+                });
+            }
+            self.ops
+                .extend((0..p.attr_count).map(|k| PlbOp::AttrWrite { prim: p.id, k }));
+        }
+        let op = self.ops[self.next_op];
+        self.next_op += 1;
+        Some(op)
+    }
+}
+
+/// Collects the [`PlbOps`] stream.
+pub fn plb_ops(frame: &BinnedFrame, order: &TraversalOrder) -> Vec<PlbOp> {
+    let mut ops = Vec::with_capacity(frame.total_pmds() + frame.total_attrs());
+    ops.extend(PlbOps::new(frame, order));
     ops
 }
 
@@ -179,20 +227,70 @@ pub enum FetchOp {
 /// The Tile Fetcher read stream: tiles in traversal order; per tile, its
 /// list blocks interleaved with the primitive reads they describe, then
 /// the completion signal.
-pub fn fetch_ops(frame: &BinnedFrame, order: &TraversalOrder) -> Vec<FetchOp> {
-    let mut ops = Vec::new();
-    for tile in order.iter() {
-        let list = frame.tile_list(tile);
-        for (n, &prim) in list.iter().enumerate() {
-            let n = n as u32;
-            if n.is_multiple_of(PMDS_PER_BLOCK) {
-                ops.push(FetchOp::ListRead { tile, first_n: n });
-            }
-            ops.push(FetchOp::PrimRead { tile, n, prim });
-        }
-        ops.push(FetchOp::TileDone { tile });
+#[derive(Clone, Debug)]
+pub struct FetchOps<'a> {
+    frame: &'a BinnedFrame,
+    order: &'a TraversalOrder,
+    /// The current tile (`None` once every tile is done), its traversal
+    /// rank and its list.
+    tile: Option<TileId>,
+    rank: u32,
+    list: &'a [PrimitiveId],
+    /// The current list's next entry.
+    n: u32,
+    /// Whether the list block holding entry `n` has been read.
+    block_read: bool,
+}
+
+impl<'a> FetchOps<'a> {
+    /// The stream of `frame` binned under `order`.
+    pub fn new(frame: &'a BinnedFrame, order: &'a TraversalOrder) -> Self {
+        let mut ops = FetchOps {
+            frame,
+            order,
+            tile: None,
+            rank: 0,
+            list: &[],
+            n: 0,
+            block_read: false,
+        };
+        ops.start(0);
+        ops
     }
-    ops
+
+    /// Makes the tile at `rank`, if any, the current one.
+    fn start(&mut self, rank: u32) {
+        self.rank = rank;
+        self.tile =
+            ((rank as usize) < self.order.len()).then(|| self.order.tile_at(TileRank(rank)));
+        self.list = self.tile.map_or(&[], |t| self.frame.tile_list(t));
+        self.n = 0;
+    }
+}
+
+impl Iterator for FetchOps<'_> {
+    type Item = FetchOp;
+
+    fn next(&mut self) -> Option<FetchOp> {
+        let tile = self.tile?;
+        let n = self.n;
+        let Some(&prim) = self.list.get(n as usize) else {
+            self.start(self.rank + 1);
+            return Some(FetchOp::TileDone { tile });
+        };
+        if n.is_multiple_of(PMDS_PER_BLOCK) && !self.block_read {
+            self.block_read = true;
+            return Some(FetchOp::ListRead { tile, first_n: n });
+        }
+        self.block_read = false;
+        self.n += 1;
+        Some(FetchOp::PrimRead { tile, n, prim })
+    }
+}
+
+/// Collects the [`FetchOps`] stream.
+pub fn fetch_ops(frame: &BinnedFrame, order: &TraversalOrder) -> Vec<FetchOp> {
+    FetchOps::new(frame, order).collect()
 }
 
 #[cfg(test)]

@@ -48,7 +48,8 @@ pub mod timing;
 pub mod transform;
 
 pub use binner::{
-    bin_scene, bin_scene_with, fetch_ops, plb_ops, FetchOp, Frame, OverlapTest, PlbOp,
+    bin_scene, bin_scene_with, fetch_ops, plb_ops, FetchOp, FetchOps, Frame, OverlapTest, PlbOp,
+    PlbOps,
 };
 pub use geometry::{GeometryOutput, GeometryPipeline, PostTransformCache};
 pub use raster::{RasterParams, RasterTraffic};

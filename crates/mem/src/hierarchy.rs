@@ -156,19 +156,26 @@ impl MemoryHierarchy {
     /// frame), so TCOR drops PB lines while the baseline writes them back.
     /// Resets the watermark for the next frame.
     pub fn end_frame(&mut self) {
-        let drained = self.l2.drain();
-        for ev in drained {
+        let MemoryHierarchy {
+            l2,
+            mem,
+            mode,
+            dead_drops,
+            wb_blocks,
+            ..
+        } = self;
+        l2.drain(|ev| {
             if ev.dirty {
                 let etag = PbTag::decode(ev.meta.user);
                 let pb = etag.kind != crate::pbtag::PbKind::None;
-                if self.mode == L2Mode::TcorEnhanced && pb {
-                    self.dead_drops += 1;
+                if *mode == L2Mode::TcorEnhanced && pb {
+                    *dead_drops += 1;
                 } else {
-                    self.mem.write(ev.addr);
-                    self.wb_blocks += 1;
+                    mem.write(ev.addr);
+                    *wb_blocks += 1;
                 }
             }
-        }
+        });
         self.watermark.set(0);
     }
 

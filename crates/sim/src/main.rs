@@ -14,7 +14,7 @@
 //! tcor-sim all --resume          re-run only experiments the run manifest
 //!                                records as failed, skipped or unattempted
 //! tcor-sim all --audit           check metric-conservation invariants over
-//!                                every suite cell; violations exit 5
+//!                                every frame `all` replays; violations exit 5
 //! tcor-sim --trace-out FILE      export a Chrome trace of one traced frame
 //! tcor-sim trace <alias> FILE    export a benchmark's PB trace as CSV
 //! tcor-sim bench-runner          time serial vs parallel, write BENCH_runner.json
@@ -164,42 +164,41 @@ fn export_trace(alias: &str, path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `--audit`: re-check every conservation invariant over all 60 suite
-/// cells (memoized — cells already computed by the experiments are
-/// reused). With `inject_fault`, one cell's counter *copy* is tampered
-/// first, so CI can prove the audit actually fails on imbalance; the
-/// simulator's own state is never touched. Returns the violation count.
+/// `--audit`: re-check every conservation invariant over the 144 frames
+/// `all` replays ([`tcor_sim::plans::regeneration_frames`]), replayed on
+/// the shared plans under a plan-work count of its own. With
+/// `inject_fault`, the first frame's counter *copy* is tampered too, so
+/// CI can prove the audit actually fails on imbalance; the simulator's
+/// own state is never touched. Returns the violation count.
 fn run_audit(
     store: &tcor_runner::ArtifactStore,
     inject_fault: bool,
 ) -> tcor_common::TcorResult<usize> {
-    let suite = tcor_sim::orchestrate::suite_from_store(store, &tcor_sim::PlanWork::default())?;
+    use tcor_sim::plans::{regeneration_frames, replay_shared};
+    let grid = tcor_sim::orchestrate::paper_grid();
+    let work = tcor_sim::PlanWork::default();
+    let frames = regeneration_frames();
     let mut violations = Vec::new();
-    let mut cells = 0usize;
-    for b in &suite.benchmarks {
-        for (cfg, report) in b.cells() {
-            cells += 1;
+    for (i, f) in frames.iter().enumerate() {
+        let report = replay_shared(store, &f.profile, &grid, f.cfg.clone(), &work)?;
+        let name = format!("{}/{}", f.profile.alias, f.label);
+        violations.extend(tcor_obs::audit_report(&name, &report));
+        if inject_fault && i == 0 {
+            // A simulated bookkeeping bug: one hit recorded without a probe.
+            let mut tampered = report;
+            tampered.l2_stats.read_hits += 1;
             violations.extend(tcor_obs::audit_report(
-                &format!("{}/{cfg}", b.profile.alias),
-                report,
+                &format!("{name} (injected fault)"),
+                &tampered,
             ));
         }
-    }
-    if inject_fault {
-        let b = &suite.benchmarks[0];
-        let mut tampered = b.tcor64.clone();
-        // A simulated bookkeeping bug: one hit recorded without a probe.
-        tampered.l2_stats.read_hits += 1;
-        violations.extend(tcor_obs::audit_report(
-            &format!("{}/tcor64 (injected fault)", b.profile.alias),
-            &tampered,
-        ));
     }
     for v in &violations {
         eprintln!("audit: VIOLATION {v}");
     }
     eprintln!(
-        "audit: {cells} cells checked, {} violation(s)",
+        "audit: {} frames checked, {} violation(s)",
+        frames.len(),
         violations.len()
     );
     Ok(violations.len())

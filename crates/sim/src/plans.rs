@@ -11,12 +11,79 @@
 //! 144 frames on 16 plans.
 
 use crate::orchestrate::{artifact_key, calibrated_scene, scene_key};
+use crate::suite::{cell_config, CELL_CONFIGS};
+use crate::{ablation, scaling, sweep, traversal_study};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tcor::{FramePlan, FrameReport, PlanKey, System, SystemConfig};
 use tcor_common::{TcorResult, TileGrid};
 use tcor_runner::{ArtifactStore, JobCtx};
-use tcor_workloads::BenchmarkProfile;
+use tcor_workloads::{suite, BenchmarkProfile};
+
+/// One frame a regeneration replays: a Table II workload under one
+/// configuration.
+#[derive(Clone, Debug)]
+pub struct RegenFrame {
+    /// The workload.
+    pub profile: BenchmarkProfile,
+    /// The configuration's name within its experiment, such as `tcor64`,
+    /// `ablation-d2` or `sweep-tcor-192`.
+    pub label: String,
+    /// The configuration, with the workload's raster calibration.
+    pub cfg: SystemConfig,
+}
+
+/// Every frame `tcor-sim all` replays, from the builders its experiments
+/// use: each workload's suite cells, then the ablation's, the sweep's,
+/// the scaling study's and the traversal study's frames. 144 frames on
+/// 16 plans.
+pub fn regeneration_frames() -> Vec<RegenFrame> {
+    let all = suite();
+    let by_alias = |alias: &str| {
+        *all.iter()
+            .find(|p| p.alias == alias)
+            .expect("study workload in Table II")
+    };
+    let mut frames = Vec::new();
+    let mut push = |profile: BenchmarkProfile, label: String, cfg| {
+        frames.push(RegenFrame {
+            profile,
+            label,
+            cfg,
+        })
+    };
+    for p in &all {
+        for c in CELL_CONFIGS {
+            push(*p, c.to_string(), cell_config(p, c));
+        }
+    }
+    for p in &all {
+        let names = ["ref", "d3", "d2", "d5"];
+        for (name, cfg) in names.iter().zip(ablation::variants(p.raster_params())) {
+            push(*p, format!("ablation-{name}"), cfg);
+        }
+    }
+    for kib in sweep::BUDGETS_KIB {
+        for p in sweep::WORKLOADS.map(by_alias) {
+            let rp = p.raster_params();
+            push(p, format!("sweep-base-{kib}"), sweep::baseline_cfg(kib, rp));
+            push(p, format!("sweep-tcor-{kib}"), sweep::tcor_cfg(kib, rp));
+        }
+    }
+    let snp = by_alias(scaling::WORKLOAD);
+    for procs in scaling::PROCESSORS {
+        let [base, tcor] = scaling::configs(procs, snp.raster_params());
+        push(snp, format!("scaling-base-{procs}"), base);
+        push(snp, format!("scaling-tcor-{procs}"), tcor);
+    }
+    for p in traversal_study::WORKLOADS.map(by_alias) {
+        for (order, name) in traversal_study::ORDERS {
+            let cfg = traversal_study::config(order, p.raster_params());
+            push(p, format!("traversal-{name}"), cfg);
+        }
+    }
+    frames
+}
 
 /// Frame-plan work done on behalf of one caller (a runner job, a serving
 /// backend): plans built and frames replayed.
@@ -89,7 +156,7 @@ pub(crate) fn frame_plan(
 /// # Errors
 ///
 /// Propagates store corruption from the scene and plan lookups.
-pub(crate) fn replay_shared(
+pub fn replay_shared(
     store: &ArtifactStore,
     profile: &BenchmarkProfile,
     grid: &TileGrid,
@@ -106,8 +173,7 @@ mod tests {
     use super::*;
     use crate::orchestrate::paper_grid;
     use crate::report_json::frame_report_json;
-    use crate::suite::{cell_config, CELL_CONFIGS};
-    use crate::{ablation, scaling, sweep, traversal_study};
+    use std::collections::HashSet;
     use tcor_cache::Indexing;
     use tcor_common::{CacheParams, MemoryParams, TileCacheOrg, Traversal};
     use tcor_gpu::OverlapTest;
@@ -121,33 +187,46 @@ mod tests {
             .expect("suite workload")
     }
 
-    /// Every configuration the suite cells, the ablation, the sweep, the
-    /// scaling study and the traversal study run for `profile`.
+    /// Every configuration the regeneration runs, once per label, with
+    /// `profile`'s raster calibration.
     fn experiment_configs(profile: &BenchmarkProfile) -> Vec<(String, SystemConfig)> {
-        let rp = profile.raster_params();
-        let mut v: Vec<(String, SystemConfig)> = CELL_CONFIGS
+        let mut seen = HashSet::new();
+        regeneration_frames()
+            .into_iter()
+            .filter(|f| seen.insert(f.label.clone()))
+            .map(|f| (f.label, f.cfg.with_raster(profile.raster_params())))
+            .collect()
+    }
+
+    /// The list holds the 144 frames of `all` on its 16 plans, one per
+    /// (workload, label).
+    #[test]
+    fn regeneration_frames_cover_every_study_once() {
+        let frames = regeneration_frames();
+        assert_eq!(frames.len(), 144);
+        let distinct: HashSet<(&str, &str)> = frames
             .iter()
-            .map(|c| (c.to_string(), cell_config(profile, c)))
+            .map(|f| (f.profile.alias, f.label.as_str()))
             .collect();
-        for (i, cfg) in ablation::variants(rp).into_iter().enumerate() {
-            v.push((format!("ablation-{i}"), cfg));
+        assert_eq!(distinct.len(), frames.len());
+        let grid = paper_grid();
+        let plans: HashSet<u64> = frames
+            .iter()
+            .map(|f| plan_store_key(&f.profile, &grid, &f.cfg))
+            .collect();
+        assert_eq!(plans.len(), 16);
+        // The cells are the suite's own configurations.
+        let gtr = profile("GTr");
+        for c in CELL_CONFIGS {
+            let f = frames
+                .iter()
+                .find(|f| f.profile.alias == "GTr" && f.label == c)
+                .expect("cell listed");
+            assert_eq!(
+                format!("{:?}", f.cfg),
+                format!("{:?}", cell_config(&gtr, c))
+            );
         }
-        for kib in sweep::BUDGETS_KIB {
-            v.push((format!("sweep-base-{kib}"), sweep::baseline_cfg(kib, rp)));
-            v.push((format!("sweep-tcor-{kib}"), sweep::tcor_cfg(kib, rp)));
-        }
-        for procs in scaling::PROCESSORS {
-            let [base, tcor] = scaling::configs(procs, rp);
-            v.push((format!("scaling-base-{procs}"), base));
-            v.push((format!("scaling-tcor-{procs}"), tcor));
-        }
-        for (order, name) in traversal_study::ORDERS {
-            v.push((
-                format!("traversal-{name}"),
-                traversal_study::config(order, rp),
-            ));
-        }
-        v
     }
 
     /// The byte-identity contract of sharing: replaying the plan another
