@@ -390,6 +390,25 @@ if grep -q '"shed":0' "$BENCH_LOAD_OUT"; then
 fi
 rm -f "$BENCH_LOAD_OUT"
 
+echo "== bench-serve (concurrent cold requests through the simulator backend)"
+# The coalescing tests in serve_plane.rs run on a stub backend; this
+# stage drives the real SimBackend: five cold targets, warm reads, an
+# 8-client cold burst on /v1/misscurve/GTr/srrip, and a restart onto
+# the disk tier. Each cold target computes once and the burst once
+# more, whether its other clients follow the leader's flight or hit the
+# body it cached, so serve/cold_computes reads 6. How many of them
+# coalesce varies between runs and is not pinned. The record goes to a
+# scratch path, never to the committed BENCH_serve.json.
+BENCH_SERVE_OUT=$CI_TMP/bench-serve.json
+"$TCOR_SIM" bench-serve "$BENCH_SERVE_OUT" 2>/dev/null
+for want in '"cold_computes":6' '"warm_equals_cold":true' '"restart_equals_cold":true'; do
+  if ! grep -q "$want" "$BENCH_SERVE_OUT"; then
+    echo "ci: FAIL: bench-serve record is missing $want" >&2
+    exit 1
+  fi
+done
+rm -f "$BENCH_SERVE_OUT"
+
 echo "== chaos (disk-fault schedule: breaker must open, probe, and close)"
 # A seeded disk-fault schedule (every read and write errors until its
 # budget runs out) against a cache-cap-1 daemon: the circuit breaker

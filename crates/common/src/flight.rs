@@ -1,16 +1,24 @@
-//! Singleflight: coalesce identical in-flight requests onto one
-//! computation.
+//! Singleflight: coalesce identical in-flight computations onto one.
 //!
 //! The first caller to [`Singleflight::join`] a key becomes the
 //! *leader* and owns the computation; every concurrent caller with the
 //! same key becomes a *follower* that waits for the leader's value
 //! instead of redoing the work — TCOR's never-redundant-work thesis
-//! applied to the request plane. The leader's [`LeaderToken`] is a
-//! drop guard: if the leader panics (or otherwise exits without
-//! [`finish`](LeaderToken::finish)ing), the flight is marked abandoned
-//! and every follower is woken with [`Waited::Abandoned`] rather than
-//! hanging — mirroring the partial-entry recovery in
-//! `tcor_runner::ArtifactStore`.
+//! applied to the software around the simulator. The leader's
+//! [`LeaderToken`] is a drop guard: if the leader panics (or otherwise
+//! exits without [`finish`](LeaderToken::finish)ing), the flight is
+//! marked abandoned and every follower is woken with
+//! [`Waited::Abandoned`] rather than hanging.
+//!
+//! A flight memoizes nothing: it is forgotten once it settles. Each
+//! caller keeps its own memo in front of it (`tcor_runner::ArtifactStore`
+//! its map of published artifacts, the serving daemon its result
+//! cache) and follows one pattern: probe the memo, join the flight,
+//! and, as leader, probe the memo once more before computing. A flight
+//! leaves the map before its followers wake, so a caller that missed
+//! the memo just before the previous leader published can lead a fresh
+//! flight; the second probe finds that leader's value instead of
+//! computing it again.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};

@@ -27,6 +27,7 @@
 pub mod config;
 pub mod error;
 pub mod fault;
+pub mod flight;
 pub mod fsio;
 pub mod geom;
 pub mod grid;

@@ -3,71 +3,48 @@
 //! Artifacts (a calibrated scene, a frame plan, a cell report, an
 //! annotated trace) are keyed by a stable `fxhash64` of the
 //! configuration that produces them. The first requester computes; any
-//! concurrent requester for the same key blocks until the winner
+//! concurrent requester for the same key waits until the winner
 //! publishes and shares the resulting `Arc` — each artifact is built
 //! exactly once per process regardless of schedule. Rendered serve
 //! responses are not artifacts: the daemon's result cache
 //! (`tcor_pcache`) is their one store, and it alone persists them.
 //!
+//! The store is a map of published artifacts in front of a
+//! [`Singleflight`], the same leader/follower primitive the daemon
+//! coalesces requests on. A caller probes the map, then joins the key's
+//! flight; its leader probes the map once more (a flight is forgotten
+//! the moment it settles, so a caller that missed the map just before
+//! the previous leader published may lead a fresh flight) and only then
+//! computes, publishes, and finishes the flight.
+//!
 //! Failure model: a key that resolves to a value of a different type
 //! than requested is a key-collision bug at some call site; it is
 //! reported as a typed [`ErrorKind::Corruption`] error, never a panic,
-//! so one bad cell cannot tear down the suite. Each slot is an explicit
-//! `Empty → InFlight → Ready` state machine guarded by its own
-//! mutex+condvar: a computation that panics *or* returns a typed error
-//! resets its slot to `Empty` and wakes every waiter, so a partial
-//! entry can never wedge concurrent readers — one of them simply
-//! becomes the next leader and retries. Lock poisoning is recovered
-//! with [`PoisonError::into_inner`]: state transitions are single
-//! assignments, so a thread that panicked while holding a lock cannot
-//! have left the slot half-updated.
+//! so one bad cell cannot tear down the suite. A computation that
+//! panics *or* returns a typed error publishes nothing and abandons its
+//! flight, waking every follower; they return to the map probe and one
+//! of them leads the retry, so a partial entry can never wedge
+//! concurrent readers. Lock poisoning is recovered with
+//! [`PoisonError::into_inner`]: the map changes only by single inserts,
+//! so a thread that panicked while holding its lock cannot have left it
+//! half-updated.
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use tcor_common::flight::{Join, Singleflight, Waited};
 use tcor_common::{TcorError, TcorResult};
 
 type Erased = Arc<dyn Any + Send + Sync>;
-
-/// Where one slot is in its lifecycle.
-enum SlotState {
-    /// Nothing computed; the next requester becomes the leader.
-    Empty,
-    /// A leader is computing; followers wait on the condvar.
-    InFlight,
-    /// The artifact is published.
-    Ready(Erased),
-}
-
-/// One key's state machine: mutex-guarded state plus the condvar the
-/// leader signals on every transition out of `InFlight`.
-struct Slot {
-    state: Mutex<SlotState>,
-    changed: Condvar,
-}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            state: Mutex::new(SlotState::Empty),
-            changed: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, SlotState> {
-        // Transitions are single assignments: a panicking holder cannot
-        // leave the state half-updated, so poisoning is recoverable.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
 
 /// The shared store. Cheap to share by reference across the worker
 /// pool; all methods take `&self`.
 #[derive(Default)]
 pub struct ArtifactStore {
-    map: Mutex<HashMap<u64, Arc<Slot>>>,
+    published: Mutex<HashMap<u64, Erased>>,
+    flights: Singleflight<Erased>,
     hits: AtomicU64,
     computes: AtomicU64,
 }
@@ -92,17 +69,30 @@ impl ArtifactStore {
         Self::default()
     }
 
-    fn slot(&self, key: u64) -> Arc<Slot> {
-        let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(map.entry(key).or_insert_with(|| Arc::new(Slot::new())))
+    fn published(&self) -> MutexGuard<'_, HashMap<u64, Erased>> {
+        self.published
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The published artifact under `key`; the map lock is released on
+    /// return.
+    fn lookup(&self, key: u64) -> Option<Erased> {
+        self.published().get(&key).cloned()
+    }
+
+    /// Returns a shared artifact, counted as a hit.
+    fn hit<A: Send + Sync + 'static>(&self, key: u64, erased: Erased) -> TcorResult<Arc<A>> {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        downcast(key, erased)
     }
 
     /// Returns the artifact under `key`, computing it with `f` if
     /// absent. Concurrent calls with the same key compute once and
     /// share; the losers block until the artifact exists. If `f`
-    /// panics the slot is reset to empty, every waiter is woken (one
-    /// of them retries as the new leader), and the panic is propagated
-    /// to — and contained by — the executor.
+    /// panics nothing is published, every waiter is woken (one of them
+    /// retries as the new leader), and the panic is propagated to — and
+    /// contained by — the executor.
     ///
     /// # Errors
     ///
@@ -117,16 +107,14 @@ impl ArtifactStore {
         self.get_or_try_compute(key, || Ok(f()))
     }
 
-    /// The fallible, concurrency-hardened entry point (the serving
-    /// plane's get-or-compute): like [`get_or_compute`], but `f` may
+    /// The fallible entry point: like [`get_or_compute`], but `f` may
     /// return a typed error. An error is returned to the leader *and
-    /// leaves the slot empty* — waiters are woken and the first of
-    /// them retries the computation, so a transient failure (or a
-    /// panicking leader) never leaves a poisoned or partial entry
-    /// behind.
+    /// publishes nothing* — waiters are woken and the first of them
+    /// retries the computation, so a transient failure (or a panicking
+    /// leader) never leaves a poisoned or partial entry behind.
     ///
     /// Reentrancy: computing `key` from inside its own `f` deadlocks
-    /// (exactly like the `OnceLock`-based predecessor); keep artifact
+    /// (the leader would follow its own flight); keep artifact
     /// dependencies acyclic.
     ///
     /// # Errors
@@ -138,52 +126,38 @@ impl ArtifactStore {
         A: Send + Sync + 'static,
         F: FnOnce() -> TcorResult<A>,
     {
-        let slot = self.slot(key);
-        {
-            let mut st = slot.lock();
-            loop {
-                match &*st {
-                    SlotState::Ready(v) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return downcast(key, Arc::clone(v));
-                    }
-                    SlotState::InFlight => {
-                        st = slot
-                            .changed
-                            .wait(st)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                    SlotState::Empty => {
-                        *st = SlotState::InFlight;
-                        break;
-                    }
+        loop {
+            if let Some(v) = self.lookup(key) {
+                return self.hit(key, v);
+            }
+            let token = match self.flights.join(key) {
+                Join::Leader(token) => token,
+                Join::Follower(handle) => match handle.wait(None) {
+                    Waited::Done(v) => return self.hit(key, v),
+                    // The leader failed (a wait with no deadline never
+                    // times out): back to the map probe, where one of
+                    // the rejoining callers leads the retry.
+                    Waited::Abandoned | Waited::TimedOut => continue,
+                },
+            };
+            if let Some(v) = self.lookup(key) {
+                token.finish(Arc::clone(&v));
+                return self.hit(key, v);
+            }
+            // Dropping the token on an error or a panic abandons the
+            // flight and wakes its followers.
+            let erased: Erased = match catch_unwind(AssertUnwindSafe(f)) {
+                Ok(Ok(value)) => Arc::new(value),
+                Ok(Err(e)) => return Err(e),
+                Err(panic) => {
+                    drop(token);
+                    resume_unwind(panic)
                 }
-            }
-        }
-        // This thread is the leader; compute outside the slot lock so
-        // followers can park on the condvar, not the mutex.
-        let outcome = catch_unwind(AssertUnwindSafe(f));
-        let mut st = slot.lock();
-        match outcome {
-            Ok(Ok(value)) => {
-                let erased: Erased = Arc::new(value);
-                *st = SlotState::Ready(Arc::clone(&erased));
-                self.computes.fetch_add(1, Ordering::Relaxed);
-                slot.changed.notify_all();
-                drop(st);
-                downcast(key, erased)
-            }
-            Ok(Err(e)) => {
-                *st = SlotState::Empty;
-                slot.changed.notify_all();
-                Err(e)
-            }
-            Err(panic) => {
-                *st = SlotState::Empty;
-                slot.changed.notify_all();
-                drop(st);
-                resume_unwind(panic)
-            }
+            };
+            self.published().insert(key, Arc::clone(&erased));
+            self.computes.fetch_add(1, Ordering::Relaxed);
+            token.finish(Arc::clone(&erased));
+            return downcast(key, erased);
         }
     }
 
@@ -195,28 +169,12 @@ impl ArtifactStore {
     /// Returns a corruption error on type confusion, like
     /// [`get_or_compute`](Self::get_or_compute).
     pub fn get<A: Send + Sync + 'static>(&self, key: u64) -> TcorResult<Option<Arc<A>>> {
-        let slot = {
-            let map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
-            map.get(&key).cloned()
-        };
-        let Some(slot) = slot else { return Ok(None) };
-        let st = slot.lock();
-        match &*st {
-            SlotState::Ready(v) => downcast(key, Arc::clone(v)).map(Some),
-            _ => Ok(None),
-        }
+        self.lookup(key).map(|v| downcast(key, v)).transpose()
     }
 
     /// Number of keys with a completed artifact.
     pub fn len(&self) -> usize {
-        let slots: Vec<Arc<Slot>> = {
-            let map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
-            map.values().cloned().collect()
-        };
-        slots
-            .iter()
-            .filter(|s| matches!(&*s.lock(), SlotState::Ready(_)))
-            .count()
+        self.published().len()
     }
 
     /// Whether nothing has been stored.
@@ -377,6 +335,38 @@ mod tests {
         });
         assert_eq!(calls.load(Ordering::SeqCst), 2, "fail once, retry once");
         assert_eq!(*store.get::<u64>(11).unwrap().expect("retried"), 5);
+    }
+
+    /// A leader that panics abandons its flight: the waiter behind it
+    /// leads the retry with its own closure, while the panic reaches the
+    /// leader's caller.
+    #[test]
+    fn waiter_behind_a_panicking_leader_recomputes() {
+        let store = ArtifactStore::new();
+        let calls = AtomicUsize::new(0);
+        let leading = Barrier::new(2);
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| {
+                store.get_or_compute::<u64, _>(13, || {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    leading.wait();
+                    // Let the waiter join the flight before it fails.
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    panic!("leader fails mid-computation")
+                })
+            });
+            leading.wait();
+            let waiter: Arc<u64> = store
+                .get_or_compute(13, || {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    8
+                })
+                .unwrap();
+            assert_eq!(*waiter, 8, "the waiter computed its own value");
+            assert!(leader.join().is_err(), "the leader's panic propagates");
+        });
+        assert_eq!(calls.load(Ordering::SeqCst), 2, "fail once, retry once");
+        assert_eq!((store.computes(), store.len()), (1, 1));
     }
 
     #[test]

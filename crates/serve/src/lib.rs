@@ -18,7 +18,8 @@
 //!   result (504 on expiry), so queue waits cannot pin workers on
 //!   work nobody is waiting for;
 //! * **coalescing** — identical in-flight requests collapse onto one
-//!   computation ([`coalesce`]), TCOR's never-redundant-work thesis
+//!   computation (the flight the artifact store also runs on,
+//!   [`tcor_common::flight`]), TCOR's never-redundant-work thesis
 //!   applied to the request plane;
 //! * **content-addressed caching** — responses are keyed by the
 //!   `fxhash64` of the canonical request ([`router`]) plus the
@@ -40,7 +41,6 @@
 //! implementation and the CLI flags.
 
 pub mod client;
-pub mod coalesce;
 mod event;
 pub mod hist;
 pub mod http;
@@ -54,7 +54,6 @@ mod stream;
 pub use client::{
     http_request, http_request_retrying, request_retrying, HttpClient, HttpReply, RetryPolicy,
 };
-pub use coalesce::{FollowerHandle, Join, LeaderToken, Singleflight, Waited};
 pub use hist::LatencyHistogram;
 pub use http::{parse_request_limited, ParseOutcome, Request, Response, MAX_BODY, STREAM_MAX_BODY};
 pub use metrics::ServeMetrics;

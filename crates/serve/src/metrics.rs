@@ -33,6 +33,9 @@ pub struct ServeMetrics {
     pub errors: AtomicU64,
     /// Followers that re-entered an abandoned flight as its new leader.
     pub flight_retries: AtomicU64,
+    /// Panics contained to one request: a flight leader's computation
+    /// or a streaming operation.
+    pub panics_caught: AtomicU64,
     /// Gauge: the last `Retry-After` hint handed to a shed request, ms
     /// (queue depth × recent service time).
     pub retry_after_ms: AtomicU64,
@@ -119,6 +122,7 @@ impl ServeMetrics {
             ("serve/deadline_expired", &self.deadline_expired),
             ("serve/errors", &self.errors),
             ("serve/flight_retries", &self.flight_retries),
+            ("serve/panics_caught", &self.panics_caught),
             ("serve/retry_after_ms", &self.retry_after_ms),
             ("serve/service_time_us", &self.service_time_us),
             ("serve/conns_accepted", &self.conns_accepted),

@@ -18,7 +18,6 @@
 //! Shutdown — admin route or signal — stops admission, drains what was
 //! admitted, joins every thread, and hands back the request timeline.
 
-use crate::coalesce::{Join, Singleflight, Waited};
 use crate::event::{event_loop, Completion, EventInbox};
 use crate::http::Response;
 use crate::metrics::ServeMetrics;
@@ -32,6 +31,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use tcor_common::flight::{Join, Singleflight, Waited};
 use tcor_common::{fault, fxhash64, ErrorKind, TcorError, TcorResult};
 use tcor_obs::RequestSpan;
 use tcor_pcache::{BreakerConfig, CacheKey, CachedBody, ResultCache, Tier, TieredCache};
@@ -238,19 +238,19 @@ impl Shared {
     /// warm latency is bounded by syscall cost, not queue depth.
     pub(crate) fn try_warm(&self, call: &ApiCall) -> Option<(Response, &'static str)> {
         let key = CacheKey::new(call.cache_key(), self.backend.version());
-        let (body, tier) = self.cache.get(&key)?;
+        self.warm_hit(&key)
+            .map(|(body, tier)| warm_answer(&body, tier))
+    }
+
+    /// Looks `key` up in the result cache, counting a hit per tier.
+    fn warm_hit(&self, key: &CacheKey) -> Option<(Arc<CachedBody>, Tier)> {
+        let (body, tier) = self.cache.get(key)?;
         ServeMetrics::bump(&self.metrics.warm_hits);
         match tier {
             Tier::Mem => ServeMetrics::bump(&self.metrics.mem_hits),
             Tier::Disk => ServeMetrics::bump(&self.metrics.disk_hits),
         }
-        // The span source distinguishes the tiers ("cache" = memory,
-        // "disk" = restored and promoted).
-        let source = match tier {
-            Tier::Mem => "cache",
-            Tier::Disk => "disk",
-        };
-        Some((ok_response(&body, tier.label()), source))
+        Some((body, tier))
     }
 
     /// The 429 for a request refused at a full queue: integer-seconds
@@ -580,6 +580,14 @@ fn answer_api(shared: &Shared, call: &ApiCall, arrived: Instant) -> (Response, &
         }
         match shared.flights.join(key.identity) {
             Join::Leader(token) => {
+                // A settled flight leaves the map before its followers
+                // wake, so this request may have missed the cache just
+                // before the previous leader's put: probe once more,
+                // and hand a hit to this flight's followers.
+                if let Some((body, tier)) = shared.warm_hit(&key) {
+                    token.finish(Ok(Arc::clone(&body)));
+                    return warm_answer(&body, tier);
+                }
                 let outcome = catch_unwind(AssertUnwindSafe(|| shared.backend.call(call)));
                 return match outcome {
                     Ok(Ok(body)) => {
@@ -598,6 +606,7 @@ fn answer_api(shared: &Shared, call: &ApiCall, arrived: Instant) -> (Response, &
                         // Dropping the token abandons the flight,
                         // waking followers; the panic is contained to
                         // this request.
+                        ServeMetrics::bump(&shared.metrics.panics_caught);
                         drop(token);
                         (
                             Response::text(500, "computation panicked; see server log\n"),
@@ -641,6 +650,16 @@ fn answer_api(shared: &Shared, call: &ApiCall, arrived: Instant) -> (Response, &
         Response::text(500, "leading computation failed; retry\n"),
         "coalesced",
     )
+}
+
+/// A warm hit's response and span source ("cache" = memory, "disk" =
+/// restored and promoted).
+fn warm_answer(body: &CachedBody, tier: Tier) -> (Response, &'static str) {
+    let source = match tier {
+        Tier::Mem => "cache",
+        Tier::Disk => "disk",
+    };
+    (ok_response(body, tier.label()), source)
 }
 
 /// A 200 carrying a cached body, labeled with which tier (or miss)

@@ -45,6 +45,7 @@ impl StreamPlane {
                 Response::text(e.status(), format!("{e}\n"))
             }
             Err(_panic) => {
+                ServeMetrics::bump(&metrics.panics_caught);
                 if let Some(id) = op_session(op) {
                     self.registry.evict(id);
                 }

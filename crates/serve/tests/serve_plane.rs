@@ -402,6 +402,11 @@ fn followers_relead_after_a_leader_panic() {
         metric(&metrics, "serve/flight_retries") >= 1,
         "at least one follower re-entered the abandoned flight"
     );
+    assert_eq!(
+        metric(&metrics, "serve/panics_caught"),
+        1,
+        "the leader's panic was contained and counted"
+    );
     server.stop();
     server.wait();
 }
@@ -689,6 +694,7 @@ fn stream_failures_are_typed_4xx_never_5xx() {
     let metrics = server.metrics_text();
     assert_eq!(metric(&metrics, "stream/rejected"), 5);
     assert_eq!(metric(&metrics, "serve/errors"), 0, "no 5xx anywhere");
+    assert_eq!(metric(&metrics, "serve/panics_caught"), 0);
     server.stop();
     server.wait();
 }

@@ -82,7 +82,8 @@ pub const EXPERIMENTS: [&str; 25] = [
 /// Runs one experiment by id against `store`, computing (and memoizing)
 /// whatever shared artifacts it needs — the full-system [`SuiteRun`],
 /// the aggregated PB traces, calibrated scenes, frame plans — and
-/// counting its frame-plan builds and replays in `work`.
+/// counting its frame-plan builds and replays and its miss-curve trace
+/// passes in `work`.
 ///
 /// # Errors
 ///
@@ -94,15 +95,16 @@ pub fn try_run_experiment(
     work: &PlanWork,
 ) -> tcor_common::TcorResult<Vec<Table>> {
     let suite = || orchestrate::suite_from_store(store, work);
+    let engine = misscurves::CurveEngine::SinglePass;
     Ok(match id {
         "table1" => vec![tables::table1()],
         "table2" => vec![tables::table2(&*suite()?)],
-        "fig1" => vec![misscurves::fig1(store)?],
+        "fig1" => vec![work.count_passes(misscurves::fig1_engine(store, engine)?)],
         "fig10" => vec![example::fig10()],
-        "fig11" => vec![misscurves::fig11(store)?],
-        "fig12" => misscurves::fig12(store)?,
-        "fig13" => vec![misscurves::fig13(store)?],
-        "fig13x" => vec![misscurves::fig13x(store)?],
+        "fig11" => vec![work.count_passes(misscurves::fig11_engine(store, engine)?)],
+        "fig12" => work.count_passes(misscurves::fig12_engine(store, engine)?),
+        "fig13" => vec![work.count_passes(misscurves::fig13_engine(store, engine)?)],
+        "fig13x" => vec![work.count_passes(misscurves::fig13x_engine(store, engine)?)],
         "fig14" => vec![figures::fig14_15(&*suite()?, false)],
         "fig15" => vec![figures::fig14_15(&*suite()?, true)],
         "fig16" => vec![figures::fig16_17(&*suite()?, false)],

@@ -84,25 +84,22 @@ pub enum CurveEngine {
 ///
 /// Propagates store corruption from the scene lookups.
 pub fn suite_traces(store: &ArtifactStore) -> TcorResult<Arc<Vec<BenchTrace>>> {
-    let key = artifact_key(TRACES_DESC);
-    if let Some(traces) = store.get::<Vec<BenchTrace>>(key)? {
-        return Ok(traces);
-    }
-    // Build fallibly outside the memoizing closure so scene-lookup
-    // errors propagate as typed results instead of panics.
-    let grid = paper_grid();
-    let order = tcor_common::Traversal::ZOrder.order(&grid);
-    let mut built = Vec::new();
-    for b in &suite() {
-        let cal = calibrated_scene(store, b, &grid)?;
-        let frame = bin_scene(&cal.scene, &grid, &order);
-        built.push(BenchTrace::new(
-            b.alias,
-            primitive_trace(&frame.binned, &order),
-            frame.binned.num_primitives(),
-        ));
-    }
-    store.get_or_compute(key, move || built)
+    store.get_or_try_compute(artifact_key(TRACES_DESC), || {
+        let grid = paper_grid();
+        let order = tcor_common::Traversal::ZOrder.order(&grid);
+        suite()
+            .iter()
+            .map(|b| {
+                let cal = calibrated_scene(store, b, &grid)?;
+                let frame = bin_scene(&cal.scene, &grid, &order);
+                Ok(BenchTrace::new(
+                    b.alias,
+                    primitive_trace(&frame.binned, &order),
+                    frame.binned.num_primitives(),
+                ))
+            })
+            .collect()
+    })
 }
 
 /// Replacement policies the serving plane accepts for
@@ -130,20 +127,17 @@ pub fn workload_trace(store: &ArtifactStore, alias: &str) -> TcorResult<Arc<Benc
             known.join(", ")
         )));
     };
-    let key = artifact_key(&format!("trace/{alias}/zorder"));
-    if let Some(trace) = store.get::<BenchTrace>(key)? {
-        return Ok(trace);
-    }
-    let grid = paper_grid();
-    let order = tcor_common::Traversal::ZOrder.order(&grid);
-    let cal = calibrated_scene(store, &profile, &grid)?;
-    let frame = bin_scene(&cal.scene, &grid, &order);
-    let built = BenchTrace::new(
-        profile.alias,
-        primitive_trace(&frame.binned, &order),
-        frame.binned.num_primitives(),
-    );
-    store.get_or_compute(key, move || built)
+    store.get_or_try_compute(artifact_key(&format!("trace/{alias}/zorder")), || {
+        let grid = paper_grid();
+        let order = tcor_common::Traversal::ZOrder.order(&grid);
+        let cal = calibrated_scene(store, &profile, &grid)?;
+        let frame = bin_scene(&cal.scene, &grid, &order);
+        Ok(BenchTrace::new(
+            profile.alias,
+            primitive_trace(&frame.binned, &order),
+            frame.binned.num_primitives(),
+        ))
+    })
 }
 
 /// The serving plane's miss curve: one workload, one policy, the
@@ -181,28 +175,6 @@ pub fn workload_curve(
         &mut 0,
     );
     Ok((sizes, curve))
-}
-
-fn passes_key(id: &str) -> u64 {
-    artifact_key(&format!("misscurves/passes/{id}"))
-}
-
-/// Publishes the suite-level trace-pass count of experiment `id` into the
-/// store, where the orchestrator picks it up as a telemetry counter.
-fn record_trace_passes(store: &ArtifactStore, id: &str, passes: u64) -> TcorResult<()> {
-    let cell = store.get_or_compute(passes_key(id), || AtomicU64::new(0))?;
-    cell.store(passes, Ordering::Relaxed);
-    Ok(())
-}
-
-/// Trace passes recorded by the most recent run of experiment `id` in
-/// this store (one pass = one full streaming of every benchmark trace).
-pub fn trace_passes(store: &ArtifactStore, id: &str) -> Option<u64> {
-    store
-        .get::<AtomicU64>(passes_key(id))
-        .ok()
-        .flatten()
-        .map(|c| c.load(Ordering::Relaxed))
 }
 
 fn engine_workers_key() -> u64 {
@@ -451,17 +423,8 @@ fn prim_caps(sizes: &[usize]) -> Vec<usize> {
 
 /// Figure 1: LRU vs OPT, fully associative, 8–152 KB.
 ///
-/// # Errors
-///
-/// Propagates store corruption.
-pub fn fig1(store: &ArtifactStore) -> TcorResult<Table> {
-    let (t, passes) = fig1_engine(store, CurveEngine::SinglePass)?;
-    record_trace_passes(store, "fig1", passes)?;
-    Ok(t)
-}
-
-/// [`fig1`] on an explicit engine, returning the table and its
-/// suite-level trace-pass count.
+/// Runs on an explicit engine and returns the table and its suite-level
+/// trace-pass count.
 ///
 /// # Errors
 ///
@@ -486,17 +449,8 @@ pub fn fig1_engine(store: &ArtifactStore, engine: CurveEngine) -> TcorResult<(Ta
 
 /// Figure 11: adds the lower bound and extends to 456 KB.
 ///
-/// # Errors
-///
-/// Propagates store corruption.
-pub fn fig11(store: &ArtifactStore) -> TcorResult<Table> {
-    let (t, passes) = fig11_engine(store, CurveEngine::SinglePass)?;
-    record_trace_passes(store, "fig11", passes)?;
-    Ok(t)
-}
-
-/// [`fig11`] on an explicit engine, returning the table and its
-/// suite-level trace-pass count.
+/// Runs on an explicit engine and returns the table and its suite-level
+/// trace-pass count.
 ///
 /// # Errors
 ///
@@ -527,17 +481,8 @@ pub fn fig11_engine(store: &ArtifactStore, engine: CurveEngine) -> TcorResult<(T
 
 /// Figure 12: LRU and OPT across associativities (two tables).
 ///
-/// # Errors
-///
-/// Propagates store corruption.
-pub fn fig12(store: &ArtifactStore) -> TcorResult<Vec<Table>> {
-    let (tables, passes) = fig12_engine(store, CurveEngine::SinglePass)?;
-    record_trace_passes(store, "fig12", passes)?;
-    Ok(tables)
-}
-
-/// [`fig12`] on an explicit engine, returning the tables and their
-/// suite-level trace-pass count.
+/// Runs on an explicit engine and returns the tables and their suite-level
+/// trace-pass count.
 ///
 /// # Errors
 ///
@@ -583,17 +528,8 @@ pub fn fig12_engine(store: &ArtifactStore, engine: CurveEngine) -> TcorResult<(V
 /// Figure 13: LRU, MRU, DRRIP and OPT in a 4-way cache, plus the lower
 /// bound.
 ///
-/// # Errors
-///
-/// Propagates store corruption.
-pub fn fig13(store: &ArtifactStore) -> TcorResult<Table> {
-    let (t, passes) = fig13_engine(store, CurveEngine::SinglePass)?;
-    record_trace_passes(store, "fig13", passes)?;
-    Ok(t)
-}
-
-/// [`fig13`] on an explicit engine, returning the table and its
-/// suite-level trace-pass count.
+/// Runs on an explicit engine and returns the table and its suite-level
+/// trace-pass count.
 ///
 /// # Errors
 ///
@@ -627,17 +563,8 @@ pub fn fig13_engine(store: &ArtifactStore, engine: CurveEngine) -> TcorResult<(T
 /// LIP/BIP/DIP insertion family and the PC-less Hawkeye) against OPT and
 /// the lower bound, 4-way.
 ///
-/// # Errors
-///
-/// Propagates store corruption.
-pub fn fig13x(store: &ArtifactStore) -> TcorResult<Table> {
-    let (t, passes) = fig13x_engine(store, CurveEngine::SinglePass)?;
-    record_trace_passes(store, "fig13x", passes)?;
-    Ok(t)
-}
-
-/// [`fig13x`] on an explicit engine, returning the table and its
-/// suite-level trace-pass count.
+/// Runs on an explicit engine and returns the table and its suite-level
+/// trace-pass count.
 ///
 /// # Errors
 ///
@@ -906,6 +833,34 @@ mod tests {
         assert_eq!(engine_workers(&store), 1, "0 clamps to 1");
     }
 
+    /// A miss-curve experiment counts its trace passes on the caller's
+    /// `PlanWork`, which reports them on the `exp:` job's `job_end`.
+    /// The store is seeded with one tiny trace the way the benchmark's
+    /// `curves` set-up seeds it, so no scene is built.
+    #[test]
+    fn experiment_counts_its_trace_passes_on_the_callers_work() {
+        use tcor_cache::Access;
+        use tcor_common::BlockAddr;
+        let store = ArtifactStore::new();
+        let trace: Trace = (0..6u64)
+            .cycle()
+            .take(48)
+            .map(|b| Access::read(BlockAddr(b)))
+            .collect();
+        store
+            .get_or_compute(artifact_key(TRACES_DESC), || {
+                vec![BenchTrace::new("tiny", trace, 6)]
+            })
+            .unwrap();
+        let (_, passes) = fig1_engine(&store, CurveEngine::SinglePass).unwrap();
+        assert!(passes > 0);
+        let work = crate::plans::PlanWork::default();
+        let tables = crate::try_run_experiment(&store, "fig1", &work).unwrap();
+        assert_eq!(tables.len(), 1);
+        assert_eq!(work.trace_passes(), passes);
+        assert_eq!(store.computes(), 1, "only the seeded trace is stored");
+    }
+
     /// Satellite fix: `geometry` must never *inflate* a capacity below
     /// the associativity — `c = 2, ways = 4` is a 2-line single set, not
     /// a full 4-line set.
@@ -943,16 +898,5 @@ mod tests {
         assert_eq!(s.misses(), 2, "2-block loop fits in the 2-line clamp");
         let s = simulate_policy(&thrash, g, Indexing::Modulo, by_name("lru"), false);
         assert_eq!(s.misses(), 60, "3-block LRU loop thrashes 2 lines");
-    }
-
-    #[test]
-    fn trace_passes_roundtrip_through_store() {
-        let store = ArtifactStore::new();
-        assert_eq!(trace_passes(&store, "fig1"), None);
-        record_trace_passes(&store, "fig1", 2).unwrap();
-        assert_eq!(trace_passes(&store, "fig1"), Some(2));
-        record_trace_passes(&store, "fig1", 7).unwrap();
-        assert_eq!(trace_passes(&store, "fig1"), Some(7));
-        assert_eq!(trace_passes(&store, "fig12"), None);
     }
 }

@@ -119,29 +119,25 @@ pub fn cell_report(
 ///
 /// Propagates store corruption from any scene or cell lookup.
 pub fn suite_from_store(store: &ArtifactStore, work: &PlanWork) -> TcorResult<Arc<SuiteRun>> {
-    let key = artifact_key(SUITE_DESC);
-    if let Some(suite) = store.get::<SuiteRun>(key)? {
-        return Ok(suite);
-    }
-    // Build fallibly *outside* the memoizing closure so store errors
-    // propagate as typed results instead of panics.
-    let grid = paper_grid();
-    let mut runs = Vec::new();
-    for p in &benchmarks() {
-        let cal = calibrated_scene(store, p, &grid)?;
-        let mut cells: Vec<Arc<FrameReport>> = Vec::with_capacity(CELL_CONFIGS.len());
-        for cfg in CELL_CONFIGS {
-            cells.push(cell_report(store, p, cfg, work)?);
+    store.get_or_try_compute(artifact_key(SUITE_DESC), || {
+        let grid = paper_grid();
+        let mut runs = Vec::new();
+        for p in &benchmarks() {
+            let cal = calibrated_scene(store, p, &grid)?;
+            let mut cells: Vec<Arc<FrameReport>> = Vec::with_capacity(CELL_CONFIGS.len());
+            for cfg in CELL_CONFIGS {
+                cells.push(cell_report(store, p, cfg, work)?);
+            }
+            runs.push(assemble_run(p, &cal, |cfg| {
+                let i = CELL_CONFIGS
+                    .iter()
+                    .position(|c| *c == cfg)
+                    .expect("assemble_run only asks for CELL_CONFIGS names");
+                (*cells[i]).clone()
+            }));
         }
-        runs.push(assemble_run(p, &cal, |cfg| {
-            let i = CELL_CONFIGS
-                .iter()
-                .position(|c| *c == cfg)
-                .expect("assemble_run only asks for CELL_CONFIGS names");
-            (*cells[i]).clone()
-        }));
-    }
-    store.get_or_compute(key, move || SuiteRun { benchmarks: runs })
+        Ok(SuiteRun { benchmarks: runs })
+    })
 }
 
 /// Whether `id` consumes the full-system [`SuiteRun`].
@@ -426,11 +422,6 @@ pub fn run_experiments(
                 let work = PlanWork::default();
                 let tables = crate::try_run_experiment(ctx.store(), &id, &work)?;
                 work.emit(ctx);
-                // Miss-curve experiments publish how many times they
-                // streamed the suite; surface it on the job-end event.
-                if let Some(n) = misscurves::trace_passes(ctx.store(), &id) {
-                    ctx.counter("trace_passes", n);
-                }
                 Ok(Some((idx, tables)))
             }),
         );

@@ -85,12 +85,13 @@ pub fn regeneration_frames() -> Vec<RegenFrame> {
     frames
 }
 
-/// Frame-plan work done on behalf of one caller (a runner job, a serving
-/// backend): plans built and frames replayed.
+/// Work done on behalf of one caller (a runner job, a serving backend):
+/// frame plans built, frames replayed, and miss-curve trace passes.
 #[derive(Debug, Default)]
 pub struct PlanWork {
     builds: AtomicU64,
     replays: AtomicU64,
+    passes: AtomicU64,
 }
 
 impl PlanWork {
@@ -104,12 +105,26 @@ impl PlanWork {
         self.replays.load(Ordering::Relaxed)
     }
 
+    /// Full streamings of the suite's traces by the miss-curve figures
+    /// this caller ran.
+    pub fn trace_passes(&self) -> u64 {
+        self.passes.load(Ordering::Relaxed)
+    }
+
+    /// Counts a miss-curve figure's trace passes and hands back its
+    /// output.
+    pub(crate) fn count_passes<T>(&self, (out, passes): (T, u64)) -> T {
+        self.passes.fetch_add(passes, Ordering::Relaxed);
+        out
+    }
+
     /// Reports the nonzero counts on `ctx`'s `job_end` event as
-    /// `plan_builds` and `plan_replays`.
+    /// `plan_builds`, `plan_replays` and `trace_passes`.
     pub(crate) fn emit(&self, ctx: &JobCtx<'_>) {
         for (name, n) in [
             ("plan_builds", self.builds()),
             ("plan_replays", self.replays()),
+            ("trace_passes", self.trace_passes()),
         ] {
             if n > 0 {
                 ctx.counter(name, n);

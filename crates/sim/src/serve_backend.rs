@@ -8,8 +8,10 @@
 //! All computation is memoized in the shared [`ArtifactStore`], so
 //! repeated cold requests for overlapping artifacts (the same workload
 //! under two configs, say) share scenes and cells exactly like the CLI
-//! runs do — and the store's own get-or-compute coalescing backs up
-//! the request-level singleflight. Rendered bodies are not kept here:
+//! runs do — and the store coalesces them on the same flight
+//! (`tcor_common::flight`) as the request-level singleflight, so two
+//! different requests that need one artifact build it once. Rendered
+//! bodies are not kept here:
 //! the daemon's result cache is their one store, keyed by the call's
 //! canonical hash plus [`sim_version`].
 
