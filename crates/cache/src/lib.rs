@@ -21,6 +21,13 @@
 //! this is how both exact Belady-OPT (future timestamps) and TCOR's
 //! hardware OPT (12-bit OPT Numbers) run on the same machinery.
 //!
+//! ## Read-only kernel
+//!
+//! [`LruFilter`] is an exact LRU cache for read-only streams (a frame
+//! plan's vertex, texture and instruction L1s): each set's tags and
+//! recency stamps side by side, one branch-free way choice per read.
+//! It agrees with `Cache<Lru>` read for read.
+//!
 //! ## Policies
 //!
 //! LRU, MRU, FIFO, Random, tree-PLRU, NRU, SRRIP, BRRIP, DRRIP
@@ -58,6 +65,7 @@
 //! ```
 
 pub mod cache;
+pub mod filter;
 pub mod index;
 pub mod meta;
 pub mod policy;
@@ -66,6 +74,7 @@ pub mod shard;
 pub mod trace;
 
 pub use cache::{Cache, Evicted};
+pub use filter::LruFilter;
 pub use index::{Indexing, SetIndex};
 pub use meta::{AccessKind, AccessMeta, AccessOutcome};
 pub use policy::ReplacementPolicy;

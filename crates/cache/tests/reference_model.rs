@@ -5,9 +5,11 @@
 //! addresses at both ends of the `u64` range. Every access's hit,
 //! evicted address and dirty bit must agree, and so must each case's
 //! hit, miss and write-back totals and the lines a final drain returns.
+//! The engine is in turn the oracle of the read-only kernel,
+//! [`LruFilter`].
 
 use tcor_cache::policy::Lru;
-use tcor_cache::{AccessKind, AccessMeta, Cache, Indexing};
+use tcor_cache::{AccessKind, AccessMeta, Cache, Indexing, LruFilter};
 use tcor_common::{BlockAddr, CacheParams, SmallRng};
 
 /// The reference: per-set Vec of (tag, dirty, last_touch), the set
@@ -199,4 +201,67 @@ fn fill_clean_is_invisible_to_stats() {
         // Warm lines are clean: draining produces no dirty blocks.
         cache.drain(|e| assert!(!e.dirty));
     }
+}
+
+/// The read-only kernel against the engine it replaces in the frame
+/// plan: seeded read streams with reuse (a sliding hot window plus
+/// jumps, like the texel sampler's) through 1-, 2-, 4-, 8- and 16-way
+/// geometries, a fully associative one and non-power-of-two set
+/// counts, under both index functions. Every read's outcome, the
+/// statistics and the final resident lines must agree.
+#[test]
+fn lru_filter_matches_the_engine() {
+    let mut rng = SmallRng::seed_from_u64(0x5EED_0003);
+    let mut misses = 0u64;
+    // (sets, ways); 0 ways is fully associative.
+    let geometries = [
+        (64, 1),
+        (32, 2),
+        (16, 4),
+        (48, 4),
+        (12, 8),
+        (4, 16),
+        (3, 5),
+        (1, 0),
+    ];
+    for (num_sets, ways) in geometries {
+        for indexing in [Indexing::Modulo, Indexing::Xor] {
+            let lines = num_sets * u64::from(ways.max(1)) * if ways == 0 { 96 } else { 1 };
+            let params = CacheParams::new(lines * 64, 64, ways, 1);
+            let mut engine = Cache::new(params, indexing, Lru::new());
+            let mut kernel = LruFilter::new(params, indexing);
+            // Three times the lines in distinct blocks, so sets evict.
+            let pool = address_pool(&mut rng, 3 * lines as usize);
+            let mut window = 0usize;
+            for step in 0..40 * lines as usize {
+                let addr = if rng.random_bool(0.8) {
+                    pool[(window + rng.random_range(0..lines as usize / 2 + 1)) % pool.len()]
+                } else {
+                    pool[rng.random_range(0..pool.len())]
+                };
+                if step % 64 == 63 {
+                    window += 1;
+                }
+                let hit = kernel.read(BlockAddr(addr));
+                let out = engine.access(BlockAddr(addr), AccessKind::Read, AccessMeta::NONE);
+                assert_eq!(
+                    hit, out.hit,
+                    "{indexing:?}, {num_sets} x {ways}, step {step}, {addr:#x}"
+                );
+            }
+            let what = format!("{indexing:?}, {num_sets} x {ways}");
+            assert_eq!(kernel.stats(), engine.stats(), "stats: {what}");
+            for &addr in &pool {
+                let block = BlockAddr(addr);
+                assert_eq!(
+                    kernel.contains(block),
+                    engine.contains(block),
+                    "{what}: {addr:#x}"
+                );
+            }
+            assert_eq!(kernel.occupancy(), engine.occupancy(), "{what}");
+            misses += engine.stats().read_misses;
+        }
+    }
+    assert!(misses > 10_000, "only {misses} misses");
 }

@@ -29,10 +29,10 @@ pub struct FrameReport {
     pub structures: Vec<StructureActivity>,
     /// L2-level statistics (hits/misses/writebacks).
     pub l2_stats: AccessStats,
-    /// Traffic arriving at the L2, per region (Figures 14–15).
-    pub l2_traffic: TrafficMatrix,
-    /// Traffic reaching main memory, per region (Figures 16–19).
-    pub mm_traffic: TrafficMatrix,
+    /// Per-region traffic: the reads and writes arriving at the L2
+    /// (Figures 14–15) and those reaching main memory (Figures 16–19),
+    /// each counted at its own site in the hierarchy.
+    pub traffic: TrafficMatrix,
     /// Dirty L2 lines dropped dead without write-back (TCOR only).
     pub dead_drops: u64,
     /// Blocks the hierarchy actually wrote back to DRAM, counted at the
@@ -84,42 +84,42 @@ pub struct FrameReport {
 impl FrameReport {
     /// Parameter Buffer accesses to the L2 (Fig. 14–15 numerator).
     pub fn pb_l2_accesses(&self) -> u64 {
-        self.l2_traffic.parameter_buffer().l2_total()
+        self.traffic.parameter_buffer().l2_total()
     }
 
     /// Parameter Buffer reads arriving at the L2.
     pub fn pb_l2_reads(&self) -> u64 {
-        self.l2_traffic.parameter_buffer().l2_reads
+        self.traffic.parameter_buffer().l2_reads
     }
 
     /// Parameter Buffer writes arriving at the L2.
     pub fn pb_l2_writes(&self) -> u64 {
-        self.l2_traffic.parameter_buffer().l2_writes
+        self.traffic.parameter_buffer().l2_writes
     }
 
     /// Parameter Buffer accesses reaching main memory (Fig. 16–17).
     pub fn pb_mm_accesses(&self) -> u64 {
-        self.mm_traffic.parameter_buffer().mm_total()
+        self.traffic.parameter_buffer().mm_total()
     }
 
     /// Parameter Buffer reads reaching main memory.
     pub fn pb_mm_reads(&self) -> u64 {
-        self.mm_traffic.parameter_buffer().mm_reads
+        self.traffic.parameter_buffer().mm_reads
     }
 
     /// Parameter Buffer writes reaching main memory.
     pub fn pb_mm_writes(&self) -> u64 {
-        self.mm_traffic.parameter_buffer().mm_writes
+        self.traffic.parameter_buffer().mm_writes
     }
 
     /// Total main-memory accesses over all regions (Fig. 18–19).
     pub fn total_mm_accesses(&self) -> u64 {
-        self.mm_traffic.total_mm_accesses()
+        self.traffic.total_mm_accesses()
     }
 
     /// Total L2 accesses over all regions.
     pub fn total_l2_accesses(&self) -> u64 {
-        self.l2_traffic.total_l2_accesses()
+        self.traffic.total_l2_accesses()
     }
 
     /// Tile Fetcher primitives per cycle (Fig. 23–24; ≤ 1 by
@@ -149,13 +149,12 @@ impl FrameReport {
         reg.record_stats("l2", &self.l2_stats);
         for region in Region::ALL {
             let label = region.label();
-            let lt = self.l2_traffic.region(region);
-            let mt = self.mm_traffic.region(region);
+            let t = self.traffic.region(region);
             for (event, n) in [
-                ("l2_read", lt.l2_reads),
-                ("l2_write", lt.l2_writes),
-                ("mm_read", mt.mm_reads),
-                ("mm_write", mt.mm_writes),
+                ("l2_read", t.l2_reads),
+                ("l2_write", t.l2_writes),
+                ("mm_read", t.mm_reads),
+                ("mm_write", t.mm_writes),
             ] {
                 if n > 0 {
                     reg.add(&format!("traffic/{label}/{event}"), n);
@@ -185,8 +184,7 @@ mod tests {
                 stats: AccessStats::new(),
             }],
             l2_stats: AccessStats::new(),
-            l2_traffic: TrafficMatrix::default(),
-            mm_traffic: TrafficMatrix::default(),
+            traffic: TrafficMatrix::default(),
             dead_drops: 0,
             l2_wb_blocks: 0,
             pb_fill_blocks: 0,
@@ -224,8 +222,8 @@ mod tests {
         let mut r = empty_report();
         r.structures[0].stats.record_read(true);
         r.l2_stats.record_read(false);
-        r.l2_traffic.record_l2_read(tcor_pbuf::Region::PbLists);
-        r.mm_traffic.record_mm_read(tcor_pbuf::Region::PbLists);
+        r.traffic.record_l2_read(tcor_pbuf::Region::PbLists);
+        r.traffic.record_mm_read(tcor_pbuf::Region::PbLists);
         r.dead_drops = 3;
         let m = r.metrics();
         assert_eq!(m.get("tile$/read_hit"), 1);
@@ -238,12 +236,10 @@ mod tests {
     #[test]
     fn pb_counters_derive_from_traffic() {
         let mut r = empty_report();
-        r.l2_traffic.record_l2_read(tcor_pbuf::Region::PbLists);
-        r.l2_traffic
-            .record_l2_write(tcor_pbuf::Region::PbAttributes);
-        r.mm_traffic
-            .record_mm_write(tcor_pbuf::Region::PbAttributes);
-        r.mm_traffic.record_mm_read(tcor_pbuf::Region::Textures);
+        r.traffic.record_l2_read(tcor_pbuf::Region::PbLists);
+        r.traffic.record_l2_write(tcor_pbuf::Region::PbAttributes);
+        r.traffic.record_mm_write(tcor_pbuf::Region::PbAttributes);
+        r.traffic.record_mm_read(tcor_pbuf::Region::Textures);
         assert_eq!(r.pb_l2_accesses(), 2);
         assert_eq!(r.pb_l2_reads(), 1);
         assert_eq!(r.pb_mm_accesses(), 1);

@@ -22,8 +22,7 @@ use crate::attribute_cache::{
 use crate::block_cache::BlockCache;
 use crate::report::{FrameReport, StructureActivity};
 use std::collections::VecDeque;
-use tcor_cache::policy::Lru;
-use tcor_cache::{AccessKind, AccessMeta, Cache, Indexing};
+use tcor_cache::{AccessKind, Indexing, LruFilter};
 use tcor_common::{
     AccessStats, BlockAddr, CacheParams, FrameTrace, GpuConfig, PrimitiveId, TileCacheOrg,
     TileGrid, TileRank, Traversal, TraversalOrder, LINE_SIZE,
@@ -154,22 +153,29 @@ impl SystemConfig {
 /// those misses.
 #[derive(Debug)]
 struct OtherL1s {
-    vertex: Cache<Lru>,
-    textures: Vec<Cache<Lru>>,
-    instr: Cache<Lru>,
+    vertex: LruFilter,
+    textures: Vec<LruFilter>,
+    instr: LruFilter,
     /// The texture cache the next texel fetch goes to (round robin).
     tex_rr: usize,
+    /// Whether one whole shader walk has hit in the instruction L1.
+    /// The I-cache sees nothing but the per-tile walk, the same blocks
+    /// in the same order every tile, so a walk that fills nothing
+    /// leaves the resident lines as they were and every later walk
+    /// hits too: from then on a walk is counted, not performed.
+    instr_steady: bool,
 }
 
 impl OtherL1s {
     fn new(cfg: &SystemConfig) -> Self {
         OtherL1s {
-            vertex: Cache::new(cfg.gpu.vertex_cache, Indexing::Modulo, Lru::new()),
+            vertex: LruFilter::new(cfg.gpu.vertex_cache, Indexing::Modulo),
             textures: (0..cfg.gpu.num_texture_caches)
-                .map(|_| Cache::new(cfg.gpu.texture_cache, Indexing::Modulo, Lru::new()))
+                .map(|_| LruFilter::new(cfg.gpu.texture_cache, Indexing::Modulo))
                 .collect(),
-            instr: Cache::new(cfg.instr_cache, Indexing::Modulo, Lru::new()),
+            instr: LruFilter::new(cfg.instr_cache, Indexing::Modulo),
             tex_rr: 0,
+            instr_steady: false,
         }
     }
 
@@ -182,12 +188,36 @@ impl OtherL1s {
         }
         self.instr.reset_stats();
     }
+
+    /// Filters one tile's texel fetches through the texture L1s in
+    /// round robin and appends the misses' block numbers to `misses`.
+    /// The slot grows by the tile's fetch count; every block is written
+    /// at the slot's length, which advances by the miss bit, so a hit
+    /// costs no branch, and the slot is cut back to the misses.
+    fn filter_texels(&mut self, raster: &mut RasterTraffic, fragments: f64, misses: &mut Vec<u32>) {
+        let start = misses.len();
+        misses.resize(start + raster.texel_fetches(fragments), 0);
+        let (mut len, mut wide) = (start, 0u64);
+        let (textures, rr) = (&mut self.textures, &mut self.tex_rr);
+        raster.sample_texels(fragments, |b| {
+            // Round robin without a division: each fetch waits on the
+            // previous one's choice of cache.
+            let i = *rr;
+            *rr = if i + 1 == textures.len() { 0 } else { i + 1 };
+            let miss = !textures[i].read(b);
+            misses[len] = b.0 as u32;
+            wide |= (b.0 >> 32) * u64::from(miss);
+            len += usize::from(miss);
+        });
+        assert!(wide == 0, "L1 miss beyond 32-bit block numbers");
+        misses.truncate(len);
+    }
 }
 
 /// The L1 filter: reads `block` through the read-only L1 `cache` and
 /// records its block number in `misses` when it misses.
-fn filter(cache: &mut Cache<Lru>, block: BlockAddr, misses: &mut Vec<u32>) {
-    if !cache.access(block, AccessKind::Read, AccessMeta::NONE).hit {
+fn filter(cache: &mut LruFilter, block: BlockAddr, misses: &mut Vec<u32>) {
+    if !cache.read(block) {
         misses.push(u32::try_from(block.0).expect("L1 miss beyond 32-bit block numbers"));
     }
 }
@@ -328,23 +358,29 @@ impl FramePlan {
         let mut tile_offsets = Vec::with_capacity(order.len() + 1);
         let mut tile_misses = Vec::new();
         tile_offsets.push(0);
+        let walk = raster.instruction_blocks();
+        let mut counted_walks = 0u64;
         for tile in order.iter() {
-            for b in raster.texture_blocks(frame.fragments_per_tile[tile.index()]) {
-                // Round robin without a division: each fetch waits on
-                // the previous one's choice of cache.
-                let i = l1s.tex_rr;
-                l1s.tex_rr = if i + 1 == l1s.textures.len() {
-                    0
-                } else {
-                    i + 1
-                };
-                filter(&mut l1s.textures[i], b, &mut tile_misses);
-            }
-            for b in raster.instruction_blocks() {
-                filter(&mut l1s.instr, b, &mut tile_misses);
+            l1s.filter_texels(
+                raster,
+                frame.fragments_per_tile[tile.index()],
+                &mut tile_misses,
+            );
+            if l1s.instr_steady {
+                counted_walks += 1;
+            } else {
+                let before = tile_misses.len();
+                for &b in &walk {
+                    filter(&mut l1s.instr, b, &mut tile_misses);
+                }
+                l1s.instr_steady = tile_misses.len() == before;
             }
             tile_offsets.push(u32::try_from(tile_misses.len()).expect("L1 misses overflow u32"));
         }
+        // A counted walk is one probe and one read hit per block.
+        let mut instr_stats = *l1s.instr.stats();
+        instr_stats.probes += counted_walks * walk.len() as u64;
+        instr_stats.read_hits += counted_walks * walk.len() as u64;
         FramePlan {
             key: PlanKey::of(cfg),
             grid,
@@ -355,7 +391,7 @@ impl FramePlan {
             tile_misses: tile_misses.into_boxed_slice(),
             vertex_stats: *l1s.vertex.stats(),
             texture_stats: l1s.textures.iter().map(|c| *c.stats()).sum(),
-            instr_stats: *l1s.instr.stats(),
+            instr_stats,
         }
     }
 
@@ -570,30 +606,36 @@ fn build_report(
             ],
         ),
     };
-    structures.push(StructureActivity {
-        name: "vertex$",
-        size_bytes: cfg.gpu.vertex_cache.size_bytes,
-        instances: 1,
-        stats: plan.vertex_stats,
-    });
-    structures.push(StructureActivity {
-        name: "tex$",
-        size_bytes: cfg.gpu.texture_cache.size_bytes,
-        instances: cfg.gpu.num_texture_caches,
-        stats: plan.texture_stats,
-    });
-    structures.push(StructureActivity {
-        name: "instr$",
-        size_bytes: cfg.instr_cache.size_bytes,
-        instances: 1,
-        stats: plan.instr_stats,
-    });
+    // Reports are kept by the thousand (a benchmark window, a study's
+    // frames): the list holds exactly its structures.
+    structures.reserve_exact(3);
+    structures.extend([
+        StructureActivity {
+            name: "vertex$",
+            size_bytes: cfg.gpu.vertex_cache.size_bytes,
+            instances: 1,
+            stats: plan.vertex_stats,
+        },
+        StructureActivity {
+            name: "tex$",
+            size_bytes: cfg.gpu.texture_cache.size_bytes,
+            instances: cfg.gpu.num_texture_caches,
+            stats: plan.texture_stats,
+        },
+        StructureActivity {
+            name: "instr$",
+            size_bytes: cfg.instr_cache.size_bytes,
+            instances: 1,
+            stats: plan.instr_stats,
+        },
+    ]);
+    let mut traffic = *hierarchy.l2_traffic();
+    traffic.merge(hierarchy.mm_traffic());
     let mut report = FrameReport {
         system,
         structures,
         l2_stats: *hierarchy.l2_stats(),
-        l2_traffic: *hierarchy.l2_traffic(),
-        mm_traffic: *hierarchy.mm_traffic(),
+        traffic,
         dead_drops: hierarchy.dead_drops(),
         l2_wb_blocks: hierarchy.writeback_blocks(),
         pb_fill_blocks: hierarchy.pb_fill_blocks(),
@@ -962,9 +1004,8 @@ fn replay_frame(
                 coupled_cycles += fetch_t.max(raster_t);
                 // Raster-side traffic of the finished tile.
                 read_misses(plan.tile_misses(order.rank_of(tile)), hierarchy);
-                for b in raster.framebuffer_blocks(tile.index(), grid.tile_size()) {
-                    hierarchy.write_direct(b);
-                }
+                let (first, n) = raster.framebuffer_run(tile.index(), grid.tile_size());
+                hierarchy.write_direct(first, n);
             }
         }
     }
@@ -1006,6 +1047,8 @@ fn replay_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tcor_cache::policy::Lru;
+    use tcor_cache::{AccessMeta, Cache};
     use tcor_common::Tri2;
     use tcor_gpu::ScenePrimitive;
 
@@ -1089,8 +1132,8 @@ mod tests {
         let scene = test_scene(100);
         let r = System::new(SystemConfig::paper_tcor_64k()).run_frame(&scene);
         use tcor_pbuf::Region;
-        assert!(r.l2_traffic.region(Region::Textures).l2_reads > 0);
-        assert!(r.mm_traffic.region(Region::FrameBuffer).mm_writes > 0);
+        assert!(r.traffic.region(Region::Textures).l2_reads > 0);
+        assert!(r.traffic.region(Region::FrameBuffer).mm_writes > 0);
         assert!(r.fragments > 0.0);
     }
 
@@ -1173,6 +1216,140 @@ mod tests {
             let panic = std::panic::catch_unwind(|| sys.replay(&plan)).expect_err(field);
             let msg = panic.downcast_ref::<String>().expect("formatted panic");
             assert!(msg.contains(&format!("`{field}`")), "{msg}");
+        }
+    }
+
+    /// The plan's L1 stage as the engine runs it: every fetch through a
+    /// `Cache<Lru>`, the texture caches in round robin, and every tile's
+    /// shader walk performed.
+    struct EngineL1s {
+        vertex: Cache<Lru>,
+        textures: Vec<Cache<Lru>>,
+        instr: Cache<Lru>,
+        rr: usize,
+    }
+
+    /// The misses and L1 statistics a plan records.
+    #[derive(Debug, PartialEq)]
+    struct L1Stage {
+        vertex_misses: Vec<u32>,
+        tile_offsets: Vec<u32>,
+        tile_misses: Vec<u32>,
+        stats: [AccessStats; 3],
+    }
+
+    impl L1Stage {
+        fn of(plan: &FramePlan) -> Self {
+            L1Stage {
+                vertex_misses: plan.vertex_misses.to_vec(),
+                tile_offsets: plan.tile_offsets.to_vec(),
+                tile_misses: plan.tile_misses.to_vec(),
+                stats: [plan.vertex_stats, plan.texture_stats, plan.instr_stats],
+            }
+        }
+    }
+
+    impl EngineL1s {
+        fn new(cfg: &SystemConfig) -> Self {
+            let lru = |params| Cache::new(params, Indexing::Modulo, Lru::new());
+            EngineL1s {
+                vertex: lru(cfg.gpu.vertex_cache),
+                textures: (0..cfg.gpu.num_texture_caches)
+                    .map(|_| lru(cfg.gpu.texture_cache))
+                    .collect(),
+                instr: lru(cfg.instr_cache),
+                rr: 0,
+            }
+        }
+
+        fn frame(
+            &mut self,
+            cfg: &SystemConfig,
+            scene: &Scene,
+            raster: &mut RasterTraffic,
+        ) -> L1Stage {
+            let read = |cache: &mut Cache<Lru>, b: BlockAddr, misses: &mut Vec<u32>| {
+                if !cache.access(b, AccessKind::Read, AccessMeta::NONE).hit {
+                    misses.push(b.0 as u32);
+                }
+            };
+            for c in [&mut self.vertex, &mut self.instr]
+                .into_iter()
+                .chain(&mut self.textures)
+            {
+                c.reset_stats();
+            }
+            let grid = TileGrid::new(
+                cfg.gpu.screen_width,
+                cfg.gpu.screen_height,
+                cfg.gpu.tile_size,
+            );
+            let order = cfg.gpu.traversal.order(&grid);
+            let geo = GeometryPipeline::new(grid).run(scene);
+            let mut vertex_misses = Vec::new();
+            for &b in &geo.vertex_fetch_blocks {
+                read(&mut self.vertex, b, &mut vertex_misses);
+            }
+            let frame = bin_scene_with(&geo.visible, &grid, &order, cfg.overlap_test);
+            let (mut tile_offsets, mut tile_misses) = (vec![0], Vec::new());
+            for tile in order.iter() {
+                for b in raster.texture_blocks(frame.fragments_per_tile[tile.index()]) {
+                    read(&mut self.textures[self.rr], b, &mut tile_misses);
+                    self.rr = (self.rr + 1) % self.textures.len();
+                }
+                for b in raster.instruction_blocks() {
+                    read(&mut self.instr, b, &mut tile_misses);
+                }
+                tile_offsets.push(tile_misses.len() as u32);
+            }
+            L1Stage {
+                vertex_misses,
+                tile_offsets,
+                tile_misses,
+                stats: [
+                    *self.vertex.stats(),
+                    self.textures.iter().map(|c| *c.stats()).sum(),
+                    *self.instr.stats(),
+                ],
+            }
+        }
+    }
+
+    /// A plan records the misses and statistics of the engine walking
+    /// every fetch, one-shot and over three frames of persistent L1s (a
+    /// [`Session`]'s): with a shader that fits the 8 KiB instruction
+    /// cache, whose walks are counted once one hits throughout, and
+    /// with a 12 KiB one, whose walks miss every tile and must all run.
+    /// A 2-way, three-cache texture stage runs the kernel's scan.
+    #[test]
+    fn plan_l1_stage_matches_the_engine_walking_every_fetch() {
+        let scene = test_scene(400);
+        let fits = SystemConfig::paper_tcor_64k();
+        let mut spills = fits.clone();
+        spills.raster.shader_footprint_bytes = 12 << 10;
+        let mut two_way = fits.clone();
+        two_way.gpu.texture_cache = CacheParams::new(16 << 10, LINE_SIZE, 2, 1);
+        two_way.gpu.num_texture_caches = 3;
+        for (cfg, steady) in [(&fits, true), (&spills, false), (&two_way, true)] {
+            let one_shot =
+                EngineL1s::new(cfg).frame(cfg, &scene, &mut RasterTraffic::new(cfg.raster));
+            assert_eq!(
+                L1Stage::of(&FramePlan::new(cfg, &scene)),
+                one_shot,
+                "one-shot"
+            );
+            // The first walk misses; later ones hit only if it fits.
+            let instr = one_shot.stats[2];
+            assert!(instr.read_misses > 0 && (instr.read_hits > 0) == steady);
+            let (mut l1s, mut raster) = (OtherL1s::new(cfg), RasterTraffic::new(cfg.raster));
+            let (mut engine, mut engine_raster) =
+                (EngineL1s::new(cfg), RasterTraffic::new(cfg.raster));
+            for frame in 0..3 {
+                let plan = FramePlan::build(cfg, &scene, &mut l1s, &mut raster);
+                let want = engine.frame(cfg, &scene, &mut engine_raster);
+                assert_eq!(L1Stage::of(&plan), want, "session frame {frame}");
+            }
+            assert_eq!(l1s.instr_steady, steady);
         }
     }
 }

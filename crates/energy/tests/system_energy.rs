@@ -72,8 +72,8 @@ fn traffic_composition_is_plausible() {
     // and thus TCOR's total impact — would be distorted.
     let s = scene(3000);
     let base = System::new(SystemConfig::paper_baseline_64k()).run_frame(&s);
-    let fb = base.mm_traffic.region(Region::FrameBuffer).mm_total();
-    let tex = base.mm_traffic.region(Region::Textures).mm_total();
+    let fb = base.traffic.region(Region::FrameBuffer).mm_total();
+    let tex = base.traffic.region(Region::Textures).mm_total();
     let pb = base.pb_mm_accesses();
     let total = base.total_mm_accesses();
     assert!(fb + tex > total / 2, "other traffic should dominate DRAM");

@@ -76,42 +76,63 @@ impl RasterTraffic {
         &self.params
     }
 
-    /// Texture-fetch block addresses for a tile with `fragments` estimated
-    /// fragments. Quads are groups of 4 fragments (§II.A); each quad
-    /// issues [`RasterParams::texel_fetches_per_quad`] block fetches on
-    /// average, 75% of them within a small sliding window (bilinear
-    /// neighbours / recently used mip blocks) and the rest jumping within
-    /// the footprint.
-    pub fn texture_blocks(&mut self, fragments: f64) -> Vec<BlockAddr> {
-        let footprint_blocks = (self.params.texture_footprint_bytes / LINE_SIZE).max(1);
+    /// Texel-block fetches a tile with `fragments` estimated fragments
+    /// issues: the fragments the Early Z-Test leaves (it kills
+    /// [`RasterParams::z_kill_rate`] of them) shade in quads of 4
+    /// (§II.A), and each quad issues
+    /// [`RasterParams::texel_fetches_per_quad`] block fetches on
+    /// average.
+    pub fn texel_fetches(&self, fragments: f64) -> usize {
         let shaded = fragments * (1.0 - self.params.z_kill_rate);
         let quads = (shaded / 4.0).ceil() as u64;
-        let fetches = (quads as f64 * self.params.texel_fetches_per_quad).round() as u64;
-        let mut out = Vec::with_capacity(fetches as usize);
-        for _ in 0..fetches {
+        (quads as f64 * self.params.texel_fetches_per_quad).round() as usize
+    }
+
+    /// The texel sampler: draws the [`texel_fetches`](Self::texel_fetches)
+    /// block addresses of a tile with `fragments` estimated fragments and
+    /// hands each to `visit` in fetch order, 85% of them within a small
+    /// sliding window (bilinear neighbours / recently used mip blocks)
+    /// and the rest jumping within the footprint. A frame plan feeds its
+    /// texture L1s straight from `visit`.
+    #[inline]
+    pub fn sample_texels(&mut self, fragments: f64, mut visit: impl FnMut(BlockAddr)) {
+        let footprint_blocks = (self.params.texture_footprint_bytes / LINE_SIZE).max(1);
+        for _ in 0..self.texel_fetches(fragments) {
             // 85% of fetches land in the sliding bilinear/mip window and
             // are absorbed by the L1 texture caches; the rest jump within
             // the footprint (distant mip levels, new surfaces) and mostly
             // stream through the L2 — real mobile texture traffic shows
             // little L2-level reuse once the L1s have filtered it.
             let local: bool = self.rng.random_bool(0.85);
-            let block = if local {
-                // Window of 64 blocks (4 KiB) around the current base,
-                // which is already below the footprint: only a window
-                // that runs past its end wraps.
-                let block = self.window_block + self.rng.random_range(0..64);
-                if block >= footprint_blocks {
-                    block % footprint_blocks
-                } else {
-                    block
-                }
+            // Either way one uniform draw, from the window of 64 blocks
+            // (4 KiB) at the current base or from the whole footprint;
+            // the choice is a select, not a branch that the 15% of
+            // jumps would mispredict.
+            let (base, span) = if local {
+                (self.window_block, 64)
             } else {
-                self.rng.random_range(0..footprint_blocks)
+                (0, footprint_blocks)
             };
-            out.push(Address(bases::TEXTURES + block * LINE_SIZE).block());
+            let block = base + self.rng.random_range(0..span);
+            // The window's base is already below the footprint: only a
+            // window that runs past its end wraps.
+            let block = if block >= footprint_blocks {
+                block % footprint_blocks
+            } else {
+                block
+            };
+            visit(Address(bases::TEXTURES + block * LINE_SIZE).block());
         }
         // Slide the window: neighbouring tiles sample nearby texture.
         self.window_block = (self.window_block + 16) % footprint_blocks;
+    }
+
+    /// Texture-fetch block addresses for a tile with `fragments`
+    /// estimated fragments: [`sample_texels`](Self::sample_texels)
+    /// collected.
+    pub fn texture_blocks(&mut self, fragments: f64) -> Vec<BlockAddr> {
+        let mut out = Vec::with_capacity(self.texel_fetches(fragments));
+        self.sample_texels(fragments, |b| out.push(b));
         out
     }
 
@@ -128,14 +149,19 @@ impl RasterTraffic {
 
     /// Color-buffer flush for one `tile_size`×`tile_size` tile: the
     /// on-chip Color Buffer writes every pixel once to the Frame Buffer in
-    /// main memory (bypassing the L2, per Fig. 2).
-    pub fn framebuffer_blocks(&self, tile_index: usize, tile_size: u32) -> Vec<BlockAddr> {
+    /// main memory (bypassing the L2, per Fig. 2), as a run of `n`
+    /// consecutive blocks from `first`: `(first, n)`.
+    pub fn framebuffer_run(&self, tile_index: usize, tile_size: u32) -> (BlockAddr, u64) {
         let bytes = tile_size as u64 * tile_size as u64 * self.params.bytes_per_pixel as u64;
-        let blocks = bytes / LINE_SIZE;
         let base = bases::FRAME_BUFFER + tile_index as u64 * bytes;
-        (0..blocks)
-            .map(|b| Address(base + b * LINE_SIZE).block())
-            .collect()
+        (Address(base).block(), bytes / LINE_SIZE)
+    }
+
+    /// The blocks of [`framebuffer_run`](Self::framebuffer_run), one by
+    /// one.
+    pub fn framebuffer_blocks(&self, tile_index: usize, tile_size: u32) -> Vec<BlockAddr> {
+        let (first, n) = self.framebuffer_run(tile_index, tile_size);
+        (0..n).map(|b| BlockAddr(first.0 + b)).collect()
     }
 
     /// Shader work estimate for the energy model: executed instructions

@@ -57,6 +57,29 @@ impl MainMemory {
         lat
     }
 
+    /// Writes the run of `n` consecutive blocks from `first`, exactly as
+    /// `n` calls of [`write`](Self::write) in order would; returns their
+    /// summed latency. Each DRAM-row segment of the run costs one
+    /// open-row latency for its first block, which opens the row, and
+    /// the row-hit latency for every other. A row lies inside one
+    /// region (regions are row-aligned 256 MiB windows), so a segment
+    /// counts as writes to the region of its first block.
+    pub fn write_run(&mut self, first: BlockAddr, n: u64) -> u64 {
+        let (mut block, end) = (first.0, first.0 + n);
+        let mut total = 0u64;
+        while block < end {
+            let row_end = (block / BLOCKS_PER_ROW + 1) * BLOCKS_PER_ROW;
+            let len = row_end.min(end) - block;
+            let row_hits = (len - 1) * self.params.min_latency as u64;
+            total += self.latency(BlockAddr(block)) as u64 + row_hits;
+            self.total_latency += row_hits;
+            self.traffic
+                .record_mm_writes(Region::of_block(BlockAddr(block)), len);
+            block += len;
+        }
+        total
+    }
+
     fn latency(&mut self, block: BlockAddr) -> u32 {
         let (bank, row) = Self::bank_and_row(block);
         let lat = match self.open_row[bank] {
@@ -95,6 +118,7 @@ impl MainMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tcor_common::Address;
     use tcor_pbuf::region::bases;
 
     fn mem() -> MainMemory {
@@ -135,6 +159,48 @@ mod tests {
             let lat = m.read(BlockAddr(i * 977));
             assert!((50..=100).contains(&lat));
         }
+    }
+
+    /// A run is its blocks written one by one: the same summed latency,
+    /// per-region traffic, latency total and open rows, for runs that
+    /// start mid-row, cross rows and banks, wrap the bank interleave,
+    /// cross a region boundary, and meet rows other accesses opened.
+    #[test]
+    fn a_write_run_is_its_single_writes() {
+        let fb = Address(bases::FRAME_BUFFER).block().0;
+        let runs = [
+            (fb, 64),                                  // one whole row
+            (fb + 64 * 3 + 10, 5),                     // inside one row
+            (fb + 64 * 5 + 60, 10),                    // crosses a row
+            (fb + 64 * 6 + 1, 64 * 9),                 // every bank, then some
+            (fb - 70, 140),                            // region boundary
+            (fb + 64 * NUM_BANKS as u64 * 3 + 7, 200), // conflicts earlier rows
+            (fb + 17, 0),                              // empty
+        ];
+        let (mut run, mut single) = (mem(), mem());
+        // Open some rows first, so runs meet hits, conflicts and cold
+        // banks.
+        for m in [&mut run, &mut single] {
+            m.read(BlockAddr(fb + 64 * 2));
+            m.read(BlockAddr(fb + 64 * (NUM_BANKS as u64 + 5)));
+        }
+        for (first, n) in runs {
+            let got = run.write_run(BlockAddr(first), n);
+            let want: u64 = (first..first + n)
+                .map(|b| single.write(BlockAddr(b)) as u64)
+                .sum();
+            assert_eq!(got, want, "latency of ({first:#x}, {n})");
+            assert_eq!(
+                run.open_row, single.open_row,
+                "open rows after ({first:#x}, {n})"
+            );
+            assert_eq!(
+                run.traffic, single.traffic,
+                "traffic after ({first:#x}, {n})"
+            );
+            assert_eq!(run.total_latency, single.total_latency);
+        }
+        assert_eq!(run.traffic().region(Region::Instructions).mm_writes, 70);
     }
 
     #[test]

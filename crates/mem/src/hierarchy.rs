@@ -105,10 +105,11 @@ impl MemoryHierarchy {
         latency
     }
 
-    /// A write that bypasses the L2 entirely (the Color Buffer flush of
-    /// Fig. 2 goes straight to main memory).
-    pub fn write_direct(&mut self, block: BlockAddr) {
-        self.mem.write(block);
+    /// A run of `n` consecutive block writes from `first` that bypasses
+    /// the L2 entirely (the Color Buffer flush of Fig. 2 goes straight
+    /// to main memory).
+    pub fn write_direct(&mut self, first: BlockAddr, n: u64) {
+        self.mem.write_run(first, n);
     }
 
     /// Warm-start: installs a clean line as left over from the previous
@@ -377,8 +378,8 @@ mod tests {
     fn direct_writes_skip_l2() {
         let mut h = hierarchy(L2Mode::Baseline);
         let fb = tcor_common::Address(bases::FRAME_BUFFER).block();
-        h.write_direct(fb);
+        h.write_direct(fb, 3);
         assert_eq!(h.l2_traffic().total_l2_accesses(), 0);
-        assert_eq!(h.mm_traffic().region(Region::FrameBuffer).mm_writes, 1);
+        assert_eq!(h.mm_traffic().region(Region::FrameBuffer).mm_writes, 3);
     }
 }

@@ -81,7 +81,12 @@ impl TrafficMatrix {
 
     /// Records a main-memory write for `region`.
     pub fn record_mm_write(&mut self, region: Region) {
-        self.regions[Self::idx(region)].mm_writes += 1;
+        self.record_mm_writes(region, 1);
+    }
+
+    /// Records `n` main-memory writes for `region`.
+    pub fn record_mm_writes(&mut self, region: Region, n: u64) {
+        self.regions[Self::idx(region)].mm_writes += n;
     }
 
     /// Combined Parameter Buffer traffic (PB-Lists + PB-Attributes) — the

@@ -202,11 +202,40 @@ impl GoldenStore {
 mod tests {
     use super::*;
 
-    fn temp_store(tag: &str) -> GoldenStore {
+    /// A store in a fresh temporary directory, which is removed when
+    /// the store goes out of scope, whether the test passed or not.
+    struct TempStore(GoldenStore);
+
+    impl std::ops::Deref for TempStore {
+        type Target = GoldenStore;
+
+        fn deref(&self) -> &GoldenStore {
+            &self.0
+        }
+    }
+
+    impl Drop for TempStore {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(self.0.dir());
+        }
+    }
+
+    fn temp_store(tag: &str) -> TempStore {
         let dir =
             std::env::temp_dir().join(format!("tcor-golden-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        GoldenStore::new(dir)
+        TempStore(GoldenStore::new(dir))
+    }
+
+    #[test]
+    fn temp_store_removes_its_directory() {
+        let dir = {
+            let s = temp_store("cleanup");
+            s.update("t", "v1\n").unwrap();
+            assert!(s.dir().is_dir());
+            s.dir().to_path_buf()
+        };
+        assert!(!dir.exists(), "{} left behind", dir.display());
     }
 
     #[test]

@@ -573,10 +573,13 @@ fn answer_api(shared: &Shared, call: &ApiCall, arrived: Instant) -> (Response, &
     // first follower to re-enter `join` becomes the new leader and
     // recomputes. Followers therefore never surface a 500 for a panic
     // that was not their own request's fault — unless the retry leader
-    // panics too.
+    // panics too. The first attempt probes no cache here: the event
+    // thread probed before queueing, and a leader probes again below.
     for attempt in 0..2u32 {
-        if let Some(hit) = shared.try_warm(call) {
-            return hit;
+        if attempt > 0 {
+            if let Some(hit) = shared.try_warm(call) {
+                return hit;
+            }
         }
         match shared.flights.join(key.identity) {
             Join::Leader(token) => {

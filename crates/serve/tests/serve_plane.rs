@@ -304,6 +304,9 @@ fn warm_response_is_byte_identical_to_cold() {
     assert_eq!(metric(&metrics, "serve/cache_disk_hits"), 0);
     assert_eq!(metric(&metrics, "serve/cold_computes"), 1);
     assert_eq!(metric(&metrics, "pcache/mem_hits"), 1);
+    // The cold GET misses twice: the event thread's probe before
+    // queueing and the flight leader's before computing.
+    assert_eq!(metric(&metrics, "pcache/misses"), 2);
     server.stop();
     server.wait();
 }

@@ -93,8 +93,7 @@ mod tests {
             system: "tcor",
             structures: Vec::new(),
             l2_stats: tcor_common::AccessStats::new(),
-            l2_traffic: tcor_mem::TrafficMatrix::default(),
-            mm_traffic: tcor_mem::TrafficMatrix::default(),
+            traffic: tcor_mem::TrafficMatrix::default(),
             dead_drops: 0,
             l2_wb_blocks: 0,
             pb_fill_blocks: 0,

@@ -107,16 +107,15 @@ fn traffic_conservation_across_levels() {
     for r in runs() {
         for rep in [&r.base64, &r.tcor64] {
             for region in [Region::PbLists, Region::PbAttributes, Region::Textures] {
-                let l2 = rep.l2_traffic.region(region);
-                let mm = rep.mm_traffic.region(region);
+                let t = rep.traffic.region(region);
                 assert!(
-                    mm.mm_reads <= l2.l2_reads,
+                    t.mm_reads <= t.l2_reads,
                     "{} {:?} {:?}: mm reads {} > l2 reads {}",
                     r.profile.alias,
                     rep.system,
                     region,
-                    mm.mm_reads,
-                    l2.l2_reads
+                    t.mm_reads,
+                    t.l2_reads
                 );
             }
         }
