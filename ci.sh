@@ -35,6 +35,16 @@ cargo build --workspace --release
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== cache kernels against their oracles, release profile"
+# Every test above runs the debug profile, and rustc 1.95.0 miscompiles
+# some inlined code at opt-level 2-3 only (EXPERIMENTS.md "Release-only
+# abort in serve_plane"). The two kernels the simulator ships run their
+# differential tests here as they ship: the L2 kernel under
+# MemoryHierarchy against Cache<L2Policy> plus MainMemory, and
+# LruFilter against Cache<Lru>.
+cargo test --release -q -p tcor-mem --lib oracle::
+cargo test --release -q -p tcor-cache --test reference_model
+
 echo "== benchmark check (tcorbench builds against the workspace crates)"
 # tcorbench/ is a workspace of its own that calls the crates' pub items
 # through path dependencies, so a change to one of them must fail here

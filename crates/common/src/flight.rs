@@ -106,8 +106,9 @@ impl<T: Clone> Singleflight<T> {
         })
     }
 
-    /// Number of in-flight keys (racy; for metrics only).
-    pub fn in_flight(&self) -> usize {
+    /// Number of in-flight keys.
+    #[cfg(test)]
+    fn in_flight(&self) -> usize {
         self.lock().len()
     }
 

@@ -108,18 +108,15 @@ pub struct EvictedPrim {
 }
 
 /// Outcome of a Tile Fetcher read (§III.C.3).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReadResult {
     /// Present: line and first attribute locked, OPT Number updated, ABP
     /// pushed to the output queue.
     Hit,
-    /// Absent: a line was reserved (evicting `evicted`, possibly several
+    /// Absent: a line was reserved (evicting primitives, possibly several
     /// to free Attribute Buffer space); the driver fetches the attribute
     /// blocks from the L2.
-    Miss {
-        /// Primitives displaced to make room.
-        evicted: Vec<EvictedPrim>,
-    },
+    Miss,
     /// No unlocked victim (or not enough unlockable space): the fetcher
     /// must wait for the Rasterizer to consume queued primitives and
     /// retry.
@@ -127,14 +124,11 @@ pub enum ReadResult {
 }
 
 /// Outcome of a Polygon List Builder write (§III.C.4).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WriteResult {
     /// Stored in the Attribute Cache (dirty), possibly evicting
     /// farther-future primitives.
-    Allocated {
-        /// Primitives displaced to make room.
-        evicted: Vec<EvictedPrim>,
-    },
+    Allocated,
     /// Every unlocked candidate will be used sooner than (or at the same
     /// tile as) this primitive: the write goes straight to the L2.
     Bypassed,
@@ -550,15 +544,15 @@ impl AttributeCache {
     }
 
     /// Frees Attribute Buffer space by evicting unlocked primitives
-    /// cache-wide in OPT order until `needed` entries are free. `floor`
-    /// restricts the victims to lines strictly farther-future than it
-    /// (the write path). The caller has checked that the eligible lines
-    /// hold enough entries.
+    /// cache-wide in OPT order until `needed` entries are free, handing
+    /// each to `evicted` as it leaves. `floor` restricts the victims to
+    /// lines strictly farther-future than it (the write path). The caller
+    /// has checked that the eligible lines hold enough entries.
     fn make_space(
         &mut self,
         needed: usize,
         floor: Option<TileRank>,
-        evicted: &mut Vec<EvictedPrim>,
+        evicted: &mut impl FnMut(EvictedPrim),
     ) {
         while self.free.len() < needed {
             let victim = self
@@ -567,7 +561,7 @@ impl AttributeCache {
                 .filter(|&i| floor.is_none_or(|f| self.states[i].opt() > f))
                 .expect("feasibility checked");
             self.audit_global_victim(victim, floor);
-            evicted.push(self.evict_line(victim));
+            evicted(self.evict_line(victim));
         }
     }
 
@@ -575,9 +569,15 @@ impl AttributeCache {
     /// does: an empty line of its set, else the set's farthest-future
     /// unlocked line, then cache-wide OPT evictions until `attr_count`
     /// attributes fit (§III.C.3 Miss: "In case of a dearth of space, more
-    /// primitives are evicted using OPT"). Feasibility is checked *before*
+    /// primitives are evicted using OPT"), handing each evicted primitive
+    /// to `evicted` as it leaves. Feasibility is checked *before*
     /// mutating, so `None` (locks make it impossible) changes nothing.
-    fn reserve(&mut self, prim: PrimitiveId, attr_count: u8) -> Option<(usize, Vec<EvictedPrim>)> {
+    fn reserve(
+        &mut self,
+        prim: PrimitiveId,
+        attr_count: u8,
+        evicted: &mut impl FnMut(EvictedPrim),
+    ) -> Option<usize> {
         let set = self.set_of(prim);
         let empty = self.set_range(set).find(|&i| !self.states[i].is_valid());
         let victim = self.best_victim(set);
@@ -587,18 +587,17 @@ impl AttributeCache {
         if self.free.len() + self.eligible.entries < attr_count as usize {
             return None; // locked primitives hold the buffer
         }
-        let mut evicted = Vec::new();
         let idx = match empty {
             Some(i) => i,
             None => {
                 let v = victim.expect("checked above");
                 self.audit_set_victim(set, v);
-                evicted.push(self.evict_line(v));
+                evicted(self.evict_line(v));
                 v
             }
         };
-        self.make_space(attr_count as usize, None, &mut evicted);
-        Some((idx, evicted))
+        self.make_space(attr_count as usize, None, evicted);
+        Some(idx)
     }
 
     /// Reserves a line for a Polygon List Builder write first used at
@@ -611,14 +610,14 @@ impl AttributeCache {
         prim: PrimitiveId,
         attr_count: u8,
         first_use: TileRank,
-    ) -> Option<(usize, Vec<EvictedPrim>)> {
+        evicted: &mut impl FnMut(EvictedPrim),
+    ) -> Option<usize> {
         // Free entries plus entries held by unlocked primitives that are
         // strictly farther-future than this write.
         if self.free.len() + self.eligible.entries_above(first_use) < attr_count as usize {
             return None;
         }
         let set = self.set_of(prim);
-        let mut evicted = Vec::new();
         let idx = match self.set_range(set).find(|&i| !self.states[i].is_valid()) {
             Some(i) => i,
             None => {
@@ -626,23 +625,31 @@ impl AttributeCache {
                     .best_victim(set)
                     .filter(|&v| self.states[v].opt() > first_use)?;
                 self.audit_set_victim(set, v);
-                evicted.push(self.evict_line(v));
+                evicted(self.evict_line(v));
                 v
             }
         };
-        self.make_space(attr_count as usize, Some(first_use), &mut evicted);
-        Some((idx, evicted))
+        self.make_space(attr_count as usize, Some(first_use), evicted);
+        Some(idx)
     }
 
     /// Tile Fetcher read of `prim` (which has `attr_count` attributes) on
     /// behalf of the tile whose PMD supplied `opt_number` (§III.C.3).
     ///
     /// On a hit the line is locked and its OPT Number updated from the
-    /// request. On a miss a line is reserved (and locked): the caller
-    /// fetches the attribute blocks from the L2 and, when they arrive,
-    /// the primitive is resident. `Stalled` means every candidate is
-    /// locked; the caller must let the Rasterizer drain and retry.
-    pub fn read(&mut self, prim: PrimitiveId, attr_count: u8, opt_number: TileRank) -> ReadResult {
+    /// request. On a miss a line is reserved (and locked), and each
+    /// primitive displaced to make room is handed to `evicted` as it
+    /// leaves: the caller fetches the attribute blocks from the L2 and,
+    /// when they arrive, the primitive is resident. `Stalled` means every
+    /// candidate is locked; the caller must let the Rasterizer drain and
+    /// retry. Only a miss evicts.
+    pub fn read(
+        &mut self,
+        prim: PrimitiveId,
+        attr_count: u8,
+        opt_number: TileRank,
+        mut evicted: impl FnMut(EvictedPrim),
+    ) -> ReadResult {
         // OPT Numbers are a 12-bit hardware field (§III.C): saturate the
         // incoming rank exactly where hardware latches it.
         let opt_number = opt_number.saturated();
@@ -658,7 +665,7 @@ impl AttributeCache {
             return ReadResult::Hit;
         }
 
-        let Some((idx, evicted)) = self.reserve(prim, attr_count) else {
+        let Some(idx) = self.reserve(prim, attr_count, &mut evicted) else {
             self.stall_events += 1;
             return ReadResult::Stalled;
         };
@@ -674,12 +681,19 @@ impl AttributeCache {
             LineState::resident(true, false, opt_number),
         );
         self.stats.probes += 1;
-        ReadResult::Miss { evicted }
+        ReadResult::Miss
     }
 
     /// Polygon List Builder write of a new primitive whose first use is
-    /// the tile at rank `first_use` (§III.C.4).
-    pub fn write(&mut self, prim: PrimitiveId, attr_count: u8, first_use: TileRank) -> WriteResult {
+    /// the tile at rank `first_use` (§III.C.4). Each primitive an
+    /// allocation displaces is handed to `evicted` as it leaves.
+    pub fn write(
+        &mut self,
+        prim: PrimitiveId,
+        attr_count: u8,
+        first_use: TileRank,
+        mut evicted: impl FnMut(EvictedPrim),
+    ) -> WriteResult {
         // Same 12-bit saturation as the read path (§III.C).
         let first_use = first_use.saturated();
         self.sample_occupancy();
@@ -688,14 +702,14 @@ impl AttributeCache {
             "each primitive is written exactly once"
         );
         let reserved = if self.cfg.write_bypass {
-            self.reserve_farther(prim, attr_count, first_use)
+            self.reserve_farther(prim, attr_count, first_use, &mut evicted)
         } else {
             // Ablation: no bypass — allocate like a read (evict the
             // farthest-future unlocked line unconditionally), falling
             // back to bypass only when locks leave no room.
-            self.reserve(prim, attr_count)
+            self.reserve(prim, attr_count, &mut evicted)
         };
-        let Some((idx, evicted)) = reserved else {
+        let Some(idx) = reserved else {
             self.stats.bypasses += 1;
             return WriteResult::Bypassed;
         };
@@ -711,7 +725,7 @@ impl AttributeCache {
             LineState::resident(false, true, first_use),
         );
         self.stats.probes += 1;
-        WriteResult::Allocated { evicted }
+        WriteResult::Allocated
     }
 
     /// Rasterizer consumed `prim`'s attributes: unlock its line and
@@ -738,9 +752,9 @@ impl AttributeCache {
     }
 
     /// End of frame: evicts every resident primitive (unlocking first),
-    /// returning them for dirty write-back accounting.
-    pub fn drain(&mut self) -> Vec<EvictedPrim> {
-        let mut out = Vec::new();
+    /// handing each to `visit` in line order for dirty write-back
+    /// accounting.
+    pub fn drain(&mut self, mut visit: impl FnMut(EvictedPrim)) {
         for i in 0..self.states.len() {
             let state = self.states[i];
             if state.is_valid() {
@@ -750,11 +764,10 @@ impl AttributeCache {
                     self.states[i] = state.unlocked();
                     self.locked_prims -= 1;
                 }
-                out.push(self.evict_line(i));
+                visit(self.evict_line(i));
             }
         }
         debug_assert_eq!(self.free.len(), self.cfg.ab_entries);
-        out
     }
 }
 
@@ -772,6 +785,9 @@ mod tests {
         })
     }
 
+    // Calls that ignore the primitives an access displaces pass `drop`
+    // as the eviction visitor.
+
     /// A fully-associative 2-primitive cache as in the paper's worked
     /// example (Fig. 9/10): 2 lines, 6 attribute entries (3 each).
     fn example_cache() -> AttributeCache {
@@ -782,12 +798,12 @@ mod tests {
     fn write_allocates_until_full() {
         let mut c = example_cache();
         assert!(matches!(
-            c.write(PrimitiveId(0), 3, TileRank(0)),
-            WriteResult::Allocated { .. }
+            c.write(PrimitiveId(0), 3, TileRank(0), drop),
+            WriteResult::Allocated
         ));
         assert!(matches!(
-            c.write(PrimitiveId(1), 3, TileRank(1)),
-            WriteResult::Allocated { .. }
+            c.write(PrimitiveId(1), 3, TileRank(1), drop),
+            WriteResult::Allocated
         ));
         assert_eq!(c.resident_primitives(), 2);
         assert_eq!(c.free_entries(), 0);
@@ -799,10 +815,10 @@ mod tests {
     #[test]
     fn write_bypasses_when_residents_are_nearer_future() {
         let mut c = example_cache();
-        c.write(PrimitiveId(0), 3, TileRank(0));
-        c.write(PrimitiveId(1), 3, TileRank(1));
+        c.write(PrimitiveId(0), 3, TileRank(0), drop);
+        c.write(PrimitiveId(1), 3, TileRank(1), drop);
         assert_eq!(
-            c.write(PrimitiveId(2), 3, TileRank(3)),
+            c.write(PrimitiveId(2), 3, TileRank(3), drop),
             WriteResult::Bypassed
         );
         assert!(c.contains(PrimitiveId(0)));
@@ -813,17 +829,17 @@ mod tests {
     #[test]
     fn write_evicts_farther_future_resident() {
         let mut c = example_cache();
-        c.write(PrimitiveId(0), 3, TileRank(5));
-        c.write(PrimitiveId(1), 3, TileRank(9));
+        c.write(PrimitiveId(0), 3, TileRank(5), drop);
+        c.write(PrimitiveId(1), 3, TileRank(9), drop);
         // New primitive first used at rank 2: evict prim 1 (rank 9).
-        match c.write(PrimitiveId(2), 3, TileRank(2)) {
-            WriteResult::Allocated { evicted } => {
-                assert_eq!(evicted.len(), 1);
-                assert_eq!(evicted[0].prim, PrimitiveId(1));
-                assert!(evicted[0].dirty);
-            }
-            other => panic!("expected allocation, got {other:?}"),
-        }
+        let mut evicted = Vec::new();
+        assert_eq!(
+            c.write(PrimitiveId(2), 3, TileRank(2), |e| evicted.push(e)),
+            WriteResult::Allocated
+        );
+        assert_eq!(evicted.len(), 1);
+        assert_eq!(evicted[0].prim, PrimitiveId(1));
+        assert!(evicted[0].dirty);
         assert!(c.contains(PrimitiveId(2)));
         assert!(!c.contains(PrimitiveId(1)));
     }
@@ -831,10 +847,10 @@ mod tests {
     #[test]
     fn equal_opt_number_bypasses() {
         let mut c = example_cache();
-        c.write(PrimitiveId(0), 3, TileRank(4));
-        c.write(PrimitiveId(1), 3, TileRank(4));
+        c.write(PrimitiveId(0), 3, TileRank(4), drop);
+        c.write(PrimitiveId(1), 3, TileRank(4), drop);
         assert_eq!(
-            c.write(PrimitiveId(2), 3, TileRank(4)),
+            c.write(PrimitiveId(2), 3, TileRank(4), drop),
             WriteResult::Bypassed
         );
     }
@@ -842,8 +858,11 @@ mod tests {
     #[test]
     fn read_hit_locks_and_updates_opt() {
         let mut c = example_cache();
-        c.write(PrimitiveId(0), 3, TileRank(0));
-        assert_eq!(c.read(PrimitiveId(0), 3, TileRank(3)), ReadResult::Hit);
+        c.write(PrimitiveId(0), 3, TileRank(0), drop);
+        assert_eq!(
+            c.read(PrimitiveId(0), 3, TileRank(3), drop),
+            ReadResult::Hit
+        );
         assert_eq!(c.peek_opt(PrimitiveId(0)), Some(TileRank(3)));
         assert_eq!(c.locked_primitives(), 1);
         assert_eq!(c.stats().read_hits, 1);
@@ -852,33 +871,42 @@ mod tests {
     #[test]
     fn read_miss_reserves_and_can_evict() {
         let mut c = example_cache();
-        c.write(PrimitiveId(0), 3, TileRank(7));
-        c.write(PrimitiveId(1), 3, TileRank(8));
+        c.write(PrimitiveId(0), 3, TileRank(7), drop);
+        c.write(PrimitiveId(1), 3, TileRank(8), drop);
         // Reading prim 2 (next use rank 9): must evict one of the others.
-        match c.read(PrimitiveId(2), 3, TileRank(9)) {
-            ReadResult::Miss { evicted } => {
-                assert_eq!(evicted.len(), 1);
-                assert_eq!(evicted[0].prim, PrimitiveId(1)); // farthest (8)
-            }
-            other => panic!("expected miss, got {other:?}"),
-        }
+        let mut evicted = Vec::new();
+        assert_eq!(
+            c.read(PrimitiveId(2), 3, TileRank(9), |e| evicted.push(e)),
+            ReadResult::Miss
+        );
+        assert_eq!(evicted.len(), 1);
+        assert_eq!(evicted[0].prim, PrimitiveId(1)); // farthest (8)
         assert!(c.contains(PrimitiveId(2)));
     }
 
     #[test]
     fn locked_lines_are_not_victims() {
         let mut c = example_cache();
-        c.write(PrimitiveId(0), 3, TileRank(7));
-        c.write(PrimitiveId(1), 3, TileRank(8));
-        assert_eq!(c.read(PrimitiveId(0), 3, TileRank(9)), ReadResult::Hit); // locks prim 0
-        assert_eq!(c.read(PrimitiveId(1), 3, TileRank(9)), ReadResult::Hit); // locks prim 1
-                                                                             // Everything locked: a read miss must stall.
-        assert_eq!(c.read(PrimitiveId(2), 3, TileRank(10)), ReadResult::Stalled);
+        c.write(PrimitiveId(0), 3, TileRank(7), drop);
+        c.write(PrimitiveId(1), 3, TileRank(8), drop);
+        assert_eq!(
+            c.read(PrimitiveId(0), 3, TileRank(9), drop),
+            ReadResult::Hit
+        ); // locks prim 0
+        assert_eq!(
+            c.read(PrimitiveId(1), 3, TileRank(9), drop),
+            ReadResult::Hit
+        ); // locks prim 1
+           // Everything locked: a read miss must stall.
+        assert_eq!(
+            c.read(PrimitiveId(2), 3, TileRank(10), drop),
+            ReadResult::Stalled
+        );
         c.unlock(PrimitiveId(0));
         // Now prim 0 is evictable.
         assert!(matches!(
-            c.read(PrimitiveId(2), 3, TileRank(10)),
-            ReadResult::Miss { .. }
+            c.read(PrimitiveId(2), 3, TileRank(10), drop),
+            ReadResult::Miss
         ));
     }
 
@@ -888,29 +916,29 @@ mod tests {
         // one exactly fill the buffer.
         let mut c = cache(4, 4, 8);
         assert!(matches!(
-            c.write(PrimitiveId(0), 5, TileRank(0)),
-            WriteResult::Allocated { .. }
+            c.write(PrimitiveId(0), 5, TileRank(0), drop),
+            WriteResult::Allocated
         ));
         assert!(matches!(
-            c.write(PrimitiveId(1), 3, TileRank(1)),
-            WriteResult::Allocated { .. }
+            c.write(PrimitiveId(1), 3, TileRank(1), drop),
+            WriteResult::Allocated
         ));
         assert_eq!(c.free_entries(), 0);
         // A third one first-used later than both residents: bypass.
         assert_eq!(
-            c.write(PrimitiveId(2), 1, TileRank(2)),
+            c.write(PrimitiveId(2), 1, TileRank(2), drop),
             WriteResult::Bypassed
         );
         // First-used EARLIER than prim 0 (rank 0)? No line is
         // strictly-later than rank 0 except... prim 1 (rank 1) is. Evicting
         // prim 1 frees 3 entries for a 2-attribute newcomer at rank 0.
         // (Write-path evictions only take strictly-farther lines.)
-        match c.write(PrimitiveId(3), 2, TileRank(0)) {
-            WriteResult::Allocated { evicted } => {
-                assert!(evicted.iter().any(|e| e.prim == PrimitiveId(1)));
-            }
-            other => panic!("expected allocation, got {other:?}"),
-        }
+        let mut evicted = Vec::new();
+        assert_eq!(
+            c.write(PrimitiveId(3), 2, TileRank(0), |e| evicted.push(e)),
+            WriteResult::Allocated
+        );
+        assert!(evicted.iter().any(|e| e.prim == PrimitiveId(1)));
     }
 
     #[test]
@@ -919,12 +947,13 @@ mod tests {
         // Churn: write, read, evict many primitives with varied sizes.
         for i in 0..200u32 {
             let attrs = 1 + (i % 5) as u8;
-            let _ = c.write(PrimitiveId(i), attrs, TileRank(i % 50));
+            let _ = c.write(PrimitiveId(i), attrs, TileRank(i % 50), drop);
             if i % 3 == 0 {
                 let _ = c.read(
                     PrimitiveId(i / 2),
                     1 + ((i / 2) % 5) as u8,
                     TileRank(i % 50 + 1),
+                    drop,
                 );
             }
             if i % 4 == 0 {
@@ -937,7 +966,8 @@ mod tests {
             .map(|i| c.tags[i].attr_count as usize)
             .sum();
         assert_eq!(owned + c.free_entries(), c.config().ab_entries);
-        let drained = c.drain();
+        let mut drained = Vec::new();
+        c.drain(|e| drained.push(e));
         assert_eq!(c.free_entries(), c.config().ab_entries);
         assert_eq!(
             drained.iter().map(|e| e.attr_count as usize).sum::<usize>(),
@@ -948,9 +978,10 @@ mod tests {
     #[test]
     fn drain_reports_dirty_lines() {
         let mut c = example_cache();
-        c.write(PrimitiveId(0), 3, TileRank(0)); // dirty
-        c.read(PrimitiveId(1), 3, TileRank(1)); // miss fill: clean
-        let drained = c.drain();
+        c.write(PrimitiveId(0), 3, TileRank(0), drop); // dirty
+        c.read(PrimitiveId(1), 3, TileRank(1), drop); // miss fill: clean
+        let mut drained = Vec::new();
+        c.drain(|e| drained.push(e));
         assert_eq!(drained.len(), 2);
         let by_prim = |p: u32| drained.iter().find(|e| e.prim == PrimitiveId(p)).unwrap();
         assert!(by_prim(0).dirty);
@@ -962,12 +993,21 @@ mod tests {
         // Stalls and bypasses record neither hit nor miss — probes must
         // match the classified accesses exactly (the audit invariant).
         let mut c = example_cache();
-        c.write(PrimitiveId(0), 3, TileRank(0)); // allocated (write miss)
-        c.write(PrimitiveId(1), 3, TileRank(1)); // allocated
-        c.write(PrimitiveId(2), 3, TileRank(3)); // bypassed: no probe
-        assert_eq!(c.read(PrimitiveId(0), 3, TileRank(2)), ReadResult::Hit);
-        assert_eq!(c.read(PrimitiveId(1), 3, TileRank(2)), ReadResult::Hit);
-        assert_eq!(c.read(PrimitiveId(3), 3, TileRank(5)), ReadResult::Stalled); // no probe
+        c.write(PrimitiveId(0), 3, TileRank(0), drop); // allocated (write miss)
+        c.write(PrimitiveId(1), 3, TileRank(1), drop); // allocated
+        c.write(PrimitiveId(2), 3, TileRank(3), drop); // bypassed: no probe
+        assert_eq!(
+            c.read(PrimitiveId(0), 3, TileRank(2), drop),
+            ReadResult::Hit
+        );
+        assert_eq!(
+            c.read(PrimitiveId(1), 3, TileRank(2), drop),
+            ReadResult::Hit
+        );
+        assert_eq!(
+            c.read(PrimitiveId(3), 3, TileRank(5), drop),
+            ReadResult::Stalled
+        ); // no probe
         let s = c.stats();
         assert_eq!(s.probes, s.hits() + s.misses());
         assert_eq!(s.probes, 4);
@@ -978,20 +1018,16 @@ mod tests {
     #[test]
     fn dirty_evictions_count_writeback_blocks() {
         let mut c = example_cache();
-        c.write(PrimitiveId(0), 3, TileRank(5)); // dirty
-        c.write(PrimitiveId(1), 3, TileRank(9)); // dirty
-                                                 // Rank-2 write evicts prim 1 (3 dirty attribute blocks).
-        c.write(PrimitiveId(2), 3, TileRank(2));
+        c.write(PrimitiveId(0), 3, TileRank(5), drop); // dirty
+        c.write(PrimitiveId(1), 3, TileRank(9), drop); // dirty
+                                                       // Rank-2 write evicts prim 1 (3 dirty attribute blocks).
+        c.write(PrimitiveId(2), 3, TileRank(2), drop);
         assert_eq!(c.writeback_blocks(), 3);
         // Clean (read-filled) evictions add nothing.
-        c.read(PrimitiveId(0), 3, TileRank(3));
+        c.read(PrimitiveId(0), 3, TileRank(3), drop);
         c.unlock(PrimitiveId(0));
-        let drained = c.drain();
-        let dirty_attrs: u64 = drained
-            .iter()
-            .filter(|e| e.dirty)
-            .map(|e| e.attr_count as u64)
-            .sum();
+        let mut dirty_attrs = 0;
+        c.drain(|e| dirty_attrs += u64::from(e.dirty) * e.attr_count as u64);
         assert_eq!(c.writeback_blocks(), 3 + dirty_attrs);
     }
 
@@ -1000,12 +1036,13 @@ mod tests {
         let mut c = cache(2, 8, 24);
         for i in 0..500u32 {
             let attrs = 1 + (i % 5) as u8;
-            let _ = c.write(PrimitiveId(i), attrs, TileRank(i % 40));
+            let _ = c.write(PrimitiveId(i), attrs, TileRank(i % 40), drop);
             if i % 2 == 0 {
                 let _ = c.read(
                     PrimitiveId(i / 2),
                     1 + ((i / 2) % 5) as u8,
                     TileRank(i % 40 + 1),
+                    drop,
                 );
             }
             if i % 3 == 0 {
@@ -1020,23 +1057,23 @@ mod tests {
         let mut c = example_cache();
         // A first use past the 12-bit field stores as 4095, exactly like
         // a NEVER rank: the two become indistinguishable, as in hardware.
-        c.write(PrimitiveId(0), 3, TileRank(5000));
+        c.write(PrimitiveId(0), 3, TileRank(5000), drop);
         assert_eq!(c.peek_opt(PrimitiveId(0)), Some(TileRank(4095)));
-        c.read(PrimitiveId(0), 3, TileRank::NEVER);
+        c.read(PrimitiveId(0), 3, TileRank::NEVER, drop);
         assert_eq!(c.peek_opt(PrimitiveId(0)), Some(TileRank(4095)));
         // Saturated residents still lose to nearer-future newcomers…
         c.unlock(PrimitiveId(0));
-        c.write(PrimitiveId(1), 3, TileRank(4094));
-        match c.write(PrimitiveId(2), 3, TileRank(10)) {
-            WriteResult::Allocated { evicted } => {
-                assert_eq!(
-                    evicted[0].prim,
-                    PrimitiveId(0),
-                    "farthest (4095) goes first"
-                );
-            }
-            other => panic!("expected allocation, got {other:?}"),
-        }
+        c.write(PrimitiveId(1), 3, TileRank(4094), drop);
+        let mut evicted = Vec::new();
+        assert_eq!(
+            c.write(PrimitiveId(2), 3, TileRank(10), |e| evicted.push(e)),
+            WriteResult::Allocated
+        );
+        assert_eq!(
+            evicted[0].prim,
+            PrimitiveId(0),
+            "farthest (4095) goes first"
+        );
     }
 
     #[test]
@@ -1135,28 +1172,26 @@ mod tests {
             let r = rng.random_f64();
             if op % (ops / 2) == 0 {
                 let owned = cfg.ab_entries - c.free_entries();
-                let drained = c.drain();
-                assert_eq!(
-                    drained.iter().map(|e| e.attr_count as usize).sum::<usize>(),
-                    owned
-                );
+                let mut drained = 0;
+                c.drain(|e| drained += e.attr_count as usize);
+                assert_eq!(drained, owned);
                 assert_eq!(c.free_entries(), cfg.ab_entries);
                 queued.clear();
             } else if r < 0.3 || next == 0 {
                 let prim = PrimitiveId(next);
                 next += 1;
-                match c.write(prim, attrs(prim), rank(&mut rng)) {
-                    WriteResult::Allocated { evicted } => {
-                        seen.multi_evictions += u64::from(evicted.len() > 1);
-                    }
+                let mut evicted = 0;
+                match c.write(prim, attrs(prim), rank(&mut rng), |_| evicted += 1) {
+                    WriteResult::Allocated => seen.multi_evictions += u64::from(evicted > 1),
                     WriteResult::Bypassed => seen.bypasses += 1,
                 }
             } else if r < 1.0 - unlock_share {
                 let prim = PrimitiveId(rng.random_range(0..next));
-                match c.read(prim, attrs(prim), rank(&mut rng)) {
+                let mut evicted = 0;
+                match c.read(prim, attrs(prim), rank(&mut rng), |_| evicted += 1) {
                     ReadResult::Hit => queued.push(prim),
-                    ReadResult::Miss { evicted } => {
-                        seen.multi_evictions += u64::from(evicted.len() > 1);
+                    ReadResult::Miss => {
+                        seen.multi_evictions += u64::from(evicted > 1);
                         queued.push(prim);
                     }
                     ReadResult::Stalled => seen.stalls += 1,
@@ -1369,8 +1404,8 @@ mod tests {
         let mut c = cache(4, 4, 16);
         for (p, opt) in [(0, 2), (1, 6), (2, 9)] {
             assert!(matches!(
-                c.write(PrimitiveId(p), 1, TileRank(opt)),
-                WriteResult::Allocated { .. }
+                c.write(PrimitiveId(p), 1, TileRank(opt), drop),
+                WriteResult::Allocated
             ));
         }
         let line = |c: &AttributeCache, p: u32| c.find(PrimitiveId(p)).expect("resident");
@@ -1389,14 +1424,17 @@ mod tests {
         assert_eq!(audit(&mut c, 0, Some(TileRank::OPT_MAX)), 0);
         // A tie with the victim is not farther.
         assert!(matches!(
-            c.write(PrimitiveId(3), 1, TileRank(9)),
-            WriteResult::Allocated { .. }
+            c.write(PrimitiveId(3), 1, TileRank(9), drop),
+            WriteResult::Allocated
         ));
         assert_eq!(audit(&mut c, 2, None), 0, "9 ties 9");
         assert_eq!(audit(&mut c, 3, None), 0, "9 ties 9");
         // Locked lines with greater OPT Numbers are not candidates.
         for p in [1, 2, 3] {
-            assert_eq!(c.read(PrimitiveId(p), 1, TileRank(9)), ReadResult::Hit);
+            assert_eq!(
+                c.read(PrimitiveId(p), 1, TileRank(9), drop),
+                ReadResult::Hit
+            );
         }
         assert_eq!(audit(&mut c, 0, None), 0, "the others are locked");
         c.unlock(PrimitiveId(2));

@@ -1,4 +1,6 @@
-//! The L2 replacement policy (§III.D.2).
+//! The L2 replacement policy (§III.D.2) on the general cache engine: the
+//! test oracle of the L2 kernel (`crate::l2`), as `Cache<Lru>` is the
+//! oracle of the read-only L1 kernel.
 //!
 //! Baseline mode is plain LRU. TCOR mode prioritizes eviction classes:
 //!
@@ -8,8 +10,9 @@
 //!    so cheap to replace;
 //! 3. **live PB lines** — may be dirty and will be read again.
 //!
-//! LRU orders victims within each class. The completed-tile watermark is
-//! shared with the hierarchy through an `Rc<Cell<u64>>` — the hardware
+//! LRU orders victims within each class. A policy sees only the set's
+//! stored metadata, so the completed-tile watermark is shared with the
+//! reference hierarchy through an `Rc<Cell<u64>>` — the hardware
 //! equivalent is the Tile Fetcher's completion signal wire into the L2
 //! control logic.
 

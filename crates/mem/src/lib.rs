@@ -8,13 +8,19 @@
 //! ## TCOR L2 enhancements (§III.D)
 //!
 //! Every L2 line carries a 2-bit Parameter-Buffer kind and a 12-bit
-//! last-use tile (packed in the engine's per-line user word, see
-//! [`PbTag`]). The Tile Fetcher signals tile completions; a PB line whose
-//! last-use tile has completed is **dead**:
+//! last-use tile ([`PbTag`], packed into the line's state word beside
+//! its valid and dirty bits and its LRU stamp). The Tile Fetcher signals
+//! tile completions; a PB line whose last-use tile has completed is
+//! **dead**:
 //!
 //! * replacement priority: dead PB lines → non-PB lines → live PB lines,
-//!   LRU within each class ([`L2Policy`]);
+//!   LRU within each class;
 //! * dead dirty lines are dropped without a main-memory write-back.
+//!
+//! [`MemoryHierarchy`] runs the L2 on a kernel that keeps each set's
+//! tags and then one state word per line, and picks a victim by one
+//! minimum over those words. The general cache engine with the L2
+//! replacement policy stays in the tests as its oracle.
 //!
 //! ```
 //! use tcor_cache::AccessKind;
@@ -36,12 +42,15 @@
 
 pub mod dram;
 pub mod hierarchy;
-pub mod l2policy;
+mod l2;
+#[cfg(test)]
+mod l2policy;
+#[cfg(test)]
+mod oracle;
 pub mod pbtag;
 pub mod traffic;
 
 pub use dram::MainMemory;
 pub use hierarchy::{L2Mode, MemoryHierarchy};
-pub use l2policy::L2Policy;
 pub use pbtag::{PbKind, PbTag};
 pub use traffic::{RegionTraffic, TrafficMatrix};

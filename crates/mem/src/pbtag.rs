@@ -2,7 +2,7 @@
 //!
 //! Hardware adds two fields to each L2 line: a 2-bit kind (PB-Lists /
 //! PB-Attributes / neither) and a 12-bit last-use tile. The simulator
-//! packs both into the cache engine's per-line `user` word.
+//! packs both into 14 bits of the L2 line's state word.
 
 use tcor_common::TileRank;
 
@@ -70,16 +70,16 @@ impl PbTag {
         }
     }
 
-    /// Packs into the engine's per-line user word, exactly as the hardware
-    /// tag stores it: 2-bit kind above a 12-bit last-use tile. Ranks
-    /// beyond [`TileRank::OPT_MAX`] saturate (§III.C) — hardware has no
-    /// wider field, and anything past the screen is equally far away.
-    /// `PbTag::NONE` encodes to 0, the "no information" user word.
+    /// Packs into 14 bits, exactly as the hardware tag stores it: a
+    /// 2-bit kind above a 12-bit last-use tile. Ranks beyond
+    /// [`TileRank::OPT_MAX`] saturate (§III.C) — hardware has no wider
+    /// field, and anything past the screen is equally far away.
+    /// `PbTag::NONE` encodes to 0, the "no information" tag.
     pub fn encode(self) -> u64 {
         (self.kind.code() << 12) | self.last_use.saturated().value() as u64
     }
 
-    /// Unpacks from the user word.
+    /// Unpacks from the 14-bit word.
     pub fn decode(user: u64) -> Self {
         PbTag {
             kind: PbKind::from_code((user >> 12) & 0b11),

@@ -7,7 +7,7 @@
 //! records whether a line holds PB-Lists, PB-Attributes or other data
 //! (§III.D.1).
 
-use tcor_common::{Address, BlockAddr};
+use tcor_common::BlockAddr;
 
 /// Base addresses of the simulated memory regions (256 MiB windows).
 pub mod bases {
@@ -58,25 +58,16 @@ impl Region {
         Region::Other,
     ];
 
-    /// Classifies a byte address.
-    pub fn of_address(addr: Address) -> Region {
-        Self::of_raw(addr.0)
-    }
-
     /// Classifies a block address.
     pub fn of_block(block: BlockAddr) -> Region {
-        Self::of_raw(block.base().0)
-    }
-
-    fn of_raw(a: u64) -> Region {
         use bases::*;
-        match a {
-            _ if (PB_LISTS..PB_LISTS + WINDOW).contains(&a) => Region::PbLists,
-            _ if (PB_ATTRIBUTES..PB_ATTRIBUTES + WINDOW).contains(&a) => Region::PbAttributes,
-            _ if (TEXTURES..TEXTURES + WINDOW).contains(&a) => Region::Textures,
-            _ if (VERTICES..VERTICES + WINDOW).contains(&a) => Region::Vertices,
-            _ if (INSTRUCTIONS..INSTRUCTIONS + WINDOW).contains(&a) => Region::Instructions,
-            _ if (FRAME_BUFFER..FRAME_BUFFER + WINDOW).contains(&a) => Region::FrameBuffer,
+        match block.base().0 {
+            a if (PB_LISTS..PB_LISTS + WINDOW).contains(&a) => Region::PbLists,
+            a if (PB_ATTRIBUTES..PB_ATTRIBUTES + WINDOW).contains(&a) => Region::PbAttributes,
+            a if (TEXTURES..TEXTURES + WINDOW).contains(&a) => Region::Textures,
+            a if (VERTICES..VERTICES + WINDOW).contains(&a) => Region::Vertices,
+            a if (INSTRUCTIONS..INSTRUCTIONS + WINDOW).contains(&a) => Region::Instructions,
+            a if (FRAME_BUFFER..FRAME_BUFFER + WINDOW).contains(&a) => Region::FrameBuffer,
             _ => Region::Other,
         }
     }
@@ -109,35 +100,19 @@ impl std::fmt::Display for Region {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tcor_common::Address;
 
     #[test]
     fn classification_covers_all_windows() {
-        assert_eq!(
-            Region::of_address(Address(bases::PB_LISTS)),
-            Region::PbLists
-        );
-        assert_eq!(
-            Region::of_address(Address(bases::PB_ATTRIBUTES + 100)),
-            Region::PbAttributes
-        );
-        assert_eq!(
-            Region::of_address(Address(bases::TEXTURES + bases::WINDOW - 1)),
-            Region::Textures
-        );
-        assert_eq!(
-            Region::of_address(Address(bases::VERTICES)),
-            Region::Vertices
-        );
-        assert_eq!(
-            Region::of_address(Address(bases::INSTRUCTIONS)),
-            Region::Instructions
-        );
-        assert_eq!(
-            Region::of_address(Address(bases::FRAME_BUFFER)),
-            Region::FrameBuffer
-        );
-        assert_eq!(Region::of_address(Address(0)), Region::Other);
-        assert_eq!(Region::of_address(Address(u64::MAX)), Region::Other);
+        let of = |a: u64| Region::of_block(Address(a).block());
+        assert_eq!(of(bases::PB_LISTS), Region::PbLists);
+        assert_eq!(of(bases::PB_ATTRIBUTES + 100), Region::PbAttributes);
+        assert_eq!(of(bases::TEXTURES + bases::WINDOW - 1), Region::Textures);
+        assert_eq!(of(bases::VERTICES), Region::Vertices);
+        assert_eq!(of(bases::INSTRUCTIONS), Region::Instructions);
+        assert_eq!(of(bases::FRAME_BUFFER), Region::FrameBuffer);
+        assert_eq!(of(0), Region::Other);
+        assert_eq!(of(u64::MAX), Region::Other);
     }
 
     #[test]
@@ -145,12 +120,6 @@ mod tests {
         assert!(Region::PbLists.is_parameter_buffer());
         assert!(Region::PbAttributes.is_parameter_buffer());
         assert!(!Region::Textures.is_parameter_buffer());
-    }
-
-    #[test]
-    fn block_and_byte_classification_agree() {
-        let a = Address(bases::PB_ATTRIBUTES + 4096 + 3);
-        assert_eq!(Region::of_address(a), Region::of_block(a.block()));
     }
 
     #[test]

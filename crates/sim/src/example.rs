@@ -55,9 +55,12 @@ pub fn fig10() -> Table {
             Some(e) => format!("evict P{}", e.addr.0),
             None => "allocate".to_string(),
         };
-        let opt_event = match opt.write(p.id, p.attr_count, p.first_use()) {
-            WriteResult::Allocated { evicted } if evicted.is_empty() => "allocate".to_string(),
-            WriteResult::Allocated { evicted } => format!("evict {:?}", evicted[0].prim),
+        let mut evicted = Vec::new();
+        let opt_event = match opt.write(p.id, p.attr_count, p.first_use(), |e| evicted.push(e)) {
+            WriteResult::Allocated => match evicted.first() {
+                None => "allocate".to_string(),
+                Some(e) => format!("evict {:?}", e.prim),
+            },
             WriteResult::Bypassed => "bypass to L2".to_string(),
         };
         table.push_row(vec![
@@ -79,10 +82,13 @@ pub fn fig10() -> Table {
                 }
             };
             let nxt = p.next_use_after(order.rank_of(tile));
-            let opt_event = match opt.read(prim, p.attr_count, nxt) {
+            let mut evicted = Vec::new();
+            let opt_event = match opt.read(prim, p.attr_count, nxt, |e| evicted.push(e)) {
                 ReadResult::Hit => "hit".to_string(),
-                ReadResult::Miss { evicted } if evicted.is_empty() => "MISS".to_string(),
-                ReadResult::Miss { evicted } => format!("MISS, evict {:?}", evicted[0].prim),
+                ReadResult::Miss => match evicted.first() {
+                    None => "MISS".to_string(),
+                    Some(e) => format!("MISS, evict {:?}", e.prim),
+                },
                 ReadResult::Stalled => unreachable!("example never stalls"),
             };
             opt.unlock(prim);

@@ -74,9 +74,10 @@ fn main() {
             None => "allocates".to_string(),
         };
         // OPT: compare OPT numbers; bypass if every resident is sooner.
-        let opt_note = match opt.write(p.id, p.attr_count, p.first_use()) {
-            WriteResult::Allocated { evicted } if evicted.is_empty() => "allocates".to_string(),
-            WriteResult::Allocated { evicted } => {
+        let mut evicted = Vec::new();
+        let opt_note = match opt.write(p.id, p.attr_count, p.first_use(), |e| evicted.push(e)) {
+            WriteResult::Allocated if evicted.is_empty() => "allocates".to_string(),
+            WriteResult::Allocated => {
                 opt_l2_writes += evicted.iter().filter(|e| e.dirty).count() as u32;
                 format!("evicts {:?} -> L2 write(s)", evicted[0].prim)
             }
@@ -113,11 +114,14 @@ fn main() {
             };
             // OPT.
             let opt_number = p.next_use_after(order.rank_of(tile));
-            let opt_note = match opt.read(prim, p.attr_count, opt_number) {
+            let mut dirty_evictions = 0;
+            let opt_note = match opt.read(prim, p.attr_count, opt_number, |e| {
+                dirty_evictions += u32::from(e.dirty)
+            }) {
                 ReadResult::Hit => "hit".to_string(),
-                ReadResult::Miss { evicted } => {
+                ReadResult::Miss => {
                     opt_l2_reads += 1;
-                    opt_l2_writes += evicted.iter().filter(|e| e.dirty).count() as u32;
+                    opt_l2_writes += dirty_evictions;
                     "MISS (L2 read)".to_string()
                 }
                 ReadResult::Stalled => unreachable!("rasterizer consumes immediately here"),

@@ -54,10 +54,12 @@ fn third_write_is_writeback_for_lru_but_bypass_for_opt() {
             AccessKind::Write,
             AccessMeta::NONE,
         );
-        let opt_out = opt.write(p.id, p.attr_count, p.first_use());
+        let mut opt_evicted = Vec::new();
+        let opt_out = opt.write(p.id, p.attr_count, p.first_use(), |e| opt_evicted.push(e));
         if i < 2 {
             assert!(lru_out.evicted.is_none());
-            assert_eq!(opt_out, WriteResult::Allocated { evicted: vec![] });
+            assert_eq!(opt_out, WriteResult::Allocated);
+            assert_eq!(opt_evicted, []);
         } else {
             // Third write: LRU evicts a dirty line (L2 write-back)...
             let ev = lru_out.evicted.expect("LRU evicts on the third write");
@@ -93,7 +95,7 @@ fn opt_avoids_lru_rereads_and_evicts_dead_primitives() {
             AccessKind::Write,
             AccessMeta::NONE,
         );
-        let _ = opt.write(p.id, p.attr_count, p.first_use());
+        let _ = opt.write(p.id, p.attr_count, p.first_use(), drop);
     }
 
     let mut lru_read_misses = 0u32;
@@ -108,9 +110,11 @@ fn opt_avoids_lru_rereads_and_evicts_dead_primitives() {
             {
                 lru_read_misses += 1;
             }
-            match opt.read(prim, p.attr_count, p.next_use_after(order.rank_of(tile))) {
+            let mut evicted = Vec::new();
+            let opt_number = p.next_use_after(order.rank_of(tile));
+            match opt.read(prim, p.attr_count, opt_number, |e| evicted.push(e)) {
                 ReadResult::Hit => {}
-                ReadResult::Miss { evicted } => {
+                ReadResult::Miss => {
                     opt_read_misses += 1;
                     // Fig. 10: OPT evicts the yellow primitive (P1),
                     // "which will never be accessed again".

@@ -135,9 +135,9 @@ fn attribute_cache_capacity_respected_under_churn() {
         let prim = PrimitiveId(i % 97);
         let attrs = 1 + (i % 5) as u8;
         if i % 3 == 0 && !c.contains(prim) {
-            let _ = c.write(prim, attrs, TileRank(i % 40));
+            let _ = c.write(prim, attrs, TileRank(i % 40), drop);
         } else {
-            match c.read(prim, attrs, TileRank(i % 40 + 1)) {
+            match c.read(prim, attrs, TileRank(i % 40 + 1), drop) {
                 ReadResult::Stalled => {
                     for q in queued.drain(..) {
                         c.unlock(q);
@@ -152,6 +152,6 @@ fn attribute_cache_capacity_respected_under_churn() {
         assert!(c.free_entries() <= cfg.ab_entries);
         assert!(c.resident_primitives() <= cfg.pb_lines);
     }
-    c.drain();
+    c.drain(drop);
     assert_eq!(c.free_entries(), cfg.ab_entries);
 }
