@@ -40,10 +40,14 @@ echo "== cache kernels against their oracles, release profile"
 # some inlined code at opt-level 2-3 only (EXPERIMENTS.md "Release-only
 # abort in serve_plane"). The two kernels the simulator ships run their
 # differential tests here as they ship: the L2 kernel under
-# MemoryHierarchy against Cache<L2Policy> plus MainMemory, and
-# LruFilter against Cache<Lru>.
+# MemoryHierarchy against Cache<L2Policy> plus MainMemory; the
+# least-key kernel (LruFilter) against Cache<Lru>, and its LRU, MRU and
+# OPT keyed replays against Cache<Lru>, Cache<Mru> and Cache<Opt>; and
+# the single-pass miss-curve engine, which runs those replays, against
+# the Replay engine on Cache.
 cargo test --release -q -p tcor-mem --lib oracle::
 cargo test --release -q -p tcor-cache --test reference_model
+cargo test --release -q -p tcor-sim --lib misscurves::
 
 echo "== benchmark check (tcorbench builds against the workspace crates)"
 # tcorbench/ is a workspace of its own that calls the crates' pub items

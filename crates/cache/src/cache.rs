@@ -345,6 +345,7 @@ impl<P: ReplacementPolicy> Cache<P> {
 
     /// Updates a resident line's metadata in place. Returns `false` when
     /// the block is not resident.
+    #[cfg(test)]
     pub fn update_meta(&mut self, addr: BlockAddr, f: impl FnOnce(&mut AccessMeta)) -> bool {
         let set = self.index.set_of(addr.0);
         if let Some(way) = self.find::<true>(set, addr) {

@@ -15,18 +15,24 @@
 //! one small [`AccessMeta`] per line (a future-use priority and a
 //! free-form user word), which every access writes. The set count is
 //! checked once per cache ([`SetIndex`]): a power-of-two Modulo cache
-//! masks, every other cache calls [`Indexing::set_of`]'s function.
+//! masks, a power-of-two Xor cache folds, and every other count takes
+//! its remainder by a precomputed reciprocal instead of a division.
 //! Victim selection is delegated to a
 //! [`ReplacementPolicy`], which sees the full set's stored metadata —
 //! this is how both exact Belady-OPT (future timestamps) and TCOR's
 //! hardware OPT (12-bit OPT Numbers) run on the same machinery.
 //!
-//! ## Read-only kernel
+//! ## Least-key kernel
 //!
-//! [`LruFilter`] is an exact LRU cache for read-only streams (a frame
-//! plan's vertex, texture and instruction L1s): each set's tags and
-//! recency stamps side by side, one branch-free way choice per read.
-//! It agrees with `Cache<Lru>` read for read.
+//! [`LruFilter`] keeps each set's tags and one key per line side by
+//! side; an access takes the matching way or the way with the least
+//! key and writes the caller's key there, with one branch-free way
+//! choice at 1, 2, 4 and 8 ways. Keyed by its clock
+//! ([`LruFilter::read`]) it is the exact LRU cache of a frame plan's
+//! read-only vertex, texture and instruction L1s.
+//! [`profile::keyed_misses`] keys a trace by LRU, MRU or Belady OPT for
+//! the set-associative miss curves. It agrees with `Cache<Lru>`,
+//! `Cache<Mru>` and `Cache<Opt>` access for access.
 //!
 //! ## Policies
 //!

@@ -13,6 +13,9 @@
 //!   implementation the profiler is tested against).
 //! * [`simulate_policy`] / [`simulate_policy_annotated`] — direct
 //!   simulation of any policy on any geometry.
+//! * [`keyed_misses`] — LRU, MRU or Belady-OPT misses of one geometry
+//!   on the least-key kernel ([`LruFilter`]), equal to
+//!   [`simulate_policy`]'s with the matching policy.
 //! * [`simulate_policy_bank`] — one trace pass through a bank of cache
 //!   instances (all capacities of one policy per pass), bit-identical to
 //!   one [`simulate_policy`] run per geometry. The miss-curve figures
@@ -29,6 +32,7 @@ pub use stack::LruStackProfiler;
 pub use streaming::StreamingProfiler;
 
 use crate::cache::Cache;
+use crate::filter::LruFilter;
 use crate::index::Indexing;
 use crate::meta::AccessMeta;
 use crate::policy::ReplacementPolicy;
@@ -76,6 +80,71 @@ pub fn simulate_policy_annotated<P: ReplacementPolicy>(
         cache.access(a.addr, a.kind, AccessMeta::next_use(*nu));
     }
     *cache.stats()
+}
+
+/// How [`keyed_misses`] keys each access for the least-key kernel,
+/// which replaces the way with the least key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum KeyRule {
+    /// The clock: the least recently used line has the least key.
+    Lru,
+    /// `1<<63 | ((1<<63) - 1 - clock)`: the most recently used line has
+    /// the least key.
+    Mru,
+    /// Belady OPT, `1<<63 | ((1<<63) - 1 - next_use)`, with "never used
+    /// again" (`u64::MAX`) at `1<<63`: the line used farthest in the
+    /// future has the least live key, and ties go to the lowest way, as
+    /// in [`Opt`](crate::policy::Opt).
+    Opt,
+}
+
+/// The least live key of [`KeyRule::Mru`] and [`KeyRule::Opt`]; every
+/// key of theirs is at least this, so none is 0 (an empty way).
+const LIVE: u64 = 1 << 63;
+
+impl KeyRule {
+    /// The key of the access at `clock`, its 1-based position in the
+    /// trace, whose next use (an [`annotate_next_use`] entry) is
+    /// `next_use`. LRU and MRU ignore `next_use`, OPT ignores `clock`.
+    #[inline]
+    pub fn key(self, clock: u64, next_use: u64) -> u64 {
+        match self {
+            KeyRule::Lru => clock,
+            KeyRule::Mru => LIVE | (LIVE - 1 - clock),
+            // Trace positions stay below `LIVE - 1`, so only `u64::MAX`
+            // saturates.
+            KeyRule::Opt => LIVE | (LIVE - 1).saturating_sub(next_use),
+        }
+    }
+}
+
+/// Misses of `trace` through a fresh least-key kernel ([`LruFilter`])
+/// of the given geometry, each access keyed by `rule`; `next` is the
+/// trace's [`annotate_next_use`] annotation, read only by
+/// [`KeyRule::Opt`].
+///
+/// Reads and writes count alike: under write-allocate a write misses
+/// exactly when a read would, so this equals [`simulate_policy`]'s miss
+/// count with `Lru`, `Mru` or (annotated) `Opt`.
+pub fn keyed_misses(
+    trace: &[Access],
+    next: &[u64],
+    params: CacheParams,
+    indexing: Indexing,
+    rule: KeyRule,
+) -> u64 {
+    let mut kernel = LruFilter::new(params, indexing);
+    let blocks = trace.iter().map(|a| a.addr.0);
+    let clocks = 1u64..;
+    // One loop per rule, each with its key arithmetic inlined.
+    match rule {
+        KeyRule::Lru => kernel.misses(blocks.zip(clocks)),
+        KeyRule::Mru => kernel.misses(blocks.zip(clocks.map(|c| KeyRule::Mru.key(c, 0)))),
+        KeyRule::Opt => {
+            debug_assert_eq!(trace.len(), next.len(), "annotation must match trace");
+            kernel.misses(blocks.zip(next.iter().map(|&nu| KeyRule::Opt.key(0, nu))))
+        }
+    }
 }
 
 /// Streams one trace through a bank of independent caches — one per

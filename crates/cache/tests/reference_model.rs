@@ -5,11 +5,16 @@
 //! addresses at both ends of the `u64` range. Every access's hit,
 //! evicted address and dirty bit must agree, and so must each case's
 //! hit, miss and write-back totals and the lines a final drain returns.
-//! The engine is in turn the oracle of the read-only kernel,
-//! [`LruFilter`].
+//! The engine is in turn the oracle of the least-key kernel,
+//! [`LruFilter`]: of its LRU reads, and of its LRU, MRU and Belady-OPT
+//! keyed replays against `Cache<Lru>`, `Cache<Mru>` and `Cache<Opt>`.
 
-use tcor_cache::policy::Lru;
-use tcor_cache::{AccessKind, AccessMeta, Cache, Indexing, LruFilter};
+use tcor_cache::policy::{Lru, Mru, Opt};
+use tcor_cache::profile::{keyed_misses, KeyRule};
+use tcor_cache::{
+    annotate_next_use, Access, AccessKind, AccessMeta, Cache, Indexing, LruFilter,
+    ReplacementPolicy,
+};
 use tcor_common::{BlockAddr, CacheParams, SmallRng};
 
 /// The reference: per-set Vec of (tag, dirty, last_touch), the set
@@ -264,4 +269,125 @@ fn lru_filter_matches_the_engine() {
         }
     }
     assert!(misses > 10_000, "only {misses} misses");
+}
+
+/// A seeded trace of reads and writes: a sliding hot window over `pool`
+/// with random jumps, and one access in eight to a block used only
+/// once, so "never used again" lines tie under OPT all through the run.
+fn mixed_trace(rng: &mut SmallRng, pool: &[u64], len: usize, window_len: usize) -> Vec<Access> {
+    let mut window = 0usize;
+    let mut once = 0u64;
+    (0..len)
+        .map(|step| {
+            if step % 48 == 47 {
+                window += 1;
+            }
+            let addr = match rng.random_range(0..8u32) {
+                0 => {
+                    once += 1;
+                    (0xFEED << 40) + once
+                }
+                1 => pool[rng.random_range(0..pool.len())],
+                _ => pool[(window + rng.random_range(0..window_len)) % pool.len()],
+            };
+            if rng.random_bool(0.3) {
+                Access::write(BlockAddr(addr))
+            } else {
+                Access::read(BlockAddr(addr))
+            }
+        })
+        .collect()
+}
+
+/// Replays `trace` through `engine` and through a kernel keyed by
+/// `rule`, access by access, and returns the engine's misses. Every
+/// access's hit must agree, and so must the resident lines at the end
+/// and [`keyed_misses`]'s count.
+fn keyed_against_engine<P: ReplacementPolicy>(
+    mut engine: Cache<P>,
+    rule: KeyRule,
+    trace: &[Access],
+    indexing: Indexing,
+    what: &str,
+) -> u64 {
+    let params = *engine.params();
+    let next = annotate_next_use(trace);
+    let mut kernel = LruFilter::new(params, indexing);
+    for (i, (a, &nu)) in trace.iter().zip(&next).enumerate() {
+        let clock = i as u64 + 1;
+        let hit = kernel.access(a.addr.0, rule.key(clock, nu));
+        let out = engine.access(a.addr, a.kind, AccessMeta::next_use(nu));
+        assert_eq!(hit, out.hit, "{what}: access {i}, {:#x}", a.addr.0);
+    }
+    for a in trace {
+        assert_eq!(
+            kernel.contains(a.addr),
+            engine.contains(a.addr),
+            "{what}: resident {:#x}",
+            a.addr.0
+        );
+    }
+    assert_eq!(kernel.occupancy(), engine.occupancy(), "{what}: occupancy");
+    let misses = engine.stats().misses();
+    assert_eq!(
+        keyed_misses(trace, &next, params, indexing, rule),
+        misses,
+        "{what}: keyed_misses"
+    );
+    misses
+}
+
+/// The keyed replays against the engine they stand in for in the miss
+/// curves: LRU, MRU and OPT (fed `annotate_next_use`'s positions) over
+/// seeded read/write traces, at 1, 2, 3, 4, 8 and 16 ways, with
+/// power-of-two and other set counts under both index functions.
+#[test]
+fn keyed_replays_match_the_engine() {
+    let mut rng = SmallRng::seed_from_u64(0x5EED_0004);
+    let mut misses = [0u64; 3];
+    for ways in [1u32, 2, 3, 4, 8, 16] {
+        for num_sets in [1u64, 4, 16, 3, 6, 12] {
+            for indexing in [Indexing::Modulo, Indexing::Xor] {
+                let lines = num_sets * u64::from(ways);
+                let params = CacheParams::new(lines * 64, 64, ways, 1);
+                // Three times the lines in distinct blocks, so sets evict.
+                let pool = address_pool(&mut rng, 3 * lines as usize);
+                let trace = mixed_trace(
+                    &mut rng,
+                    &pool,
+                    12 * lines as usize + 200,
+                    lines as usize + 2,
+                );
+                let what = |rule| format!("{rule:?}, {indexing:?}, {num_sets} x {ways}");
+                misses[0] += keyed_against_engine(
+                    Cache::new(params, indexing, Lru::new()),
+                    KeyRule::Lru,
+                    &trace,
+                    indexing,
+                    &what(KeyRule::Lru),
+                );
+                misses[1] += keyed_against_engine(
+                    Cache::new(params, indexing, Mru::new()),
+                    KeyRule::Mru,
+                    &trace,
+                    indexing,
+                    &what(KeyRule::Mru),
+                );
+                misses[2] += keyed_against_engine(
+                    Cache::new(params, indexing, Opt::new()),
+                    KeyRule::Opt,
+                    &trace,
+                    indexing,
+                    &what(KeyRule::Opt),
+                );
+            }
+        }
+    }
+    assert!(
+        misses[2] < misses[0],
+        "OPT {} not below LRU {}",
+        misses[2],
+        misses[0]
+    );
+    assert!(misses.iter().all(|&m| m > 10_000), "misses {misses:?}");
 }

@@ -246,6 +246,7 @@ pub fn arm(injector: FaultInjector) {
 
 /// Disarms the process-wide injector; [`fire`] returns to its
 /// zero-cost no-op path.
+#[cfg(test)]
 pub fn disarm() {
     ARMED.store(false, Ordering::SeqCst);
     *global().lock().unwrap_or_else(PoisonError::into_inner) = None;

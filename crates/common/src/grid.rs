@@ -101,6 +101,7 @@ impl TileGrid {
     /// # Panics
     ///
     /// Panics if the pixel is outside the screen.
+    #[cfg(test)]
     pub fn tile_of_pixel(&self, px: u32, py: u32) -> TileId {
         assert!(
             px < self.screen_width && py < self.screen_height,

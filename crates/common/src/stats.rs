@@ -76,6 +76,7 @@ impl AccessStats {
     }
 
     /// Miss ratio over reads only; `0.0` when there were none.
+    #[cfg(test)]
     pub fn read_miss_ratio(&self) -> f64 {
         let total = self.reads();
         if total == 0 {

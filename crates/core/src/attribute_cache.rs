@@ -747,6 +747,7 @@ impl AttributeCache {
     }
 
     /// The stored OPT Number of a resident primitive.
+    #[cfg(test)]
     pub fn peek_opt(&self, prim: PrimitiveId) -> Option<TileRank> {
         self.find(prim).map(|i| self.states[i].opt())
     }

@@ -100,6 +100,7 @@ impl Mat4 {
     }
 
     /// Rotation about the Y axis by `angle` radians.
+    #[cfg(test)]
     pub fn rotate_y(angle: f32) -> Mat4 {
         let (s, c) = angle.sin_cos();
         let mut m = Mat4::identity();

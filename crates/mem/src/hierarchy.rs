@@ -193,6 +193,13 @@ impl MemoryHierarchy {
     pub fn pb_fill_blocks(&self) -> u64 {
         self.pb_fill_blocks
     }
+
+    /// The DRAM model, whose latency and access totals the L2 oracle
+    /// compares.
+    #[cfg(test)]
+    pub(crate) fn memory(&self) -> &MainMemory {
+        &self.mem
+    }
 }
 
 #[cfg(test)]

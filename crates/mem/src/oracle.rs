@@ -8,8 +8,10 @@
 //! associative geometries with power-of-two and other set counts. Every
 //! access's latency must agree, and so must every counter each time a
 //! frame's counters are reset and at the end: the L2 statistics, both
-//! traffic matrices, the dead drops, the written-back blocks and the
-//! Parameter Buffer fill blocks. The latency of an access carries the
+//! traffic matrices, the dead drops, the written-back blocks, the
+//! Parameter Buffer fill blocks, and the DRAM model's access count and
+//! summed latency, which the drain's and write-backs' writes add to
+//! though no access returns it. The latency of an access carries the
 //! open DRAM rows, so it also checks the order of the fill read, the
 //! victim's write-back and the drain's writes.
 
@@ -139,6 +141,9 @@ struct Counters {
     wb_blocks: u64,
     pb_fill_blocks: u64,
     completed_tiles: u64,
+    /// DRAM latency summed over every read, write-back and drain write.
+    dram_latency: u64,
+    dram_accesses: u64,
 }
 
 impl Counters {
@@ -151,6 +156,8 @@ impl Counters {
             wb_blocks: h.writeback_blocks(),
             pb_fill_blocks: h.pb_fill_blocks(),
             completed_tiles: h.completed_tiles(),
+            dram_latency: h.memory().total_latency(),
+            dram_accesses: h.memory().total_accesses(),
         }
     }
 
@@ -163,6 +170,8 @@ impl Counters {
             wb_blocks: r.wb_blocks,
             pb_fill_blocks: r.pb_fill_blocks,
             completed_tiles: r.watermark.get(),
+            dram_latency: r.mem.total_latency(),
+            dram_accesses: r.mem.total_accesses(),
         }
     }
 }

@@ -30,6 +30,7 @@ pub struct TieredCache {
 
 impl TieredCache {
     /// A memory-only cache of `mem_entries` slots.
+    #[cfg(test)]
     pub fn memory_only(mem_entries: usize) -> Self {
         TieredCache {
             mem: Mutex::new(MemTier::new(mem_entries)),
@@ -78,6 +79,7 @@ impl TieredCache {
     }
 
     /// Whether a persistent tier is attached.
+    #[cfg(test)]
     pub fn has_disk(&self) -> bool {
         self.disk.is_some()
     }

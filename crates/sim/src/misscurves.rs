@@ -7,13 +7,15 @@
 //!
 //! The figures run on a **single-pass engine**: fully associative
 //! LRU/OPT come off Mattson stack profilers (one trace pass yields every
-//! capacity); every other sweep — set-associative, cross-set policies and
-//! Hawkeye alike — replays each geometry once, with static policy
-//! dispatch, scattered across the engine workers; and each benchmark's
-//! next-use annotation is computed once and shared by every figure. The
-//! pre-engine per-(policy, capacity) replay is retained as
-//! [`CurveEngine::Replay`] — the reference that `bench-misscurves` and
-//! the equivalence tests pin the engine against, bit for bit.
+//! capacity); every other sweep replays each geometry once, scattered
+//! across the engine workers: set-associative LRU, MRU and OPT on the
+//! least-key kernel ([`keyed_misses`]), every other policy, Hawkeye and
+//! every fully associative MRU sweep on `Cache` with static policy
+//! dispatch; and each benchmark's next-use annotation is computed once
+//! and shared by every figure. The pre-engine per-(policy, capacity)
+//! replay on `Cache` is retained as [`CurveEngine::Replay`] — the
+//! reference that `bench-misscurves` and the equivalence tests pin the
+//! engine against, bit for bit.
 
 use crate::orchestrate::{artifact_key, calibrated_scene, paper_grid, TRACES_DESC};
 use crate::output::Table;
@@ -21,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tcor_cache::policy::{by_name, simulate_hawkeye, Opt};
 use tcor_cache::profile::{
-    opt_misses, simulate_policy, simulate_policy_annotated, LruStackProfiler, OptStackProfiler,
+    keyed_misses, opt_misses, simulate_policy, KeyRule, LruStackProfiler, OptStackProfiler,
 };
 use tcor_cache::{annotate_next_use, Indexing, ShardCache, Trace};
 use tcor_common::{CacheParams, TcorError, TcorResult};
@@ -66,8 +68,9 @@ impl BenchTrace {
 pub enum CurveEngine {
     /// The production path: stack profilers answer fully associative
     /// LRU/OPT in one trace pass; every other sweep replays each geometry
-    /// once, with static policy dispatch and the shared OPT annotation,
-    /// scattered across the engine workers.
+    /// once (set-associative LRU, MRU and OPT on the least-key kernel,
+    /// the rest with static policy dispatch), OPT on the shared
+    /// annotation, scattered across the engine workers.
     SinglePass,
     /// One full replay per (policy, capacity), re-annotating where the
     /// pre-engine code did. Retained as the reference implementation for
@@ -308,23 +311,27 @@ fn lb_curve(traces: &[BenchTrace], capacities: &[usize]) -> Vec<f64> {
 }
 
 /// Miss count of one benchmark trace on one geometry, replayed by the
-/// single-pass engine: static policy dispatch (the replay loop
-/// monomorphizes per policy type instead of paying a virtual call per
-/// access), and OPT reuses the shared annotation instead of re-deriving
-/// it the way [`CurveEngine::Replay`] does.
+/// single-pass engine. Set-associative LRU and MRU, and OPT, run on the
+/// least-key kernel ([`keyed_misses`]; OPT keys by the shared annotation
+/// instead of re-deriving it the way [`CurveEngine::Replay`] does).
+/// Every other sweep runs on `Cache` with static policy dispatch (the
+/// replay loop monomorphizes per policy type instead of paying a
+/// virtual call per access).
 fn geometry_misses(b: &BenchTrace, params: CacheParams, policy: &str) -> u64 {
-    let stats = match policy {
-        "opt" => {
-            simulate_policy_annotated(&b.trace, &b.next_use, params, Indexing::Modulo, Opt::new())
-        }
+    let keyed = |rule| keyed_misses(&b.trace, &b.next_use, params, Indexing::Modulo, rule);
+    match (policy, params.is_fully_associative()) {
+        ("lru", false) => keyed(KeyRule::Lru),
+        ("mru", false) => keyed(KeyRule::Mru),
+        // Fully associative OPT comes off the stack profiler; the kernel
+        // is exact at every geometry.
+        ("opt", _) => keyed(KeyRule::Opt),
         // `simulate_hawkeye` feeds each access its address, Hawkeye's
         // training signal.
-        "hawkeye" => simulate_hawkeye(&b.trace, params),
+        ("hawkeye", _) => simulate_hawkeye(&b.trace, params).misses(),
         _ => tcor_cache::dispatch_policy!(policy, make => {
-            simulate_policy(&b.trace, params, Indexing::Modulo, make(), false)
+            simulate_policy(&b.trace, params, Indexing::Modulo, make(), false).misses()
         }),
-    };
-    stats.misses()
+    }
 }
 
 /// Aggregate miss ratio of a named policy (any of [`SERVE_POLICIES`])
@@ -333,7 +340,8 @@ fn geometry_misses(b: &BenchTrace, params: CacheParams, policy: &str) -> u64 {
 ///
 /// Single-pass engine: fully associative LRU/OPT read straight off the
 /// stack profilers; every other sweep replays each geometry once over
-/// every trace, one [`scatter`] task per geometry across `workers`.
+/// every trace ([`geometry_misses`]), one [`scatter`] task per geometry
+/// across `workers`.
 /// Measured against the interleaved capacity bank and per-set sharded
 /// replay, this one path ties the bank on one worker and beats both on
 /// two (DESIGN.md, "One miss-curve path"). Replay engine: one boxed-policy

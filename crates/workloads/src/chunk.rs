@@ -121,6 +121,7 @@ impl ChunkDecoder {
     }
 
     /// Bytes currently carried (unterminated partial line).
+    #[cfg(test)]
     pub fn carry_len(&self) -> usize {
         self.carry.len()
     }
