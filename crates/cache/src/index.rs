@@ -8,8 +8,8 @@
 //!
 //! [`Indexing::set_of`] is the definition. A structure that maps many
 //! addresses into one set count holds a [`SetIndex`], which checks the
-//! count once: a power-of-two Modulo cache then masks, and every other
-//! count that would divide multiplies by a precomputed reciprocal.
+//! count once: a power-of-two Modulo cache then masks instead of
+//! dividing.
 
 /// How a block address maps to a set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -31,6 +31,12 @@ impl Indexing {
     /// Panics if `num_sets == 0`.
     pub fn set_of(self, addr: u64, num_sets: u64) -> u64 {
         assert!(num_sets > 0, "cache must have at least one set");
+        self.reduce(addr, num_sets)
+    }
+
+    /// [`Indexing::set_of`] for a `num_sets` known to be non-zero.
+    #[inline]
+    fn reduce(self, addr: u64, num_sets: u64) -> u64 {
         // One set never enters the fold, whose shift by 0 would never
         // empty the address.
         if num_sets == 1 {
@@ -38,43 +44,39 @@ impl Indexing {
         }
         match self {
             Indexing::Modulo => addr % num_sets,
-            Indexing::Xor if num_sets.is_power_of_two() => {
-                xor_fold(addr, num_sets.trailing_zeros())
+            Indexing::Xor => {
+                if num_sets.is_power_of_two() {
+                    let bits = num_sets.trailing_zeros();
+                    let mut acc = 0u64;
+                    let mut rest = addr;
+                    // Fold successive index-sized chunks of the address
+                    // into the set index.
+                    while rest != 0 {
+                        acc ^= rest & (num_sets - 1);
+                        rest >>= bits;
+                    }
+                    acc
+                } else {
+                    // Non-power-of-two set counts: scramble, then reduce.
+                    let mixed = splitmix64(addr);
+                    mixed % num_sets
+                }
             }
-            // Non-power-of-two set counts: scramble, then reduce.
-            Indexing::Xor => splitmix64(addr) % num_sets,
         }
     }
 }
 
-/// Folds successive `bits`-bit chunks of `addr` into one (`bits > 0`).
-#[inline]
-fn xor_fold(addr: u64, bits: u32) -> u64 {
-    let mask = (1 << bits) - 1;
-    let mut acc = 0u64;
-    let mut rest = addr;
-    while rest != 0 {
-        acc ^= rest & mask;
-        rest >>= bits;
-    }
-    acc
-}
-
 /// [`Indexing::set_of`] for one fixed set count, checked once at
-/// construction. Power-of-two Modulo (one set included) is a mask and
-/// power-of-two Xor the fold; every other count replaces the
-/// definition's `%` by a multiplication with a precomputed reciprocal
-/// ([`Divisor`]), exact for every `u64` address.
+/// construction. Power-of-two Modulo (one set included) is a mask;
+/// every other count calls the definition. A precomputed exact
+/// reciprocal could replace its `%`, but one measured no faster on the
+/// miss-curve replays, so none is kept.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SetIndex {
     indexing: Indexing,
     num_sets: u64,
-    /// `num_sets - 1` when the set is `addr & mask`. A field of its own,
-    /// not a variant beside the other forms, so a masked lookup is one
-    /// test and branch rather than a jump table.
+    /// `num_sets - 1` when the set is `addr & mask`.
     mask: Option<u64>,
-    /// The reciprocal of `num_sets` (of 2 for one set, which is masked).
-    divisor: Divisor,
 }
 
 impl SetIndex {
@@ -85,13 +87,12 @@ impl SetIndex {
     /// Panics if `num_sets == 0`.
     pub fn new(indexing: Indexing, num_sets: u64) -> Self {
         assert!(num_sets > 0, "cache must have at least one set");
-        let mask = (num_sets == 1 || indexing == Indexing::Modulo && num_sets.is_power_of_two())
-            .then(|| num_sets - 1);
+        let mask =
+            (indexing == Indexing::Modulo && num_sets.is_power_of_two()).then(|| num_sets - 1);
         SetIndex {
             indexing,
             num_sets,
             mask,
-            divisor: Divisor::new(num_sets.max(2)),
         }
     }
 
@@ -105,55 +106,12 @@ impl SetIndex {
     pub fn set_of(&self, addr: u64) -> usize {
         (match self.mask {
             Some(mask) => addr & mask,
-            None => match self.indexing {
-                Indexing::Modulo => self.divisor.rem(addr),
-                Indexing::Xor if self.num_sets.is_power_of_two() => {
-                    xor_fold(addr, self.num_sets.trailing_zeros())
-                }
-                Indexing::Xor => self.divisor.rem(splitmix64(addr)),
-            },
+            None => self.indexing.reduce(addr, self.num_sets),
         }) as usize
     }
 }
 
-/// `n mod d` for one fixed `d >= 2`, by one high multiply, one low
-/// multiply and shifts: unsigned division by an invariant integer
-/// (Granlund and Montgomery, "Division by Invariant Integers using
-/// Multiplication", PLDI 1994, Fig. 4.1), which is exact for every
-/// 64-bit `n`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Divisor {
-    d: u64,
-    /// `floor(2^64 * (2^l - d) / d) + 1`, where `l = ceil(log2 d)`;
-    /// below `2^64` because `2^l - d < d`.
-    magic: u64,
-    /// `l - 1`.
-    shift: u32,
-}
-
-impl Divisor {
-    fn new(d: u64) -> Self {
-        debug_assert!(d >= 2, "a divisor below 2 has no reciprocal form");
-        let l = u64::BITS - (d - 1).leading_zeros();
-        let magic = (((1u128 << l) - u128::from(d)) << 64) / u128::from(d) + 1;
-        Divisor {
-            d,
-            magic: magic as u64,
-            shift: l - 1,
-        }
-    }
-
-    #[inline]
-    fn rem(self, n: u64) -> u64 {
-        let t = ((u128::from(self.magic) * u128::from(n)) >> 64) as u64;
-        // `t <= n`, so neither step overflows.
-        let q = (t + ((n - t) >> 1)) >> self.shift;
-        n - q * self.d
-    }
-}
-
 /// The 64-bit finalizer of SplitMix64 — a cheap full-avalanche scrambler.
-#[inline]
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -232,29 +190,6 @@ mod tests {
                         "{indexing:?}, {num_sets} sets, addr {addr:#x}"
                     );
                 }
-            }
-        }
-    }
-
-    /// The reciprocal is `%` beyond the set counts a cache uses: every
-    /// divisor width up to `u64::MAX`, at the addresses around its
-    /// multiples and both ends of the range.
-    #[test]
-    fn reciprocal_remainder_is_exact() {
-        let mut rng = tcor_common::SmallRng::seed_from_u64(0x2ECE);
-        let mut divisors = vec![2, 3, 7, 192, 448, u64::MAX, u64::MAX - 1, (1 << 63) + 1];
-        divisors.extend((1..64).map(|bits| (1u64 << bits) | (rng.next_u64() >> (64 - bits))));
-        for d in divisors {
-            let div = Divisor::new(d);
-            let mut addrs = vec![0, 1, d - 1, d, u64::MAX, u64::MAX - 1, u64::MAX - d];
-            addrs.extend(
-                [d.wrapping_mul(2), d.wrapping_mul(3)]
-                    .iter()
-                    .flat_map(|&m| [m.wrapping_sub(1), m, m.wrapping_add(1)]),
-            );
-            addrs.extend((0..32).map(|_| rng.next_u64()));
-            for n in addrs {
-                assert_eq!(div.rem(n), n % d, "{n} mod {d}");
             }
         }
     }

@@ -15,8 +15,7 @@
 //! one small [`AccessMeta`] per line (a future-use priority and a
 //! free-form user word), which every access writes. The set count is
 //! checked once per cache ([`SetIndex`]): a power-of-two Modulo cache
-//! masks, a power-of-two Xor cache folds, and every other count takes
-//! its remainder by a precomputed reciprocal instead of a division.
+//! masks, every other cache calls [`Indexing::set_of`]'s function.
 //! Victim selection is delegated to a
 //! [`ReplacementPolicy`], which sees the full set's stored metadata —
 //! this is how both exact Belady-OPT (future timestamps) and TCOR's
